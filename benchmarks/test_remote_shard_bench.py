@@ -8,9 +8,9 @@ dispatch over a two-worker loopback cluster (``span-cluster-2``), with
 bit-identity asserted between the two.  Rows land in
 ``BENCH_remote_shard.json`` for the CI regression gate.
 
-Like every bench here the committed numbers are honest single-core
-records: on one core the span rows measure transport overhead, and the
-speedup assertion gates on ``os.cpu_count() > 1``.
+Like every bench here the committed numbers are honest records: on
+one core the span rows measure transport overhead.  The speedup is
+published, not asserted.
 
 The second half records the :class:`~repro.evaluation.shm.ShmArena`
 frame-reuse saving: publishing N frames through the arena costs one
@@ -37,7 +37,6 @@ from repro.kernels.linalg import make_mm
 from repro.layout.memory import MemoryLayout
 
 CACHE = CacheConfig(1024, 32, 1)
-MULTICORE = (os.cpu_count() or 1) > 1
 
 
 def _min_of(n, fn):
@@ -110,9 +109,6 @@ def test_remote_shard_bench():
              "waves": stats["span_waves"]},
         ],
     )
-    if MULTICORE:
-        # Two real cores must make the narrow wave meaningfully faster.
-        assert speedup >= 1.3, (t_local, t_span)
 
 
 def test_arena_frame_reuse_bench():

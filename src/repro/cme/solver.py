@@ -36,6 +36,7 @@ from repro.layout.memory import MemoryLayout
 from repro.polyhedra.box import Box
 from repro.polyhedra.cascade import TRUE, UNKNOWN, BatchCascade, make_cascade
 from repro.polyhedra.congruence import CongruenceTester
+from repro.polyhedra.kernels import boxes_interfere
 from repro.polyhedra.lexinterval import lex_between_boxes
 from repro.reuse.vectors import ReuseCandidate, compute_reuse_candidates
 
@@ -713,13 +714,10 @@ class PointClassifier:
         order = np.lexsort((key, jid))
         return Blo[order], Bhi[order], jid[order]
 
-    #: Row cap per concatenated interval evaluation (memory guard).
+    #: Point-volume cap per kernel call (memory guard).
     _JOB_CHUNK_ROWS = 1 << 20
     #: Per-job enumeration budget per round (early-exit granularity).
     _ROUND_ROWS = 1 << 12
-    #: Ragged loner boxes up to this volume take the concatenated
-    #: mixed-extent path; bigger ones share power-of-two buckets.
-    _HETERO_VOL = 1 << 12
 
     def _run_interval_jobs(self, jobs: list[tuple[list, tuple]]) -> list[bool]:
         """Resolve a wave of interval-interference queries at once.
@@ -728,11 +726,12 @@ class PointClassifier:
         decomposes into the same boxes the serial cascade would visit.
         The cascade's O(1) address-band rejection is applied to *all*
         boxes of the wave in a handful of array operations; surviving
-        small boxes are enumerated exactly in one concatenated
-        mixed-radix pass (the regime where the cascade would enumerate
-        exactly as well), and surviving big boxes fall back to the
-        per-box congruence cascade.  Outcomes therefore match the
-        scalar path on every job by construction.
+        small boxes are decided exactly by the split-sum kernel
+        :func:`repro.polyhedra.kernels.boxes_interfere` (the regime
+        where the cascade would enumerate exactly as well), and
+        surviving big boxes fall back to the per-box congruence
+        cascade.  Outcomes therefore match the scalar path on every job
+        by construction.
         """
         self.stats.intervals_vectorized += len(jobs)
         L = self._L
@@ -769,11 +768,6 @@ class PointClassifier:
         ngroups = len(self._groups)
         pvol = np.empty((nb, ngroups), dtype=np.int64)
         galive = np.empty((nb, ngroups), dtype=bool)
-        # Bucketed extents (next power of two) let big ragged
-        # same-vector boxes share one decoded shape.
-        bexts = np.power(
-            2, np.ceil(np.log2(exts_all)).astype(np.int64)
-        ).astype(np.int64)
         for gi, (dims, ridx, _, _) in enumerate(self._groups):
             pvol[:, gi] = exts_all[:, dims].prod(axis=1)
             galive[:, gi] = alive[:, ridx].any(axis=1)
@@ -812,15 +806,23 @@ class PointClassifier:
                             batch[gi].append(b)
                             batch_jobs[gi].append(j)
                             budget -= int(pvol[b, gi])
-            for gi in range(ngroups):
+            for gi, (dims, _, Cg, c0g) in enumerate(self._groups):
                 if not batch[gi]:
                     continue
                 boxes = np.array(batch[gi], dtype=np.int64)
                 hits: list[np.ndarray] = []
                 for sel in self._chunk_boxes(boxes, pvol[:, gi]):
+                    # Boxes projected to the group's support dimensions:
+                    # the value set of each address form is unchanged.
                     hits.append(
-                        self._enumerate_group_chunk(
-                            sel, gi, Blo, exts_all, bexts, wlo_box, l0_box
+                        boxes_interfere(
+                            Blo[np.ix_(sel, dims)],
+                            exts_all[np.ix_(sel, dims)],
+                            Cg,
+                            c0g,
+                            l0_box[sel],
+                            M,
+                            L,
                         )
                     )
                 for j, h in zip(batch_jobs[gi], np.concatenate(hits)):
@@ -947,164 +949,6 @@ class PointClassifier:
         if cur:
             chunks.append(np.array(cur, dtype=np.int64))
         return chunks
-
-    def _enumerate_group_chunk(
-        self,
-        chunk: np.ndarray,
-        gi: int,
-        Blo: np.ndarray,
-        exts_all: np.ndarray,
-        bexts: np.ndarray,
-        wlo_box: np.ndarray,
-        l0_box: np.ndarray,
-    ) -> np.ndarray:
-        """Enumerate one reference group over many boxes at once.
-
-        Boxes are projected to the group's support dimensions (the
-        value set of the affine form is unchanged) and grouped three
-        ways by extent shape:
-
-        * boxes sharing exact extents — the common case, a wave holds
-          the same reuse vector at many sample points — share one
-          mixed-radix decode and one offset-address product, and each
-          reference reduces to a broadcast add over (boxes × volume)
-          or, for large shapes, two O(1) counts per box (see below);
-        * small ragged leftovers take one concatenated mixed-extent
-          decode instead of per-box numpy chains;
-        * big ragged leftovers fall into power-of-two extent buckets
-          so they can still share a decode, with rows beyond a box's
-          true extents masked out.
-
-        Boxes whose interference is established drop out before the
-        next reference — the vector analogue of the cascade's early
-        exit.  Returns one "interferes?" bit per box of ``chunk``.
-        """
-        dims, _, Cg, c0g = self._groups[gi]
-        L = self._L
-        M = self._M
-        lo_c = Blo[np.ix_(chunk, dims)]
-        exts = exts_all[np.ix_(chunk, dims)]  # (nbc, dg)
-        buck = bexts[np.ix_(chunk, dims)]
-        dg = len(dims)
-        wl_c = wlo_box[chunk]
-        l0_c = l0_box[chunk]
-        hit_out = np.zeros(len(chunk), dtype=bool)
-        pvol_c = exts.prod(axis=1)
-        exact_map: dict[tuple[int, ...], list[int]] = {}
-        for t, key in enumerate(map(tuple, exts.tolist())):
-            exact_map.setdefault(key, []).append(t)
-        shape_map: dict[tuple[int, ...], list[int]] = {}
-        hetero: list[int] = []
-        for key, members in exact_map.items():
-            if len(members) > 1:
-                shape_map.setdefault(key, []).extend(members)
-            elif pvol_c[members[0]] <= self._HETERO_VOL:
-                hetero.append(members[0])
-            else:
-                bkey = tuple(buck[members[0]].tolist())
-                shape_map.setdefault(bkey, []).append(members[0])
-        if hetero:
-            self._enumerate_hetero(
-                np.array(sorted(hetero), dtype=np.int64),
-                lo_c, exts, pvol_c, l0_c, Cg, c0g, hit_out,
-            )
-            if not shape_map:
-                return hit_out
-        for shape, members in shape_map.items():
-            vol = 1
-            for e in shape:
-                vol *= int(e)
-            idx = np.arange(vol, dtype=np.int64)
-            u_coords = np.empty((vol, dg), dtype=np.int64)
-            stride = 1
-            for j in range(dg - 1, -1, -1):
-                u_coords[:, j] = (idx // stride) % shape[j]
-                stride *= shape[j]
-            UA = u_coords @ Cg.T  # (vol, nrefs_in_group)
-            mem = np.array(members, dtype=np.int64)
-            base = lo_c[mem] @ Cg.T + c0g  # (nboxes, nrefs_in_group)
-            wl = wl_c[mem]
-            l0 = l0_c[mem]
-            # Rows beyond a bucketed box's true extents are invalid
-            # and never count as interference; exactly-shaped groups
-            # skip the mask entirely.
-            valid = None
-            if (exts[mem] != np.array(shape, dtype=np.int64)).any():
-                valid = (u_coords[None, :, :] < exts[mem][:, None, :]).all(
-                    axis=2
-                )  # (nboxes, vol)
-            # For exactly-shaped groups with enough boxes, interference
-            # per box collapses to two O(1) counts: window hits come
-            # from a circular window-sum table over the offset residues
-            # (shared by every box of the shape), own-line hits from a
-            # searchsorted pair on the sorted offsets.  A box
-            # interferes iff it has more window hits than own-line
-            # hits.
-            use_tables = valid is None and len(mem) * vol > vol + 2 * M
-            undecided = np.arange(len(mem), dtype=np.int64)
-            for r in range(Cg.shape[0]):
-                if len(undecided) == 0:
-                    break
-                if use_tables:
-                    V = UA[:, r]
-                    hist = np.bincount(V % M, minlength=M)
-                    csum = np.zeros(M + L + 1, dtype=np.int64)
-                    np.cumsum(
-                        np.concatenate([hist, hist[:L]]), out=csum[1:]
-                    )
-                    rel = l0[undecided] - base[undecided, r]
-                    idx = rel % M
-                    window_hits = csum[idx + L] - csum[idx]
-                    Vs = np.sort(V)
-                    own_hits = np.searchsorted(
-                        Vs, rel + L, side="left"
-                    ) - np.searchsorted(Vs, rel, side="left")
-                    bh = window_hits > own_hits
-                else:
-                    A = base[undecided, r][:, None] + UA[:, r][None, :]
-                    AmodL = A % L
-                    h = ((A % M) - AmodL == wl[undecided][:, None]) & (
-                        A - AmodL != l0[undecided][:, None]
-                    )
-                    if valid is not None:
-                        h &= valid[undecided]
-                    bh = h.any(axis=1)
-                if bh.any():
-                    hit_out[mem[undecided[bh]]] = True
-                    undecided = undecided[~bh]
-        return hit_out
-
-    def _enumerate_hetero(
-        self,
-        tiny: np.ndarray,
-        lo_c: np.ndarray,
-        exts: np.ndarray,
-        pvol_c: np.ndarray,
-        l0_c: np.ndarray,
-        Cg: np.ndarray,
-        c0g: np.ndarray,
-        hit_out: np.ndarray,
-    ) -> None:
-        """Concatenated decode of many mixed-extent boxes at once."""
-        lo_t = lo_c[tiny]
-        ex_t = exts[tiny]
-        dg = ex_t.shape[1]
-        suf = np.ones_like(ex_t)
-        for j in range(dg - 2, -1, -1):
-            suf[:, j] = suf[:, j + 1] * ex_t[:, j + 1]
-        vols = pvol_c[tiny]
-        offsets = np.zeros(len(tiny), dtype=np.int64)
-        np.cumsum(vols[:-1], out=offsets[1:])
-        total = int(offsets[-1] + vols[-1])
-        box_row = np.repeat(np.arange(len(tiny), dtype=np.int64), vols)
-        local = np.arange(total, dtype=np.int64) - offsets[box_row]
-        # One whole-matrix gather per operand beats per-dimension
-        # fancy indexing by a wide margin on deep nests.
-        pts = lo_t[box_row] + (local[:, None] // suf[box_row]) % ex_t[box_row]
-        u = pts @ Cg.T + c0g - l0_c[tiny][box_row, None]
-        h = ((u % self._M) < self._L) & ((u < 0) | (u >= self._L))
-        box_hit = np.logical_or.reduceat(h.any(axis=1), offsets)
-        hit_out[tiny[box_hit]] = True
 
     def _count_interfering_lines(
         self,

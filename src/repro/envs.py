@@ -199,8 +199,8 @@ COMPILED_CASCADE = _register(
     _not_zero,
     True,
     help="Top rung of the cascade dispatch ladder: the compiled "
-    "kernel engine (numba @njit where available, table-driven numpy "
-    "otherwise).  Layered under REPRO_BATCH_CASCADE — disabling "
+    "kernel engine (table-driven numpy kernels).  Layered under "
+    "REPRO_BATCH_CASCADE — disabling "
     "batching disables this too.  Outcome-identical by construction "
     "(same property suite as the batched engine), so it must NOT "
     "enter the objective fingerprint: warm memo stores stay valid "

@@ -740,9 +740,8 @@ class CompiledCascade(BatchCascade):
     """The compiled-kernel engine: same verdicts, table-driven inner loops.
 
     Replaces the three per-query enumeration broadcasts of
-    :class:`BatchCascade` with the precomputed-table kernels of
-    :mod:`repro.polyhedra.kernels` (``@njit``-compiled where numba is
-    installed, pure numpy otherwise):
+    :class:`BatchCascade` with the precomputed-table numpy kernels of
+    :mod:`repro.polyhedra.kernels`:
 
     * mod-window any-hit → one window-table lookup per query,
     * absolute-interval membership → two binary searches per query,

@@ -1,4 +1,4 @@
-"""Compiled inner kernels of the congruence cascade.
+"""Table-driven inner kernels of the congruence cascade and the solver.
 
 The three numeric inner loops of :mod:`repro.polyhedra.cascade` —
 mixed-radix "does any enumerated value hit the window" tests, absolute
@@ -19,45 +19,20 @@ tables** instead of a per-query broadcast:
   line counting gathers only the hits (≈ ``L/m`` of the volume)
   instead of scanning the whole enumeration.
 
+:func:`boxes_interfere` applies the same two counts to the solver's
+direct-mapped interval enumeration, where every box has its own shape:
+it splits each box's dimensions in two and sums binary-search counts
+over one half against the sorted values of the other.
+
 Every kernel is exact set arithmetic — no approximation anywhere — so
 the verdict contract of the cascade (bit-identical to the scalar
 tester) is preserved by construction; the cascade equivalence property
-suite pins it mechanically.
-
-When :mod:`numba` is importable the per-query loops are ``@njit``
-compiled (:data:`HAVE_NUMBA`); otherwise the pure-numpy fallbacks below
-run.  Both implementations are kept semantically in lock step and the
-fallback-ladder tests force each one explicitly.
+suite and the kernel property tests pin it mechanically.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-try:  # pragma: no cover - exercised only where numba is installed
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:  # the container's default: pure-numpy fallbacks
-    HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):
-        """No-op decorator stand-in (numpy fallbacks never call these)."""
-        if args and callable(args[0]):
-            return args[0]
-        return lambda fn: fn
-
-
-#: Tests force the numpy fallbacks by flipping this (see
-#: ``use_compiled_loops``); it never changes results, only which
-#: bit-identical implementation runs.
-FORCE_NUMPY = False
-
-
-def use_compiled_loops() -> bool:
-    """Should the ``@njit`` per-query loops run (vs the numpy ones)?"""
-    return HAVE_NUMBA and not FORCE_NUMPY
-
 
 # -- per-shape tables ---------------------------------------------------------
 
@@ -104,21 +79,9 @@ def abs_any(
     offs_sorted: np.ndarray, lo_rel: np.ndarray, hi_rel: np.ndarray
 ) -> np.ndarray:
     """Any offset in ``[lo_rel_q, hi_rel_q]``, per query (binary search)."""
-    if use_compiled_loops():  # pragma: no cover - needs numba
-        return _abs_any_nb(offs_sorted, lo_rel, hi_rel)
     lo_idx = np.searchsorted(offs_sorted, lo_rel, side="left")
     hi_idx = np.searchsorted(offs_sorted, hi_rel, side="right")
     return hi_idx > lo_idx
-
-
-@njit(cache=True)
-def _abs_any_nb(offs_sorted, lo_rel, hi_rel):  # pragma: no cover - needs numba
-    n = lo_rel.shape[0]
-    out = np.zeros(n, dtype=np.bool_)
-    for q in range(n):
-        lo_idx = np.searchsorted(offs_sorted, lo_rel[q], side="left")
-        out[q] = lo_idx < offs_sorted.shape[0] and offs_sorted[lo_idx] <= hi_rel[q]
-    return out
 
 
 # -- windowed hit gather (distinct-line counting) ------------------------------
@@ -168,9 +131,6 @@ def distinct_counts(
     """Distinct ``lines`` values per query (``qrow`` need not be sorted)."""
     if len(lines) == 0:
         return np.zeros(nq, dtype=np.int64)
-    if use_compiled_loops():  # pragma: no cover - needs numba
-        order = np.lexsort((lines, qrow))
-        return _distinct_counts_nb(qrow[order], lines[order], nq)
     order = np.lexsort((lines, qrow))
     ql = qrow[order]
     ll = lines[order]
@@ -179,10 +139,124 @@ def distinct_counts(
     return np.bincount(ql[first], minlength=nq)
 
 
-@njit(cache=True)
-def _distinct_counts_nb(ql, ll, nq):  # pragma: no cover - needs numba
-    out = np.zeros(nq, dtype=np.int64)
-    for i in range(ql.shape[0]):
-        if i == 0 or ql[i] != ql[i - 1] or ll[i] != ll[i - 1]:
-            out[ql[i]] += 1
-    return out
+# -- split-sum box interference -----------------------------------------------
+
+#: Segment keys ``shape · stride + value`` stay below this bound (int64).
+_KEY_LIMIT = 1 << 62
+
+
+def boxes_interfere(
+    lo: np.ndarray,
+    exts: np.ndarray,
+    coeffs: np.ndarray,
+    consts: np.ndarray,
+    line0: np.ndarray,
+    mod: int,
+    line: int,
+) -> np.ndarray:
+    """Per box: does any reference touch ``line0``'s cache set on another line?
+
+    Box ``b`` is ``{lo[b] + u : 0 ≤ u < exts[b]}``; reference ``r``
+    accesses address ``a(x) = coeffs[r] · x + consts[r]``; ``line0[b]``
+    is the first byte of the reused line (a multiple of ``line``, which
+    divides the way size ``mod``).  For one reference let
+
+    * ``W`` = #points with ``(a − line0) mod mod < line`` (same set),
+    * ``O`` = #points with ``line0 ≤ a < line0 + line`` (the line itself).
+
+    Every point counted by ``O`` is counted by ``W``, so the box
+    interferes iff ``W > O`` for some reference — exactly the dense
+    enumeration's verdict.  Both counts split: with the dimensions
+    divided into a query half ``Q`` and a sorted half ``S``,
+    ``a = base + v_Q + v_S``, so each count is a sum over the values
+    ``v_Q`` of a binary-search count among the box's sorted ``v_S``
+    (raw values for ``O``; residues mod ``mod`` for ``W``, where the
+    window wraps into at most two runs).  Ragged boxes share one sort
+    through segment keys, one segment per distinct ``S`` shape, so a box
+    costs O((|Q| + |S|) · log) instead of |Q| · |S| enumerated points.
+    """
+    nb = len(lo)
+    hit = np.zeros(nb, dtype=bool)
+    if nb == 0:
+        return hit
+    q_dims, s_dims = _split_dims(exts)
+    shapes, shape_of = np.unique(exts[:, s_dims], axis=0, return_inverse=True)
+    shape_of = shape_of.reshape(-1)
+    s_coeffs = coeffs[:, s_dims]
+    s_min = (shapes - 1) @ np.minimum(s_coeffs, 0).T  # (shapes, refs)
+    stride = max(int(((shapes - 1) @ np.abs(s_coeffs).T).max()) + 1, mod)
+    if nb > 1 and (len(shapes) + 1) * stride >= _KEY_LIMIT:
+        half = nb // 2
+        return np.concatenate([
+            boxes_interfere(lo[sl], exts[sl], coeffs, consts, line0[sl], mod, line)
+            for sl in (slice(0, half), slice(half, nb))
+        ])
+    q_box, q_vals = _box_values(exts[:, q_dims], coeffs[:, q_dims])
+    s_shape, s_vals = _box_values(shapes, s_coeffs)
+    seg = np.arange(len(shapes), dtype=np.int64) * stride
+    s_seg = seg[s_shape]
+    # A point hits where v_Q + v_S lies in rel + [0, line) (own line) or
+    # in it modulo ``mod`` (same set).
+    rel = line0[:, None] - (lo @ coeffs.T + consts)
+    for r in range(len(coeffs)):
+        rows = ~hit[q_box]
+        if not rows.any():
+            break
+        b = q_box[rows]
+        x = rel[b, r] - q_vals[rows, r]
+        sid = shape_of[b]
+        base = seg[sid]
+        own = np.sort(s_seg + (s_vals[:, r] - s_min[s_shape, r]))
+        shifted = x - s_min[sid, r]
+        own_hits = np.searchsorted(
+            own, base + np.clip(shifted + line, 0, stride)
+        ) - np.searchsorted(own, base + np.clip(shifted, 0, stride))
+        res = np.sort(s_seg + s_vals[:, r] % mod)
+        t = x % mod
+        window_hits = (
+            np.searchsorted(res, base + np.minimum(t + line, mod))
+            - np.searchsorted(res, base + t)
+            + np.searchsorted(res, base + np.maximum(t + line - mod, 0))
+            - np.searchsorted(res, base)
+        )
+        hit[b[window_hits > own_hits]] = True
+    return hit
+
+
+def _split_dims(exts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(Q, S)`` dimension split minimising Σ_boxes 3·|Q| + |S|.
+
+    A query row costs five binary searches, a sorted row a share of two
+    sorts.  The choice only affects speed, so float products are fine.
+    """
+    dg = exts.shape[1]
+    masks = (np.arange(1 << dg)[:, None] >> np.arange(dg)) & 1
+    logs = np.log(exts.astype(np.float64)).T
+    cost = (
+        3.0 * np.exp(masks @ logs).sum(axis=1)
+        + np.exp((1 - masks) @ logs).sum(axis=1)
+    )
+    q = masks[int(np.argmin(cost))].astype(bool)
+    return np.flatnonzero(q), np.flatnonzero(~q)
+
+
+def _box_values(
+    exts: np.ndarray, coeffs: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """``Σ_j coeffs[:, j] · u_j`` over every ``0 ≤ u < exts[b]`` of every box.
+
+    Returns ``(box, vals)``: the owning box per row (rows grouped by
+    box) and the (rows × refs) values, decoded one dimension at a time
+    by repeating the rows so far and adding a ragged ``arange``.
+    """
+    box = np.arange(len(exts), dtype=np.int64)
+    vals = np.zeros((len(exts), len(coeffs)), dtype=np.int64)
+    for j in range(exts.shape[1]):
+        cnt = exts[box, j]
+        ends = np.cumsum(cnt)
+        local = np.arange(int(ends[-1]), dtype=np.int64) - np.repeat(
+            ends - cnt, cnt
+        )
+        box = np.repeat(box, cnt)
+        vals = np.repeat(vals, cnt, axis=0) + local[:, None] * coeffs[:, j]
+    return box, vals

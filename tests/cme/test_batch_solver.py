@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 
 from repro.cache.config import CacheConfig
+from repro.cme import solver
 from repro.cme.sampling import estimate_at_points, sample_original_points
 from repro.cme.solver import PointClassifier
 from repro.ir.program import program_from_nest
 from repro.layout.memory import MemoryLayout
+from repro.polyhedra.kernels import boxes_interfere
 from repro.transform.tiling import tile_program
 from tests.conftest import make_small_mm, make_small_transpose
 
@@ -45,6 +47,30 @@ def test_classify_batch_matches_classify_point(cache):
         assert batched.stats.points == scalar.stats.points
         assert batched.stats.ref_tests == scalar.stats.ref_tests
         assert batched.stats.sources_checked == scalar.stats.sources_checked
+
+
+def test_classify_batch_matches_classify_point_on_big_shared_boxes(
+    monkeypatch,
+):
+    """MM_128 tiled (128, 64, 128) at 8KB DM: dozens of between-boxes
+    over 4096 points, many sharing one shape, reach the split-sum
+    kernel (the MM_24/T2D_32 programs above barely produce any)."""
+    shapes = []
+
+    def spy(lo, exts, *args):
+        shapes.extend(map(tuple, exts[exts.prod(axis=1) > 4096].tolist()))
+        return boxes_interfere(lo, exts, *args)
+
+    monkeypatch.setattr(solver, "boxes_interfere", spy)
+    nest = make_small_mm(128)
+    layout = MemoryLayout(nest.arrays())
+    prog = tile_program(nest, (128, 64, 128))
+    pm = prog.point_map
+    mapped = [pm.from_original(p) for p in sample_original_points(nest, 60, 3)]
+    scalar = PointClassifier(prog, layout, CACHE_8K)
+    expected = [scalar.classify_point(p) for p in mapped]
+    assert PointClassifier(prog, layout, CACHE_8K).classify_batch(mapped) == expected
+    assert len(shapes) > 20 and len(set(shapes)) < len(shapes)
 
 
 def test_estimate_batch_flag_equivalence():

@@ -1,19 +1,16 @@
 """The cascade dispatch ladder: compiled → batched-numpy → scalar.
 
-Every rung must be forcible (knob, kwarg, or missing-dependency
-fallback) and every rung must produce identical classification
-outcomes and identical cascade-level tier attribution — the ladder
-trades wall-clock only.  These tests force each rung explicitly, the
-way an operator or a numba-less container would.
+Every rung must be forcible (knob or kwarg) and every rung must
+produce identical classification outcomes and identical cascade-level
+tier attribution — the ladder trades wall-clock only.  These tests
+force each rung explicitly, the way an operator would.
 """
 
 import numpy as np
-import pytest
 
 from repro.cache.config import CacheConfig
 from repro.cme.solver import PointClassifier
 from repro.layout.memory import MemoryLayout
-from repro.polyhedra import kernels
 from repro.polyhedra.box import Box
 from repro.polyhedra.cascade import CompiledCascade, verdicts_to_py
 from repro.polyhedra.congruence import CongruenceTester
@@ -84,10 +81,9 @@ def _ladder_queries():
     return coeffs, const, m, line, lo, hi, wlo, line0
 
 
-def test_missing_numba_fallback_is_bit_identical(monkeypatch):
-    """kernels.FORCE_NUMPY pins the pure-numpy loops (the container
-    default when numba is absent); verdicts and tier attribution match
-    the scalar tester either way."""
+def test_table_kernels_are_bit_identical():
+    """The compiled rung's table kernels give the scalar tester's
+    verdicts and tier attribution."""
     coeffs, const, m, line, lo, hi, wlo, line0 = _ladder_queries()
     budgets = {"enum_limit": 64, "partial_limit": 128,
                "line_candidate_limit": 8, "abs_search_budget": 16}
@@ -99,28 +95,8 @@ def test_missing_numba_fallback_is_bit_identical(monkeypatch):
         )
         for i in range(len(lo))
     ]
-    for force in (True, False):
-        monkeypatch.setattr(kernels, "FORCE_NUMPY", force)
-        if force:
-            assert not kernels.use_compiled_loops()
-        tester = CongruenceTester(**budgets)
-        cascade = CompiledCascade(coeffs, const, m, line, tester)
-        got = verdicts_to_py(
-            cascade.exists_interference_many(lo, hi, wlo, line0)
-        )
-        assert got == expected
-        assert tester.stats.as_dict() == scalar.stats.as_dict()
-
-
-def test_njit_stub_is_a_transparent_decorator():
-    """Without numba the njit stand-in must alter nothing, bare or
-    parameterised — the fallback ladder's bottom dependency rung."""
-    if kernels.HAVE_NUMBA:
-        pytest.skip("numba present: the stub decorator is unused")
-
-    def f(x):
-        return x + 1
-
-    assert kernels.njit(f) is f
-    assert kernels.njit(cache=True)(f) is f
-    assert kernels.use_compiled_loops() is False
+    tester = CongruenceTester(**budgets)
+    cascade = CompiledCascade(coeffs, const, m, line, tester)
+    got = verdicts_to_py(cascade.exists_interference_many(lo, hi, wlo, line0))
+    assert got == expected
+    assert tester.stats.as_dict() == scalar.stats.as_dict()
