@@ -8,12 +8,14 @@ any row's ``wall_s`` regressed by more than the tolerance:
 
     fresh_wall > baseline_wall * (1 + tolerance)  →  FAIL
 
-Usage (CI snapshots the committed files before the bench run
-overwrites them in place)::
+Usage (benchmarks write into the pytest session's temp dir, so the
+committed files stay put; files a run does not regenerate keep their
+committed rows)::
 
-    cp -r bench_results bench_baseline
-    pytest benchmarks/... -m slow            # regenerates bench_results
-    python benchmarks/check_regression.py --baseline bench_baseline
+    pytest benchmarks/... -m slow --basetemp=bench-out
+    cp -n bench_results/BENCH_*.json bench-out/bench_results/
+    python benchmarks/check_regression.py --baseline bench_results \
+        --fresh bench-out/bench_results
 
 Row matching and comparability rules:
 

@@ -4,8 +4,13 @@
 figure of the paper at a reduced GA budget (the pipeline is identical;
 only population/generations shrink — set ``REPRO_FULL=1`` for the
 paper's exact budget).  Each module prints its paper-vs-measured table
-and also writes it to ``bench_results/`` so the output survives
-pytest's capture.
+and also writes it to ``bench_results/`` under the pytest session's
+temp dir (pick it with ``--basetemp``), so the output survives pytest's
+capture without a test run rewriting the committed ``bench_results/``.
+To refresh the committed record, copy a run's files over it::
+
+    pytest benchmarks/ --basetemp=bench-out
+    cp bench-out/bench_results/* bench_results/
 """
 
 from __future__ import annotations
@@ -19,8 +24,10 @@ import pytest
 from repro.experiments.common import ExperimentConfig, full_mode
 from repro.ga.engine import GAConfig
 
-RESULTS_DIR = pathlib.Path(__file__).resolve().parent.parent / "bench_results"
 BENCH_DIR = pathlib.Path(__file__).resolve().parent
+#: This session's output directory, ``<basetemp>/bench_results``; set
+#: by the session fixture below before any benchmark runs.
+RESULTS_DIR: pathlib.Path | None = None
 
 
 def pytest_collection_modifyitems(config, items):
@@ -30,6 +37,24 @@ def pytest_collection_modifyitems(config, items):
     for item in items:
         if BENCH_DIR in pathlib.Path(str(item.fspath)).parents:
             item.add_marker(pytest.mark.slow)
+
+
+@pytest.fixture(scope="session", autouse=True)
+def _session_results_dir(tmp_path_factory):
+    # Pytest loads this file as a conftest module of its own; the
+    # benchmark modules import ``benchmarks.conftest``, so set the
+    # directory on that instance.
+    from benchmarks import conftest as shared
+
+    shared.RESULTS_DIR = tmp_path_factory.getbasetemp() / "bench_results"
+    shared.RESULTS_DIR.mkdir(exist_ok=True)
+
+
+def results_path(name: str) -> pathlib.Path:
+    """Path of a result file in this session's output directory."""
+    if RESULTS_DIR is None:
+        raise RuntimeError("benchmark results directory not set up")
+    return RESULTS_DIR / name
 
 
 def bench_config(seed: int = 0) -> ExperimentConfig:
@@ -47,8 +72,7 @@ def bench_config(seed: int = 0) -> ExperimentConfig:
 
 def publish(name: str, text: str) -> None:
     """Print a result table and persist it under bench_results/."""
-    RESULTS_DIR.mkdir(exist_ok=True)
-    (RESULTS_DIR / f"{name}.txt").write_text(text + "\n")
+    results_path(f"{name}.txt").write_text(text + "\n")
     print("\n" + text + "\n")
 
 
@@ -82,8 +106,7 @@ def publish_section(name: str, text: str) -> None:
     in any order — standalone or repeated — without clobbering or
     duplicating their neighbours'.
     """
-    RESULTS_DIR.mkdir(exist_ok=True)
-    path = RESULTS_DIR / f"{name}.txt"
+    path = results_path(f"{name}.txt")
     title = text.splitlines()[0]
     sections = _split_sections(path.read_text()) if path.exists() else []
     new = "\n".join(ln for ln in text.split("\n")).strip("\n")
@@ -107,11 +130,10 @@ def publish_bench_rows(name: str, rows: list[dict]) -> None:
     Each row is ``{bench, config, wall_s, speedup, cpu_count}`` so the
     numbers are comparable across PRs and uploadable as a CI artifact.
     """
-    RESULTS_DIR.mkdir(exist_ok=True)
     payload = [
         {"bench": name, "cpu_count": os.cpu_count(), **row} for row in rows
     ]
-    path = RESULTS_DIR / f"BENCH_{name}.json"
+    path = results_path(f"BENCH_{name}.json")
     path.write_text(json.dumps(payload, indent=1) + "\n")
     print(f"[bench] wrote {path}")
 

@@ -23,7 +23,12 @@ from __future__ import annotations
 import os
 import time
 
-from benchmarks.conftest import bench_config, publish, publish_bench_rows
+from benchmarks.conftest import (
+    bench_config,
+    publish,
+    publish_bench_rows,
+    results_path,
+)
 from repro.cache.config import CACHE_8KB_DM, CacheConfig
 from repro.distributed import LoopbackCluster
 from repro.experiments.common import format_table
@@ -75,7 +80,7 @@ def test_distributed_backend_bench():
         strategy="ga", budget=60, seed=0, n_samples=164,
         ga_config=bench_config().ga,
     )
-    memo = "bench_results/.mm500_bench.memo"
+    memo = str(results_path(".mm500_bench.memo"))
     if os.path.exists(memo):
         os.remove(memo)
     try:
@@ -137,7 +142,7 @@ def test_distributed_smoke():
     """
     kw = dict(strategy="ga", budget=24, seed=0, n_samples=48,
               ga_config=bench_config().ga)
-    memo = "bench_results/.smoke.memo"
+    memo = str(results_path(".smoke.memo"))
     if os.path.exists(memo):
         os.remove(memo)
     try:

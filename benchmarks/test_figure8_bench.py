@@ -1,6 +1,6 @@
 """Benchmark: regenerate Figure 8 (27 kernel bars, 8KB direct-mapped)."""
 
-from benchmarks.conftest import RESULTS_DIR, publish
+from benchmarks.conftest import publish, results_path
 from repro.experiments.figure8 import CONFLICT_KERNELS, format_figure, run_figure8
 from repro.report.charts import paired_bar_chart
 from repro.report.export import figure_rows_to_json
@@ -20,7 +20,7 @@ def test_figure8_reproduction(benchmark, experiment_config):
             title="Figure 8 (8KB direct-mapped)",
         ),
     )
-    (RESULTS_DIR / "figure8.json").write_text(
+    results_path("figure8.json").write_text(
         figure_rows_to_json(rows, "8KB-DM") + "\n"
     )
     assert len(rows) == 27

@@ -156,32 +156,28 @@ def estimate_at_points(
         program, layout, cache, candidates, cascade_budgets=cascade_budgets
     )
     pm = program.point_map
-    hits = cold = repl = 0
     per_ref: dict[int, dict[str, int]] = {
         ref.position: {"hit": 0, "cold": 0, "replacement": 0}
         for ref in program.refs
     }
     refs_sorted = sorted(program.refs, key=lambda r: r.position)
     if batch and original_points:
-        mapped_rows = pm.from_original_batch(
-            np.asarray(original_points, dtype=np.int64)
+        all_outcomes = classifier.classify_batch(
+            pm.from_original_batch(np.asarray(original_points, dtype=np.int64))
         )
-        mapped = [tuple(int(x) for x in row) for row in mapped_rows]
-        all_outcomes = classifier.classify_batch(mapped)
     else:
         all_outcomes = (
             classifier.classify_point(pm.from_original(orig_p))
             for orig_p in original_points
         )
-    for outcomes in all_outcomes:
-        for ref, oc in zip(refs_sorted, outcomes):
-            per_ref[ref.position][oc.value] += 1
-            if oc is Outcome.HIT:
-                hits += 1
-            elif oc is Outcome.COLD:
-                cold += 1
-            else:
-                repl += 1
+    # Per reference, one count per outcome over its column of the sample.
+    for ref, column in zip(refs_sorted, zip(*all_outcomes)):
+        for oc in Outcome:
+            per_ref[ref.position][oc.value] = column.count(oc)
+    hits, cold, repl = (
+        sum(counts[oc.value] for counts in per_ref.values())
+        for oc in (Outcome.HIT, Outcome.COLD, Outcome.REPLACEMENT)
+    )
     nrefs = len(program.refs)
     return CMEEstimate(
         sampled_points=len(original_points),

@@ -47,6 +47,12 @@ class Outcome(enum.Enum):
     REPLACEMENT = "replacement"
 
 
+# Outcome codes of classify_batch's (point, ref) table.
+_OUTCOMES = (Outcome.COLD, Outcome.HIT, Outcome.REPLACEMENT)
+_HIT = 1
+_REPLACEMENT = 2
+
+
 @dataclass
 class SolverStats:
     """Aggregate instrumentation for a classifier's lifetime."""
@@ -59,6 +65,13 @@ class SolverStats:
     boxes_tested: int = 0
     unknown_conservative: int = 0
     congruence: dict = field(default_factory=dict)
+
+
+def _prefix_all(mask: np.ndarray) -> np.ndarray:
+    """``out[..., l] = mask[..., :l].all(axis=-1)`` (True at ``l = 0``)."""
+    out = np.ones_like(mask)
+    np.logical_and.accumulate(mask[..., :-1], axis=-1, out=out[..., 1:])
+    return out
 
 
 class PointClassifier:
@@ -118,6 +131,15 @@ class PointClassifier:
             [r.position for r in self._refs], dtype=np.int64
         )
         self._regions: tuple[Box, ...] = program.space.regions
+        # Non-empty regions as (R, depth) bound arrays for the wave
+        # decomposition (an empty region holds no between-boxes).
+        solid = [r for r in self._regions if not r.is_empty]
+        self._region_lo = np.array(
+            [r.lo for r in solid], dtype=np.int64
+        ).reshape(len(solid), len(vars_))
+        self._region_hi = np.array(
+            [r.hi for r in solid], dtype=np.int64
+        ).reshape(len(solid), len(vars_))
         self._pm = program.point_map
         orig = program.original
         self._orig_lo = tuple(l.lower for l in orig.loops)
@@ -187,128 +209,107 @@ class PointClassifier:
         raise KeyError(position)
 
     def classify_batch(
-        self, points: list[tuple[int, ...]]
+        self, points: np.ndarray | list[tuple[int, ...]]
     ) -> list[list[Outcome]]:
         """Outcomes for a whole sample batch; one call per sample.
 
-        Agrees outcome-for-outcome with :meth:`classify_point` on every
-        point (the batched-vs-scalar equivalence contract of
-        :mod:`repro.evaluation`).  Addresses and reuse sources are
-        computed vectorised over the batch; per-source interference is
-        then resolved in *waves*: every still-undecided (point, ref)
-        pair submits its next reuse source, all small source→use
-        intervals of the wave are enumerated in one concatenated numpy
-        pass (exact wherever the serial cascade would enumerate exactly
-        as well), and oversized intervals go through the *batched*
-        congruence cascade (:mod:`repro.polyhedra.cascade`), which is
-        verdict-identical to the scalar tester.  For associative
-        caches the distinct-line counting is likewise batched per wave.
-        The waves examine exactly the sources the scalar early-exit
-        loop would examine, in the same order, so outcomes are
-        identical by construction.
+        ``points`` is an ``(n, depth)`` integer array or a sequence of
+        point tuples.  Agrees outcome-for-outcome with
+        :meth:`classify_point` on every point (the batched-vs-scalar
+        equivalence contract of :mod:`repro.evaluation`).  Addresses
+        and reuse sources are computed vectorised over the batch;
+        per-source interference is then resolved in *waves*: every
+        still-undecided (point, ref) pair submits its next reuse
+        source, all small source→use intervals of the wave are
+        enumerated in one concatenated numpy pass (exact wherever the
+        serial cascade would enumerate exactly as well), and oversized
+        intervals go through the *batched* congruence cascade
+        (:mod:`repro.polyhedra.cascade`), which is verdict-identical to
+        the scalar tester.  For associative caches the distinct-line
+        counting is likewise batched per wave.  The waves examine
+        exactly the sources the scalar early-exit loop would examine,
+        in the same order, so outcomes are identical by construction.
+
+        Work items are index arrays: item ``t`` is point ``ai[t]``,
+        reference ``aidx[t]`` and its current source ``cur[t]`` in the
+        run ``[cur, stop)`` of :meth:`_batch_reuse_sources`; a wave
+        gathers everything else by index.
         """
         n = len(points)
         if n == 0:
             return []
         self.stats.points += n
         nrefs = len(self._refs)
+        self.stats.ref_tests += n * nrefs
         L = self._L
-        M = self._M
+        k = self._k
         P = np.asarray(points, dtype=np.int64)
         addrs = P @ self._Cmat.T + self._c0vec  # (n, nrefs)
-        all_sources = self._batch_reuse_sources(P, addrs)
-        out: list[list[Outcome]] = [
-            [Outcome.COLD] * nrefs for _ in range(n)
-        ]
-        # Work item: [i, idx, point, sources(desc), cursor, line0_start, wlo]
-        active: list[list] = []
-        pts = list(map(tuple, P.tolist()))
-        for i in range(n):
-            pt = pts[i]
-            for idx in range(nrefs):
-                self.stats.ref_tests += 1
-                srcs = all_sources[idx][i]
-                if not srcs:
-                    continue  # COLD already in place
-                # Most recent source first: first interference-free
-                # source wins, as in the scalar path.
-                srcs.sort(reverse=True)
-                line0_start = (int(addrs[i, idx]) // L) * L
-                active.append(
-                    [i, idx, pt, srcs, 0, line0_start, line0_start % M]
+        l0s = addrs // L * L
+        wlos = l0s % self._M
+        # Every (point, ref) without a source stays COLD.
+        codes = np.zeros((n, nrefs), dtype=np.int8)
+        SRC, SPOS, ai, aidx, cur, stop = self._batch_reuse_sources(P, addrs)
+        while len(cur):
+            S = SRC[cur]
+            U = P[ai]
+            wlo = wlos[ai, aidx]
+            l0 = l0s[ai, aidx]
+            self.stats.sources_checked += len(cur)
+            same = (S == U).all(axis=1)
+            pre = None
+            if self._use_batch_cascade:
+                # Boundary-iteration line counts of the whole wave in
+                # one vectorised pass; a count at the cap decides.
+                pre = self._endpoint_counts_wave(
+                    S, U, same, SPOS[cur], self._positions[aidx], wlo, l0
                 )
-        while active:
-            pending: list[list] = []  # wait on the batched interval pass
-            jobs: list[tuple[list, list[tuple[int, int, int]]]] = []
-            survivors: list[list] = []
-            # Batched lanes: the boundary-iteration line counts of the
-            # whole wave in one vectorised pass (identical to the
-            # per-item loop below, which stays as the scalar rung).
-            pre_counts = (
-                self._endpoint_counts_wave(active)
-                if self._use_batch_cascade
-                else None
-            )
-            for t, w in enumerate(active):
-                i, idx, pt, srcs, cursor, line0_start, wlo = w
-                src, spos = srcs[cursor]
-                self.stats.sources_checked += 1
-                killed: bool | None
-                if self._k != 1:
-                    if pre_counts is None:
-                        # Serial associative counting: the per-box
-                        # distinct-line overcount is documented
-                        # conservative behaviour batch mode reproduces.
-                        killed = self._reuse_killed(
-                            src, spos, pt, idx, line0_start, wlo
-                        )
-                    else:
-                        pre = int(pre_counts[t])
-                        if pre >= self._k:
-                            killed = True
-                        elif src == pt:
-                            killed = False
-                        else:
-                            jobs.append((w, src, pre))
-                            pending.append(w)
-                            continue
-                elif (
-                    pre_counts[t] > 0
-                    if pre_counts is not None
-                    else self._endpoint_interference(
-                        src, spos, pt, idx, line0_start, wlo
+                killed = pre >= max(k, 1)
+                job = ~(killed | same)
+            else:
+                # Scalar rung: the per-item reference implementations.
+                rows = zip(
+                    map(tuple, S.tolist()),
+                    SPOS[cur].tolist(),
+                    map(tuple, U.tolist()),
+                    aidx.tolist(),
+                    l0.tolist(),
+                    wlo.tolist(),
+                )
+                if k != 1:
+                    # Serial associative counting: the per-box
+                    # distinct-line overcount is documented
+                    # conservative behaviour batch mode reproduces.
+                    killed = np.array(
+                        [self._reuse_killed(*row) for row in rows], dtype=bool
                     )
-                ):
-                    killed = True
-                elif src == pt:
-                    killed = False
+                    job = np.zeros(len(cur), dtype=bool)
                 else:
-                    jobs.append((w, src))
-                    pending.append(w)
-                    continue
-                self._resolve(w, killed, out, survivors)
-            if jobs:
-                run = (
-                    self._run_count_jobs
-                    if self._k != 1
-                    else self._run_interval_jobs
+                    killed = np.array(
+                        [self._endpoint_interference(*row) for row in rows],
+                        dtype=bool,
+                    )
+                    job = ~(killed | same)
+            jobs = np.flatnonzero(job)
+            if len(jobs):
+                args = (S[jobs], U[jobs], wlo[jobs], l0[jobs])
+                killed[jobs] = (
+                    self._run_count_jobs(*args, pre[jobs])
+                    if k != 1
+                    else self._run_interval_jobs(*args)
                 )
-                for w, killed in zip(pending, run(jobs)):
-                    self._resolve(w, killed, out, survivors)
-            active = survivors
-        return out
-
-    def _resolve(
-        self, w: list, killed: bool, out: list, survivors: list
-    ) -> None:
-        """Apply one source's interference verdict to its work item."""
-        if not killed:
-            out[w[0]][w[1]] = Outcome.HIT
-        elif w[4] + 1 < len(w[3]):
-            w[4] += 1
-            survivors.append(w)
-        else:
-            out[w[0]][w[1]] = Outcome.REPLACEMENT
+            hit = ~killed
+            codes[ai[hit], aidx[hit]] = _HIT
+            more = killed & (cur + 1 < stop)
+            done = killed & ~more
+            codes[ai[done], aidx[done]] = _REPLACEMENT
+            # Survivors keep the wave's order: directly decided items
+            # first, then interval jobs, each in active order.
+            nxt = np.concatenate(
+                (np.flatnonzero(more & ~job), np.flatnonzero(more & job))
+            )
+            ai, aidx, cur, stop = ai[nxt], aidx[nxt], cur[nxt] + 1, stop[nxt]
+        return [[_OUTCOMES[c] for c in row] for row in codes.tolist()]
 
     # -- core ------------------------------------------------------------------
     def _classify_ref(self, idx: int, p: tuple[int, ...]) -> Outcome:
@@ -371,79 +372,98 @@ class PointClassifier:
                 out.append((q, cand.source_position))
         return out
 
-    def _batch_reuse_sources(
-        self, P: np.ndarray, addrs: np.ndarray
-    ) -> list[list[list[tuple[tuple[int, ...], int]]]]:
-        """Reuse sources for every (reference, point) of a batch.
+    #: Cap on (offset, point) rows per stacked reuse-source pass (memory guard).
+    _SOURCE_CHUNK_ROWS = 1 << 14
 
-        Vectorises the candidate-source derivation of
-        :meth:`_reuse_sources` over the whole batch: original-space
-        neighbours, bounds checks, execution-order comparison, and the
-        same-line test all become array operations.  Produces, per
-        reference index, a per-point list of ``(source, position)``
-        pairs equal *as a set* to the scalar method's output (order is
-        irrelevant — the classifier sorts before use).
+    def _batch_reuse_sources(self, P: np.ndarray, addrs: np.ndarray):
+        """Reuse sources for every (point, reference) of a batch.
+
+        Vectorises :meth:`_reuse_sources` over the whole batch: every
+        (reference, candidate, sign) is one stacked original-space
+        offset, and bounds checks, execution order and the same-line
+        test are array operations over all of them at once (in chunks
+        of offsets when the batch is large).  One sort then lays the
+        sources out in runs per (point, reference), each in the order
+        :meth:`_classify_ref` tries them (descending ``(q, position)``,
+        duplicates dropped).
+
+        Returns ``(src, spos, point, ref, start, stop)``: the sources
+        and their positions, then one entry per run that is not empty,
+        in (point, reference) order, covering ``src[start:stop]``.
         """
-        n = P.shape[0]
-        L = self._L
-        pm = self._pm
-        O = pm.to_original_batch(P)
-        lo, hi = self._orig_lo_arr, self._orig_hi_arr
-        out: list[list[list[tuple[tuple[int, ...], int]]]] = []
+        n, d = P.shape
+        offs: list[tuple[int, ...]] = []
+        rows: list[tuple[int, int]] = []  # (reference, source reference)
         for idx, ref in enumerate(self._refs):
-            pos = ref.position
-            per_point: list[list[tuple[tuple[int, ...], int]]] = [
-                [] for _ in range(n)
-            ]
-            seen: list[set] = [set() for _ in range(n)]
-            line0 = addrs[:, idx] // L
-            for cand in self.candidates.get(pos, ()):
-                sidx = self._position_index(cand.source_position)
-                vec = np.array(cand.vector, dtype=np.int64)
+            for cand in self.candidates.get(ref.position, ()):
                 if cand.is_intra_iteration:
                     # q == p for every point; source must precede in body.
-                    if cand.source_position >= pos:
+                    if cand.source_position >= ref.position:
                         continue
-                    src_addr = addrs[:, sidx]
-                    keep = src_addr // L == line0
-                    Q = P
+                    signs = (1,)
                 else:
-                    keep = None
-                for sign in (1, -1) if not cand.is_intra_iteration else (1,):
-                    if not cand.is_intra_iteration:
-                        Qo = O - sign * vec
-                        inb = ((Qo >= lo) & (Qo <= hi)).all(axis=1)
-                        if not inb.any():
-                            continue
-                        Q = pm.from_original_batch(Qo)
-                        # Execution order: keep only q ≺ p (q == p is
-                        # impossible here — the map is a bijection and
-                        # the reuse vector is nonzero).
-                        diff = Q - P
-                        neq = diff != 0
-                        first = neq.argmax(axis=1)
-                        lead = np.take_along_axis(
-                            diff, first[:, None], axis=1
-                        )[:, 0]
-                        earlier = lead < 0
-                        src_addr = Q @ self._Cmat[sidx] + self._c0vec[sidx]
-                        keep = inb & earlier & (src_addr // L == line0)
-                    rows = np.flatnonzero(keep)
-                    if not len(rows):
-                        continue
-                    # One C-level bulk conversion instead of a python
-                    # int() loop per coordinate (hot: every candidate
-                    # of every reference over the whole batch).
-                    qs = map(tuple, Q[rows].tolist())
-                    spos_c = cand.source_position
-                    for i, q in zip(rows.tolist(), qs):
-                        key = (q, spos_c)
-                        if key in seen[i]:
-                            continue
-                        seen[i].add(key)
-                        per_point[i].append(key)
-            out.append(per_point)
-        return out
+                    signs = (1, -1)
+                sidx = self._position_index(cand.source_position)
+                for sign in signs:
+                    offs.append(tuple(sign * r for r in cand.vector))
+                    rows.append((idx, sidx))
+        if not offs:
+            none = np.empty(0, dtype=np.intp)
+            return np.empty((0, d), dtype=np.int64), none, none, none, none, none
+        off_all = np.array(offs, dtype=np.int64)
+        ridx_all, sidx_all = np.array(rows, dtype=np.intp).T
+        pm = self._pm
+        O = pm.to_original_batch(P)
+        lines = (addrs // self._L).T
+        step = max(1, self._SOURCE_CHUNK_ROWS // n)
+        qs, rfs, sis, pts = [], [], [], []
+        for first in range(0, len(offs), step):
+            ridx = ridx_all[first:first + step]
+            sidx = sidx_all[first:first + step]
+            c = len(ridx)
+            Qo = O - off_all[first:first + step, None, :]  # (c, n, depth)
+            inb = (
+                (Qo >= self._orig_lo_arr) & (Qo <= self._orig_hi_arr)
+            ).all(axis=2)
+            Q = pm.from_original_batch(Qo.reshape(c * n, -1)).reshape(c, n, d)
+            # Execution order: keep only q ≺ p (q == p only for the
+            # intra-iteration candidates admitted above).
+            diff = Q - P
+            neq = diff != 0
+            lead = np.take_along_axis(
+                diff, neq.argmax(axis=2)[:, :, None], axis=2
+            )[:, :, 0]
+            src_line = (
+                np.einsum("cnd,cd->cn", Q, self._Cmat[sidx])
+                + self._c0vec[sidx][:, None]
+            ) // self._L
+            keep = (
+                inb
+                & ((lead < 0) | ~neq.any(axis=2))
+                & (src_line == lines[ridx])
+            )
+            ci, pi = np.nonzero(keep)
+            qs.append(Q[ci, pi])
+            rfs.append(ridx[ci])
+            sis.append(sidx[ci])
+            pts.append(pi)
+        q = np.concatenate(qs)
+        rf = np.concatenate(rfs)
+        spos = self._positions[np.concatenate(sis)]
+        point = np.concatenate(pts)
+        # Sort by point, reference, then descending (q, spos).
+        order = np.lexsort(
+            (-spos, *(-q[:, l] for l in reversed(range(d))), rf, point)
+        )
+        q, spos, point, rf = q[order], spos[order], point[order], rf[order]
+        new_run = np.ones(len(point), dtype=bool)
+        new_run[1:] = (point[1:] != point[:-1]) | (rf[1:] != rf[:-1])
+        fresh = new_run.copy()
+        fresh[1:] |= (spos[1:] != spos[:-1]) | (q[1:] != q[:-1]).any(axis=1)
+        q, spos, point, rf = q[fresh], spos[fresh], point[fresh], rf[fresh]
+        start = np.flatnonzero(new_run[fresh])
+        stop = np.append(start[1:], len(point))
+        return q, spos, point[start], rf[start], start, stop
 
     def _position_index(self, position: int) -> int:
         for i, ref in enumerate(self._refs):
@@ -560,169 +580,81 @@ class PointClassifier:
                         return True
         return False
 
-    def _raw_between_boxes(
-        self, src: tuple[int, ...], use: tuple[int, ...]
-    ) -> list[tuple[tuple[int, ...], tuple[int, ...], int]]:
-        """`lex_between_boxes` over all regions, as raw (lo, hi, volume).
-
-        Same decomposition as the scalar path but without ``Box``
-        object construction — the batch path creates thousands of these
-        per wave and the dataclass overhead is measurable.
-        """
-        out: list[tuple[tuple[int, ...], tuple[int, ...], int]] = []
-        d = len(src)
-        for region in self._regions:
-            rlo, rhi = region.lo, region.hi
-            # {q ∈ region : q ≻ src}, prefix-peeling level by level.
-            # Pieces are assembled from tuple slices (prefix pinned to
-            # src, one dimension clamped, suffix full) — no list churn.
-            gt: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
-            for level in range(d):
-                s = src[level]
-                if s < rlo[level]:
-                    gt.append((src[:level] + rlo[level:], src[:level] + rhi[level:]))
-                    break
-                if s + 1 <= rhi[level]:
-                    gt.append(
-                        (
-                            src[:level] + (s + 1,) + rlo[level + 1:],
-                            src[:level] + rhi[level:],
-                        )
-                    )
-                if s > rhi[level]:
-                    break
-            # Intersect each piece with {q : q ≺ use}.
-            for glo, ghi in gt:
-                for level in range(d):
-                    u = use[level]
-                    if u > ghi[level]:
-                        self._push_box(
-                            out, use[:level] + glo[level:], use[:level] + ghi[level:]
-                        )
-                        break
-                    if u - 1 >= glo[level]:
-                        self._push_box(
-                            out,
-                            use[:level] + glo[level:],
-                            use[:level] + (u - 1,) + ghi[level + 1:],
-                        )
-                    if u < glo[level]:
-                        break
-        return out
-
-    @staticmethod
-    def _push_box(
-        out: list, lo: list[int], hi: list[int]
-    ) -> None:
-        vol = 1
-        for l, h in zip(lo, hi):
-            if h < l:
-                return
-            vol *= h - l + 1
-        out.append((tuple(lo), tuple(hi), vol))
-
     def _between_boxes_wave(
         self, S: np.ndarray, U: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """`_raw_between_boxes` for a whole wave of (src, use) pairs.
+        """`lex_between_boxes` over every region for a wave of pairs.
 
-        Returns ``(Blo, Bhi, jid)`` where rows are grouped by job and,
-        within a job, appear in exactly the order the scalar per-job
-        decomposition emits them (region, then src-peel level, then
-        use-peel level) — the frontier queues built on top of this
-        order drive early exits, so it is part of the equivalence
-        contract.  The per-job Python loops become a handful of masked
-        array operations per (region, level, level) combination; the
-        job dimension is fully vectorised.
+        Returns ``(Blo, Bhi, jid)``: the boxes of job ``j`` are the rows
+        with ``jid == j``, in the order the per-job decomposition emits
+        them (region, then src level, then use level).  The frontier
+        queues built on top of this order drive early exits, so it is
+        part of the equivalence contract.  Two masked passes do the
+        whole wave, and ``np.nonzero`` walks each mask in exactly that
+        order:
+
+        1. src-side pieces ``{q ∈ region : q ≻ src}`` over jobs ×
+           regions × levels: at level ``l`` the prefix is pinned to
+           ``src``, level ``l`` starts past it and the suffix is the
+           region's.  Levels above the pair's first src/use difference
+           ``f`` are skipped, since there the pinned prefix equals the
+           use's and the piece lies wholly after the use; a pair with
+           ``src ⊀ use`` has no boxes at all;
+        2. use-side cuts ``{q ∈ piece : q ≺ use}`` over pieces ×
+           levels, the same peeling against ``use``.
+
+        Empty regions contribute nothing, so every piece and box that
+        passes its level test is non-empty.
         """
         n, d = S.shape
-        los: list[np.ndarray] = []
-        his: list[np.ndarray] = []
-        jids: list[np.ndarray] = []
-        keys: list[np.ndarray] = []
-
-        def _emit(sel: np.ndarray, lo: np.ndarray, hi: np.ndarray, key: int):
-            keep = np.all(hi >= lo, axis=1)
-            if not keep.all():
-                sel, lo, hi = sel[keep], lo[keep], hi[keep]
-            if len(sel):
-                los.append(lo)
-                his.append(hi)
-                jids.append(sel)
-                keys.append(np.full(len(sel), key, dtype=np.int64))
-
-        def _intersect_lt_use(sel: np.ndarray, glo, ghi, base_key: int):
-            # {q ∈ piece : q ≺ use}, prefix-peeling on the use point.
-            Us = U[sel]
-            valid = np.ones(len(sel), dtype=bool)
-            for l2 in range(d):
-                u = Us[:, l2]
-                full = valid & (u > ghi[:, l2])
-                clamp = valid & (u <= ghi[:, l2]) & (u - 1 >= glo[:, l2])
-                for cond, clamped in ((full, False), (clamp, True)):
-                    if cond.any():
-                        sub = np.flatnonzero(cond)
-                        lo = np.empty((len(sub), d), dtype=np.int64)
-                        hi = np.empty((len(sub), d), dtype=np.int64)
-                        lo[:, :l2] = Us[sub, :l2]
-                        hi[:, :l2] = Us[sub, :l2]
-                        lo[:, l2:] = glo[sub, l2:]
-                        hi[:, l2:] = ghi[sub, l2:]
-                        if clamped:
-                            hi[:, l2] = u[sub] - 1
-                        _emit(sel[sub], lo, hi, base_key + 2 * l2 + clamped)
-                valid &= (u >= glo[:, l2]) & (u <= ghi[:, l2])
-                if not valid.any():
-                    break
-
-        for ri, region in enumerate(self._regions):
-            rlo = np.asarray(region.lo, dtype=np.int64)
-            rhi = np.asarray(region.hi, dtype=np.int64)
-            # {q ∈ region : q ≻ src}, prefix-peeling level by level —
-            # per level at most one piece per job (the two conditions
-            # are disjoint), so (region, l1, l2, clamped?) is a total
-            # order key over each job's boxes.
-            valid = np.ones(n, dtype=bool)
-            for l1 in range(d):
-                s = S[:, l1]
-                below = valid & (s < rlo[l1])
-                inside = valid & (s >= rlo[l1]) & (s + 1 <= rhi[l1])
-                for cond, bumped in ((below, False), (inside, True)):
-                    if cond.any():
-                        sel = np.flatnonzero(cond)
-                        glo = np.empty((len(sel), d), dtype=np.int64)
-                        ghi = np.empty((len(sel), d), dtype=np.int64)
-                        glo[:, :l1] = S[sel, :l1]
-                        ghi[:, :l1] = S[sel, :l1]
-                        glo[:, l1:] = rlo[l1:]
-                        ghi[:, l1:] = rhi[l1:]
-                        if bumped:
-                            glo[:, l1] = S[sel, l1] + 1
-                        _intersect_lt_use(
-                            sel, glo, ghi, 2 * d * (ri * d + l1)
-                        )
-                valid &= (s >= rlo[l1]) & (s <= rhi[l1])
-                if not valid.any():
-                    break
-        if not los:
-            empty = np.empty((0, d), dtype=np.int64)
-            return empty, empty.copy(), np.empty(0, dtype=np.int64)
-        Blo = np.concatenate(los)
-        Bhi = np.concatenate(his)
-        jid = np.concatenate(jids)
-        key = np.concatenate(keys)
-        order = np.lexsort((key, jid))
-        return Blo[order], Bhi[order], jid[order]
+        rlo, rhi = self._region_lo, self._region_hi
+        lvl = np.arange(d)
+        neq = S != U
+        f = neq.argmax(axis=1)
+        rows = np.arange(n)
+        before = neq[rows, f] & (S[rows, f] < U[rows, f])
+        Sx = S[:, None, :]
+        start1 = np.maximum(Sx + 1, rlo)
+        has = (
+            _prefix_all((Sx >= rlo) & (Sx <= rhi))
+            & (start1 <= rhi)
+            & (before[:, None] & (lvl >= f[:, None]))[:, None, :]
+        )
+        pj, pr, pl = np.nonzero(has)
+        Sp = S[pj]
+        pin = lvl < pl[:, None]
+        glo = np.where(
+            pin,
+            Sp,
+            np.where(lvl == pl[:, None], start1[pj, pr], rlo[pr]),
+        )
+        ghi = np.where(pin, Sp, rhi[pr])
+        Up = U[pj]
+        cut = np.minimum(ghi, Up - 1)
+        bp, bl = np.nonzero(
+            _prefix_all((Up >= glo) & (Up <= ghi)) & (cut >= glo)
+        )
+        pin = lvl < bl[:, None]
+        Ub = Up[bp]
+        Blo = np.where(pin, Ub, glo[bp])
+        Bhi = np.where(
+            pin, Ub, np.where(lvl == bl[:, None], cut[bp], ghi[bp])
+        )
+        return Blo, Bhi, pj[bp]
 
     #: Point-volume cap per kernel call (memory guard).
     _JOB_CHUNK_ROWS = 1 << 20
     #: Per-job enumeration budget per round (early-exit granularity).
     _ROUND_ROWS = 1 << 12
 
-    def _run_interval_jobs(self, jobs: list[tuple[list, tuple]]) -> list[bool]:
+    def _run_interval_jobs(
+        self, S: np.ndarray, U: np.ndarray, wlo: np.ndarray, l0: np.ndarray
+    ) -> np.ndarray:
         """Resolve a wave of interval-interference queries at once.
 
-        Each job is (work item, reuse source); its strictly-between set
+        Job ``j`` asks whether the iterations strictly between source
+        ``S[j]`` and use ``U[j]`` touch the window ``wlo[j]`` on a line
+        other than the one starting at ``l0[j]``; the interval
         decomposes into the same boxes the serial cascade would visit.
         The cascade's O(1) address-band rejection is applied to *all*
         boxes of the wave in a handful of array operations; surviving
@@ -731,23 +663,20 @@ class PointClassifier:
         where the cascade would enumerate exactly as well), and
         surviving big boxes fall back to the per-box congruence
         cascade.  Outcomes therefore match the scalar path on every job
-        by construction.
+        by construction.  Returns the killed flag per job.
         """
-        self.stats.intervals_vectorized += len(jobs)
+        njobs = len(S)
+        self.stats.intervals_vectorized += njobs
         L = self._L
         M = self._M
         enum_limit = self._tester.enum_limit
-        killed = [False] * len(jobs)
-        Blo, Bhi, jid_arr = self._between_boxes_wave(
-            np.array([src for _w, src in jobs], dtype=np.int64),
-            np.array([w[2] for w, _src in jobs], dtype=np.int64),
-        )
+        Blo, Bhi, jid_arr = self._between_boxes_wave(S, U)
         nb = len(jid_arr)
         if nb == 0:
-            return killed
+            return np.zeros(njobs, dtype=bool)
         self.stats.boxes_tested += nb
-        wlo_box = np.array([jobs[j][0][6] for j in jid_arr], dtype=np.int64)
-        l0_box = np.array([jobs[j][0][5] for j in jid_arr], dtype=np.int64)
+        wlo_box = wlo[jid_arr]
+        l0_box = l0[jid_arr]
         # Tier-1 rejection, vectorised over every (box, ref) pair: the
         # reachable address band [fmin, fmax] misses the set window.
         fmin = Blo @ self._Cpos.T + Bhi @ self._Cneg.T + self._c0vec
@@ -777,44 +706,46 @@ class PointClassifier:
         # budget, so cheap boxes batch together in one round while a
         # huge box runs alone and, if it shows interference, spares the
         # job's remaining work — without serialising the whole wave.
-        queues: list[list[int]] = [[] for _ in jobs]
-        for b in np.flatnonzero(galive.any(axis=1)):
-            queues[int(jid_arr[b])].append(int(b))
-        pending = [j for j, q in enumerate(queues) if q]
-        cursor = [0] * len(jobs)
-        while pending:
-            batch: list[list[int]] = [[] for _ in range(ngroups)]
-            batch_jobs: list[list[int]] = [[] for _ in range(ngroups)]
-            cascades: list[tuple[int, int, int]] = []
-            round_jobs: list[int] = []
-            for j in pending:
-                round_jobs.append(j)
-                q = queues[j]
-                budget = self._ROUND_ROWS
-                while cursor[j] < len(q) and budget > 0:
-                    b = q[cursor[j]]
-                    cursor[j] += 1
-                    for gi in range(ngroups):
-                        if not galive[b, gi]:
-                            continue
-                        if pvol[b, gi] > enum_limit:
-                            # Oversized projection: per-ref congruence
-                            # cascade, as the scalar path runs it.
-                            cascades.append((j, b, gi))
-                            budget = 0
-                        else:
-                            batch[gi].append(b)
-                            batch_jobs[gi].append(j)
-                            budget -= int(pvol[b, gi])
+        # A job's box joins the round while the rows its earlier boxes
+        # of the round charged stay under the budget; an oversized box
+        # charges all of it.
+        live = np.flatnonzero(galive.any(axis=1))
+        lj = jid_arr[live]
+        small = galive & (pvol <= enum_limit)
+        big = galive & ~small
+        cost = np.where(
+            big[live].any(axis=1),
+            self._ROUND_ROWS,
+            (pvol * small)[live].sum(axis=1),
+        )
+        charged = np.zeros(len(live) + 1, dtype=np.int64)
+        np.cumsum(cost, out=charged[1:])
+        bounds = np.searchsorted(lj, np.arange(njobs + 1))
+        cursor = bounds[:-1].copy()
+        stop = bounds[1:]
+        pos = np.arange(len(live))
+        killed = np.zeros(njobs, dtype=bool)
+        pending = cursor < stop
+        while pending.any():
+            first = cursor[lj]
+            take = (
+                pending[lj]
+                & (pos >= first)
+                & (charged[:-1] - charged[first] < self._ROUND_ROWS)
+            )
+            cursor += np.bincount(lj[take], minlength=njobs)
+            tb = live[take]
+            tj = lj[take]
             for gi, (dims, _, Cg, c0g) in enumerate(self._groups):
-                if not batch[gi]:
+                in_batch = small[tb, gi]
+                if not in_batch.any():
                     continue
-                boxes = np.array(batch[gi], dtype=np.int64)
-                hits: list[np.ndarray] = []
-                for sel in self._chunk_boxes(boxes, pvol[:, gi]):
-                    # Boxes projected to the group's support dimensions:
-                    # the value set of each address form is unchanged.
-                    hits.append(
+                boxes = tb[in_batch]
+                hits = np.concatenate(
+                    [
+                        # Boxes projected to the group's support
+                        # dimensions: the value set of each address
+                        # form is unchanged.
                         boxes_interfere(
                             Blo[np.ix_(sel, dims)],
                             exts_all[np.ix_(sel, dims)],
@@ -824,10 +755,16 @@ class PointClassifier:
                             M,
                             L,
                         )
-                    )
-                for j, h in zip(batch_jobs[gi], np.concatenate(hits)):
-                    if h:
-                        killed[j] = True
+                        for sel in self._chunk_boxes(boxes, pvol[:, gi])
+                    ]
+                )
+                killed[tj[in_batch][hits]] = True
+            # Oversized projections: per-ref congruence cascade, as the
+            # scalar path runs it, in (job, box, group) order.
+            rows, groups = np.nonzero(big[tb])
+            cascades = list(
+                zip(tj[rows].tolist(), tb[rows].tolist(), groups.tolist())
+            )
             if cascades and self._use_batch_cascade:
                 self._run_cascades_batched(
                     cascades, Blo, Bhi, alive, wlo_box, l0_box, killed
@@ -837,19 +774,15 @@ class PointClassifier:
                     if killed[j]:
                         continue  # another box already decided this job
                     if self._cascade_box_group(
-                        tuple(int(x) for x in Blo[b]),
-                        tuple(int(x) for x in Bhi[b]),
+                        tuple(Blo[b].tolist()),
+                        tuple(Bhi[b].tolist()),
                         gi,
                         alive[b],
                         int(wlo_box[b]),
                         int(l0_box[b]),
                     ):
                         killed[j] = True
-            pending = [
-                j
-                for j in round_jobs
-                if not killed[j] and cursor[j] < len(queues[j])
-            ]
+            pending = ~killed & (cursor < stop)
         return killed
 
     def _run_cascades_batched(
@@ -860,7 +793,7 @@ class PointClassifier:
         alive: np.ndarray,
         wlo_box: np.ndarray,
         l0_box: np.ndarray,
-        killed: list[bool],
+        killed: np.ndarray,
     ) -> None:
         """All of a round's oversized-projection boxes, one batched call.
 
@@ -935,19 +868,18 @@ class PointClassifier:
         self, idx: np.ndarray, vol_arr: np.ndarray
     ) -> list[np.ndarray]:
         """Split box indices so each enumerated chunk stays in memory."""
+        vols = vol_arr[idx].tolist()
+        if sum(vols) <= self._JOB_CHUNK_ROWS:
+            return [idx]
         chunks: list[np.ndarray] = []
-        cur: list[int] = []
-        rows = 0
-        for b in idx:
-            n = int(vol_arr[b])
-            if cur and rows + n > self._JOB_CHUNK_ROWS:
-                chunks.append(np.array(cur, dtype=np.int64))
-                cur = []
+        first = rows = 0
+        for t, n in enumerate(vols):
+            if t > first and rows + n > self._JOB_CHUNK_ROWS:
+                chunks.append(idx[first:t])
+                first = t
                 rows = 0
-            cur.append(int(b))
             rows += n
-        if cur:
-            chunks.append(np.array(cur, dtype=np.int64))
+        chunks.append(idx[first:])
         return chunks
 
     def _count_interfering_lines(
@@ -1019,44 +951,45 @@ class PointClassifier:
                     return len(lines)
         return len(lines)
 
-    def _endpoint_counts_wave(self, active: list[list]) -> np.ndarray:
+    def _endpoint_counts_wave(
+        self,
+        S: np.ndarray,
+        U: np.ndarray,
+        same: np.ndarray,
+        spos: np.ndarray,
+        upos: np.ndarray,
+        wlo: np.ndarray,
+        l0: np.ndarray,
+    ) -> np.ndarray:
         """Boundary-iteration distinct-line counts for a whole wave.
 
         Vectorises :meth:`_endpoint_line_count` (and, via ``count > 0``,
         :meth:`_endpoint_interference`) over every work item's current
-        reuse source: both endpoint address rows come from two matrix
-        products, position masks select the partial bodies, and the
-        per-item distinct-line count is one row-sort away.  Counts are
-        capped at ``k`` exactly like the scalar early exit.
+        reuse source ``S`` (body position ``spos``) and use ``U``
+        (position ``upos``; ``same`` flags ``S == U``): both endpoint
+        address rows come from two matrix products, position masks
+        select the partial bodies, and the per-item distinct-line count
+        is one row-sort away.  Counts are capped at ``k`` exactly like
+        the scalar early exit.
         """
         L = self._L
         M = self._M
         pos = self._positions
-        S = np.array([w[3][w[4]][0] for w in active], dtype=np.int64)
-        U = np.array([w[2] for w in active], dtype=np.int64)
-        spos_a = np.array([w[3][w[4]][1] for w in active], dtype=np.int64)
-        upos_a = self._positions[
-            np.array([w[1] for w in active], dtype=np.intp)
-        ]
-        wlo_a = np.array([w[6] for w in active], dtype=np.int64)
-        l0_div = (
-            np.array([w[5] for w in active], dtype=np.int64) // L
-        )
-        same = (S == U).all(axis=1)
         # Partial bodies: at the source iteration, references after the
         # source access; at the use iteration, references before the
         # reused access; same-iteration reuse counts strictly between.
-        src_valid = pos[None, :] > spos_a[:, None]
-        use_valid = pos[None, :] < upos_a[:, None]
+        src_valid = pos[None, :] > spos[:, None]
+        use_valid = pos[None, :] < upos[:, None]
         src_valid = np.where(
             same[:, None], src_valid & use_valid, src_valid
         )
         use_valid &= ~same[:, None]
 
         sent = np.iinfo(np.int64).min
+        l0_div = l0 // L
         A_src = S @ self._Cmat.T + self._c0vec
         A_use = U @ self._Cmat.T + self._c0vec
-        lines = np.empty((len(active), 2 * len(pos)), dtype=np.int64)
+        lines = np.empty((len(S), 2 * len(pos)), dtype=np.int64)
         for A, valid, half in (
             (A_src, src_valid, lines[:, : len(pos)]),
             (A_use, use_valid, lines[:, len(pos):]),
@@ -1064,7 +997,7 @@ class PointClassifier:
             al = A // L
             hit = (
                 valid
-                & ((A % M) - (A - al * L) == wlo_a[:, None])
+                & ((A % M) - (A - al * L) == wlo[:, None])
                 & (al != l0_div[:, None])
             )
             np.copyto(half, np.where(hit, al, sent))
@@ -1074,31 +1007,40 @@ class PointClassifier:
         counts = (distinct & (lines != sent)).sum(axis=1)
         return np.minimum(counts, max(self._k, 1))
 
-    def _run_count_jobs(self, jobs: list[tuple[list, tuple, int]]) -> list[bool]:
+    def _run_count_jobs(
+        self,
+        S: np.ndarray,
+        U: np.ndarray,
+        wlo: np.ndarray,
+        l0: np.ndarray,
+        pre: np.ndarray,
+    ) -> np.ndarray:
         """Associative interval counting for a whole wave at once.
 
-        Each job is (work item, reuse source, endpoint line count); the
-        strictly-between boxes decompose exactly as in the scalar path
-        and every (box, reference) pair contributes the same capped
-        distinct-line count the scalar
+        Job ``j`` is a reuse source ``S[j]`` and use ``U[j]`` with the
+        window and line of :meth:`_run_interval_jobs` and the endpoint
+        line count ``pre[j]``; the strictly-between boxes decompose
+        exactly as in the scalar path and every (box, reference) pair
+        contributes the same capped distinct-line count the scalar
         :meth:`_count_interfering_lines` would have accumulated —
         ``None`` collapsing to the cap, so verdicts are identical.  A
         box-rank frontier preserves the scalar early exit at the cap:
         job ``j`` only decomposes further counting work while its
-        running total is still below ``k``.
+        running total is still below ``k``.  Returns the killed flag
+        per job.
         """
-        self.stats.intervals_vectorized += len(jobs)
+        njobs = len(S)
+        self.stats.intervals_vectorized += njobs
         k = self._k
         nrefs = len(self._refs)
-        totals = [pre for (_, _, pre) in jobs]
-        Blo, Bhi, jid = self._between_boxes_wave(
-            np.array([src for (_w, src, _pre) in jobs], dtype=np.int64),
-            np.array([w[2] for (w, _src, _pre) in jobs], dtype=np.int64),
-        )
+        tot = pre.astype(np.int64)
+        Blo, Bhi, jid = self._between_boxes_wave(S, U)
         nb = len(jid)
         self.stats.boxes_tested += nb
         if nb == 0:
-            return [t >= k for t in totals]
+            return tot >= k
+        wlo_b = wlo[jid]
+        l0_b = l0[jid]
         if self._use_compiled_cascade:
             # Compiled rung: a two-phase frontier instead of the strict
             # box-rank round-robin.  Phase one tests only each job's
@@ -1112,15 +1054,8 @@ class PointClassifier:
             # ``None`` collapses to the cap, so the summed total crosses
             # ``k`` exactly when the scalar early-exit prefix would
             # have; verdicts are identical by construction.
-            wlo_b = np.array(
-                [jobs[int(j)][0][6] for j in jid], dtype=np.int64
-            )
-            l0_b = np.array(
-                [jobs[int(j)][0][5] for j in jid], dtype=np.int64
-            )
-            tot = np.array(totals, dtype=np.int64)
-            first = np.zeros(nb, dtype=bool)
-            first[np.unique(jid, return_index=True)[1]] = True
+            first = np.ones(nb, dtype=bool)
+            first[1:] = jid[1:] != jid[:-1]
             for rows_all in (np.flatnonzero(first), np.flatnonzero(~first)):
                 if not len(rows_all):
                     continue
@@ -1140,51 +1075,34 @@ class PointClassifier:
                     tot += np.bincount(
                         jid[rows],
                         weights=np.where(unknown, k, counts),
-                        minlength=len(jobs),
+                        minlength=njobs,
                     ).astype(np.int64)
-            return [bool(t >= k) for t in tot]
-        # Rows come back grouped per job in decomposition order, so each
-        # queue is a consecutive run of box indices.
-        queues: list[list[int]] = [[] for _ in jobs]
-        for b, j in enumerate(jid):
-            queues[int(j)].append(b)
-        wlo_arr = np.array([jobs[int(j)][0][6] for j in jid], dtype=np.int64)
-        l0_arr = np.array([jobs[int(j)][0][5] for j in jid], dtype=np.int64)
-        cursor = [0] * len(jobs)
-        pending = [j for j, q in enumerate(queues) if q and totals[j] < k]
-        while pending:
-            batch_b = []
-            batch_j = []
-            for j in pending:
-                batch_b.append(queues[j][cursor[j]])
-                batch_j.append(j)
-                cursor[j] += 1
-            live = list(range(len(batch_b)))
+            return tot >= k
+        # Rows come back grouped per job in decomposition order, so job
+        # j's queue is the run of boxes cursor[j]:stop[j]; each round
+        # every pending job submits its next box.
+        bounds = np.searchsorted(jid, np.arange(njobs + 1))
+        cursor = bounds[:-1].copy()
+        stop = bounds[1:]
+        pending = np.flatnonzero((cursor < stop) & (tot < k))
+        while len(pending):
+            boxes = cursor[pending]
+            cursor[pending] += 1
+            live = np.arange(len(pending))
             for i in range(nrefs):
-                if not live:
+                if not len(live):
                     break
-                cascade = self._ref_cascade(i)
-                idx = np.array([batch_b[t] for t in live], dtype=np.int64)
-                counts = cascade.count_interfering_lines_many(
-                    Blo[idx], Bhi[idx], wlo_arr[idx], l0_arr[idx], cap=k
+                idx = boxes[live]
+                counts = self._ref_cascade(i).count_interfering_lines_many(
+                    Blo[idx], Bhi[idx], wlo_b[idx], l0_b[idx], cap=k
                 )
-                nxt = []
-                for t, c in zip(live, counts):
-                    j = batch_j[t]
-                    if c < 0:
-                        self.stats.unknown_conservative += 1
-                        totals[j] = k
-                    else:
-                        totals[j] += int(c)
-                    if totals[j] < k:
-                        nxt.append(t)
-                live = nxt
-            pending = [
-                j
-                for j in pending
-                if totals[j] < k and cursor[j] < len(queues[j])
-            ]
-        return [t >= k for t in totals]
+                unknown = counts < 0
+                self.stats.unknown_conservative += int(unknown.sum())
+                jobs = pending[live]
+                tot[jobs] = np.where(unknown, k, tot[jobs] + counts)
+                live = live[tot[jobs] < k]
+            pending = pending[(tot[pending] < k) & (cursor[pending] < stop[pending])]
+        return tot >= k
 
     def finalize_stats(self) -> SolverStats:
         self.stats.congruence = self._tester.stats.as_dict()

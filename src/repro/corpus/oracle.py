@@ -286,10 +286,9 @@ def _run_case(
     if ladder:
         if ladder_points is None:
             ladder_points = envs.CORPUS_LADDER_POINTS.get()
-        rows = program.point_map.from_original_batch(
+        mapped = program.point_map.from_original_batch(
             np.asarray(points[:ladder_points], dtype=np.int64)
         )
-        mapped = [tuple(int(x) for x in row) for row in rows]
         ladder_ok = _ladder_outcomes_identical(program, layout, l1, mapped)
 
     hierarchy_ok: bool | None = None

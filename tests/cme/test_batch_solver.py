@@ -12,6 +12,7 @@ from repro.cme.solver import PointClassifier
 from repro.ir.program import program_from_nest
 from repro.layout.memory import MemoryLayout
 from repro.polyhedra.kernels import boxes_interfere
+from repro.polyhedra.lexinterval import lex_between_boxes
 from repro.transform.tiling import tile_program
 from tests.conftest import make_small_mm, make_small_transpose
 
@@ -111,32 +112,38 @@ def test_point_map_batch_roundtrip():
 
 def test_between_boxes_wave_matches_raw_decomposition():
     """The vectorised between-box decomposition emits the same boxes as
-    the per-job `_raw_between_boxes`, job by job, in the same order —
-    the frontier queues built on it charge budgets in that order."""
+    `lex_between_boxes` over the program's regions, job by job, in the
+    same order — the frontier queues built on it charge budgets in
+    that order.  Pairs share a prefix of every length (the levels the
+    wave skips), and reversed pairs (src ≻ use) have no boxes."""
     rng = np.random.default_rng(7)
     for label, nest, prog in _programs():
         layout = MemoryLayout(nest.arrays())
         cls = PointClassifier(prog, layout, CACHE_DM)
         lo = np.min([r.lo for r in cls._regions], axis=0)
         hi = np.max([r.hi for r in cls._regions], axis=0)
-        pairs = [
-            (
-                tuple(int(x) for x in rng.integers(lo - 1, hi + 2)),
-                tuple(int(x) for x in rng.integers(lo - 1, hi + 2)),
-            )
-            for _ in range(40)
-        ]
+        d = len(lo)
+        pairs = []
+        for _ in range(40):
+            src = tuple(int(x) for x in rng.integers(lo - 1, hi + 2))
+            use = tuple(int(x) for x in rng.integers(lo - 1, hi + 2))
+            for shared in range(d + 1):
+                near = src[:shared] + use[shared:]
+                pairs += [(src, near), (near, src)]
         Blo, Bhi, jid = cls._between_boxes_wave(
             np.array([s for s, _ in pairs], dtype=np.int64),
             np.array([u for _, u in pairs], dtype=np.int64),
         )
         got = [[] for _ in pairs]
         for b, j in enumerate(jid):
-            got[int(j)].append(
-                (tuple(int(x) for x in Blo[b]), tuple(int(x) for x in Bhi[b]))
-            )
+            got[int(j)].append((tuple(Blo[b].tolist()), tuple(Bhi[b].tolist())))
         for j, (src, use) in enumerate(pairs):
             want = [
-                (blo, bhi) for blo, bhi, _v in cls._raw_between_boxes(src, use)
+                (box.lo, box.hi)
+                for region in cls._regions
+                for box in lex_between_boxes(src, use, region)
             ]
             assert got[j] == want, (label, j, src, use)
+            if not src < use:
+                assert not want
+        assert len(jid) > 0, label

@@ -21,10 +21,16 @@ CACHE = CacheConfig(2048, 32, 2)
 
 
 def _classify_all(monkeypatch, batch_env, compiled_env):
-    if batch_env is not None:
-        monkeypatch.setenv("REPRO_BATCH_CASCADE", batch_env)
-    if compiled_env is not None:
-        monkeypatch.setenv("REPRO_COMPILED_CASCADE", compiled_env)
+    # None means the knob's default, whatever the calling environment
+    # sets (the scalar-fallback lane exports REPRO_BATCH_CASCADE=0).
+    for name, value in (
+        ("REPRO_BATCH_CASCADE", batch_env),
+        ("REPRO_COMPILED_CASCADE", compiled_env),
+    ):
+        if value is None:
+            monkeypatch.delenv(name, raising=False)
+        else:
+            monkeypatch.setenv(name, value)
     nest = make_small_mm(12)
     layout = MemoryLayout(nest.arrays())
     prog = tile_program(nest, (4, 6, 6))

@@ -1,0 +1,120 @@
+"""Golden work counters of the CME solver on MM_500.
+
+Every :class:`SolverStats` field — the congruence tester's tier counts
+included — and the hit/cold/replacement split are pinned for a fixed
+sample on 8KB direct-mapped and 8KB 2-way caches, one table per cascade
+rung.  A solver change that claims to be behaviour-preserving must
+leave all of them untouched: the counts follow which sources, boxes
+and references the waves examine, and in which batches.
+"""
+
+import dataclasses
+
+import pytest
+
+from repro.cache.config import CacheConfig
+from repro.cme.analyzer import LocalityAnalyzer
+from repro.kernels.registry import KERNELS
+
+TILES = (None, (485, 31, 22), (81, 294, 40))
+STAT_FIELDS = (
+    "points",
+    "ref_tests",
+    "sources_checked",
+    "intervals_decomposed",
+    "intervals_vectorized",
+    "boxes_tested",
+    "unknown_conservative",
+)
+TIERS = (
+    "enumerated",
+    "interval_reject",
+    "line_queries",
+    "partial_enum",
+    "recursive",
+    "subgroup",
+    "unknown",
+)
+
+# (assoc, tiles) -> ((hits, cold, replacement), STAT_FIELDS, TIERS)
+_DM = {
+    (1, None): (
+        (450, 0, 206), (164, 656, 777, 0, 609, 982, 1), (0, 0, 0, 0, 0, 0, 1)
+    ),
+    (1, (485, 31, 22)): (
+        (631, 0, 25), (164, 656, 673, 0, 505, 590, 0), (0, 0, 0, 0, 0, 0, 0)
+    ),
+    (1, (81, 294, 40)): (
+        (595, 0, 61), (164, 656, 676, 0, 508, 570, 0), (0, 0, 0, 0, 0, 0, 0)
+    ),
+}
+# The batched rung's distinct-line counting tests boxes round by round,
+# the compiled rung first boxes then the rest, so their 2-way tier
+# counts differ; the scalar rung counts intervals one by one.
+GOLDEN = {
+    "compiled": {
+        **_DM,
+        (2, None): (
+            (447, 0, 209), (164, 656, 779, 0, 615, 1000, 0), (814, 0, 0, 0, 0, 0, 0)
+        ),
+        (2, (485, 31, 22)): (
+            (627, 0, 29), (164, 656, 672, 0, 508, 595, 0), (1957, 0, 0, 0, 0, 0, 0)
+        ),
+        (2, (81, 294, 40)): (
+            (602, 0, 54), (164, 656, 670, 0, 506, 558, 0), (1440, 0, 13, 0, 13, 0, 0)
+        ),
+    },
+    "batched": {
+        **_DM,
+        (2, None): (
+            (447, 0, 209), (164, 656, 779, 0, 615, 1000, 0), (814, 0, 0, 0, 0, 0, 0)
+        ),
+        (2, (485, 31, 22)): (
+            (627, 0, 29), (164, 656, 672, 0, 508, 595, 0), (1923, 0, 0, 0, 0, 0, 0)
+        ),
+        (2, (81, 294, 40)): (
+            (602, 0, 54), (164, 656, 670, 0, 506, 558, 0), (1445, 0, 13, 0, 13, 0, 0)
+        ),
+    },
+    "scalar": {
+        **_DM,
+        (2, None): (
+            (447, 0, 209), (164, 656, 779, 615, 0, 391, 0), (814, 0, 0, 0, 0, 0, 0)
+        ),
+        (2, (485, 31, 22)): (
+            (627, 0, 29), (164, 656, 672, 508, 0, 501, 0), (1923, 0, 0, 0, 0, 0, 0)
+        ),
+        (2, (81, 294, 40)): (
+            (602, 0, 54), (164, 656, 670, 506, 0, 392, 0), (1445, 0, 13, 0, 13, 0, 0)
+        ),
+    },
+}
+RUNG_ENV = {
+    "compiled": {"REPRO_BATCH_CASCADE": "1", "REPRO_COMPILED_CASCADE": "1"},
+    "batched": {"REPRO_BATCH_CASCADE": "1", "REPRO_COMPILED_CASCADE": "0"},
+    "scalar": {"REPRO_BATCH_CASCADE": "0", "REPRO_COMPILED_CASCADE": "1"},
+}
+
+
+@pytest.mark.parametrize("rung", sorted(GOLDEN))
+@pytest.mark.parametrize("assoc", [1, 2], ids=["8KB-dm", "8KB-2way"])
+def test_mm500_solver_stats_are_pinned(monkeypatch, rung, assoc):
+    for name, value in RUNG_ENV[rung].items():
+        monkeypatch.setenv(name, value)
+    nest = KERNELS["MM"].build(500)
+    analyzer = LocalityAnalyzer(nest, CacheConfig(8 * 1024, 32, assoc), seed=0)
+    try:
+        for tiles in TILES:
+            est = analyzer.estimate(tile_sizes=tiles)
+            stats = dataclasses.asdict(est.solver_stats)
+            tiers = stats.pop("congruence")
+            got = (
+                (est.hits, est.cold, est.replacement),
+                tuple(stats.pop(f) for f in STAT_FIELDS),
+                tuple(tiers.pop(t) for t in TIERS),
+            )
+            # No field escapes the pin.
+            assert not stats and not tiers, (stats, tiers)
+            assert got == GOLDEN[rung][assoc, tiles], (rung, assoc, tiles)
+    finally:
+        analyzer.close()

@@ -1,6 +1,7 @@
 """Point-batch sharding: a single candidate's sample split across
 workers must merge to exactly the unsharded estimate."""
 
+import multiprocessing
 import pickle
 
 import pytest
@@ -116,6 +117,19 @@ def test_shard_spans_cover_in_order():
     assert shard_spans(5, 1) == [(0, 5)]
 
 
+def _hold_bundle(barrier, token: str, blob: bytes) -> None:
+    """Worker side: cache ``token``'s bundle once every worker is here.
+
+    Each worker blocks in the barrier until all of them run one of
+    these tasks, so the tasks land on distinct workers.
+    """
+    from repro.evaluation import sharding
+
+    barrier.wait()
+    if sharding.bundle_cache_get(sharding._BUNDLES, token) is None:
+        sharding.bundle_cache_put(sharding._BUNDLES, token, pickle.loads(blob))
+
+
 def test_shard_pool_zero_copy_payloads():
     """Candidate bundles ship once per token; repeats are index spans."""
     nest = make_small_transpose(32)
@@ -126,6 +140,27 @@ def test_shard_pool_zero_copy_payloads():
         pool = analyzer._point_pool
         assert pool is not None and pool.calls == 1
         first_bytes = pool.last_payload_bytes
+        # A worker that finishes a span early may take the next one
+        # too, so the first call can leave a worker without the bundle;
+        # its repeat span would miss and ship the bundle again.  Give
+        # every worker the token first.
+        (token,) = pool._shipped
+        layout = analyzer.layout_with(None)
+        blob = pickle.dumps(
+            (
+                analyzer.program((8, 8)),
+                layout,
+                analyzer._candidates(layout, None),
+            )
+        )
+        with multiprocessing.Manager() as manager:
+            barrier = manager.Barrier(pool.workers, timeout=60)
+            holds = [
+                pool.executor.submit(_hold_bundle, barrier, token, blob)
+                for _ in range(pool.workers)
+            ]
+            for hold in holds:
+                hold.result()
         again = analyzer.estimate(tile_sizes=(8, 8))
         repeat_bytes = pool.last_payload_bytes
         # The candidate bundle travelled once; the repeat call addressed
