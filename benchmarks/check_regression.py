@@ -30,7 +30,10 @@ Row matching and comparability rules:
   were skipped (this is what keeps the gate armed on CI runners whose
   hardware differs from the box that committed the baseline);
 * new rows (no baseline) pass with a notice; vanished rows fail, so a
-  bench cannot dodge the gate by silently dropping its output.
+  bench cannot dodge the gate by silently dropping its output;
+* every wall and speedup line names the commit and CPU model of both
+  sides (``unknown`` for rows that predate them), so a failure says
+  which machines it compared.
 
 The tolerance defaults to the registered ``REPRO_BENCH_TOLERANCE``
 knob (0.25 — CI runners are noisy; benches here are min-of-N which
@@ -59,6 +62,13 @@ def load_rows(directory: pathlib.Path) -> dict[tuple, dict]:
     return rows
 
 
+def _origin(row: dict) -> str:
+    """``<commit> on <cpu model>`` of one row."""
+    commit = row.get("commit")
+    commit = commit[:12] if commit else "unknown commit"
+    return f"{commit} on {row.get('cpu_model') or 'unknown CPU'}"
+
+
 def compare(
     baseline: dict[tuple, dict],
     fresh: dict[tuple, dict],
@@ -73,6 +83,7 @@ def compare(
         if fresh_row is None:
             failures.append(f"{label}: row vanished from the fresh run")
             continue
+        sides = f"[baseline {_origin(base_row)}; fresh {_origin(fresh_row)}]"
         base_wall = base_row.get("wall_s")
         fresh_wall = fresh_row.get("wall_s")
         walls_numeric = isinstance(base_wall, (int, float)) and isinstance(
@@ -83,14 +94,15 @@ def compare(
         elif base_row.get("cpu_count") != fresh_row.get("cpu_count"):
             notices.append(
                 f"{label}: cpu_count {base_row.get('cpu_count')} → "
-                f"{fresh_row.get('cpu_count')}, walls not comparable, skipped"
+                f"{fresh_row.get('cpu_count')}, walls not comparable, "
+                f"skipped {sides}"
             )
         else:
             limit = base_wall * (1.0 + tolerance)
             verdict = "ok" if fresh_wall <= limit else "FAIL"
             line = (
                 f"{label}: wall {base_wall:.4f}s → {fresh_wall:.4f}s "
-                f"(limit {limit:.4f}s) {verdict}"
+                f"(limit {limit:.4f}s) {verdict} {sides}"
             )
             (notices if fresh_wall <= limit else failures).append(line)
         base_sp = base_row.get("speedup")
@@ -102,7 +114,7 @@ def compare(
             verdict = "ok" if fresh_sp >= floor else "FAIL"
             line = (
                 f"{label}: speedup {base_sp:.3f}x → {fresh_sp:.3f}x "
-                f"(floor {floor:.3f}x) {verdict}"
+                f"(floor {floor:.3f}x) {verdict} {sides}"
             )
             (notices if fresh_sp >= floor else failures).append(line)
     for key in sorted(set(fresh) - set(baseline)):

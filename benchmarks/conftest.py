@@ -18,6 +18,8 @@ from __future__ import annotations
 import json
 import os
 import pathlib
+import platform
+import subprocess
 
 import pytest
 
@@ -124,15 +126,43 @@ def publish_section(name: str, text: str) -> None:
     print("\n" + text + "\n")
 
 
+def _git_commit() -> str | None:
+    """``git rev-parse HEAD`` of this checkout, or None outside git."""
+    try:
+        out = subprocess.run(
+            ["git", "rev-parse", "HEAD"], cwd=BENCH_DIR, capture_output=True,
+            text=True, timeout=10,
+        )
+    except (OSError, subprocess.TimeoutExpired):
+        return None
+    return out.stdout.strip() if out.returncode == 0 else None
+
+
+def _cpu_model() -> str:
+    """The ``model name`` line of ``/proc/cpuinfo``, else the platform's."""
+    try:
+        with open("/proc/cpuinfo") as fh:
+            for line in fh:
+                if line.startswith("model name"):
+                    return line.split(":", 1)[1].strip()
+    except OSError:
+        pass
+    return platform.processor() or platform.machine()
+
+
 def publish_bench_rows(name: str, rows: list[dict]) -> None:
     """Machine-readable perf trajectory: ``bench_results/BENCH_<name>.json``.
 
-    Each row is ``{bench, config, wall_s, speedup, cpu_count}`` so the
-    numbers are comparable across PRs and uploadable as a CI artifact.
+    Each row is ``{bench, commit, cpu_model, cpu_count, config, wall_s,
+    speedup}`` so the numbers are comparable across PRs, tell which
+    machine and commit made them, and upload as a CI artifact.
     """
-    payload = [
-        {"bench": name, "cpu_count": os.cpu_count(), **row} for row in rows
-    ]
+    origin = {
+        "commit": _git_commit(),
+        "cpu_model": _cpu_model(),
+        "cpu_count": os.cpu_count(),
+    }
+    payload = [{"bench": name, **origin, **row} for row in rows]
     path = results_path(f"BENCH_{name}.json")
     path.write_text(json.dumps(payload, indent=1) + "\n")
     print(f"[bench] wrote {path}")

@@ -17,7 +17,9 @@ scalar path repeats per query:
   reject / exact enumeration / subgroup collapse / partial enumeration
   / unknown) becomes array arithmetic over the whole group;
 * mixed-radix enumerations of many boxes are concatenated into single
-  NumPy passes instead of one small array chain per box;
+  NumPy passes instead of one small array chain per box; distinct-line
+  counting lists every enumerable box of a batch, whatever its support
+  mask, in one ragged pass;
 * the recursive absolute-interval search becomes an iterative
   level-synchronous frontier over all pending queries; per-query
   budget semantics (and therefore ``None`` verdicts) are reproduced by
@@ -39,9 +41,7 @@ import numpy as np
 from repro.polyhedra import kernels
 from repro.polyhedra.box import Box
 from repro.polyhedra.congruence import CongruenceTester, exists_absolute_interval
-
-#: Row cap per concatenated enumeration chunk (memory guard).
-_ROW_CAP = 1 << 20
+from repro.polyhedra.kernels import _ROW_CAP
 
 #: A query whose full frontier expansion exceeds this many times the
 #: scalar node budget falls back to the scalar recursion (the frontier
@@ -310,93 +310,62 @@ class BatchCascade:
         line0: np.ndarray,
         cap: int,
     ) -> np.ndarray:
-        exts = Bhi - Blo + 1
-        c0 = Blo @ self.coeffs + self.const
-        em1 = exts - 1
-        fmin = c0 + em1 @ self._cneg_full
-        fmax = c0 + em1 @ self._cpos_full
-        nq = len(c0)
-        counts = np.zeros(nq, dtype=np.int64)
-        mask = (self.coeffs[None, :] != 0) & (exts > 1)
-        keys = mask @ self._pow2
-        for key in np.unique(keys):
-            qsel = np.flatnonzero(keys == key)
-            plan = self._plan(int(key))
-            self._count_lines_group(
-                plan, qsel, Blo, Bhi, c0, exts, wlo, line0,
-                fmin, fmax, cap, counts,
-            )
-        return counts
+        """Capped distinct-line counts over non-empty boxes.
 
-    def _count_lines_group(
-        self,
-        plan: _Plan,
-        qsel: np.ndarray,
-        Blo: np.ndarray,
-        Bhi: np.ndarray,
-        c0_all: np.ndarray,
-        exts_all: np.ndarray,
-        wlo_all: np.ndarray,
-        line0_all: np.ndarray,
-        fmin_all: np.ndarray,
-        fmax_all: np.ndarray,
-        cap: int,
-        counts: np.ndarray,
-    ) -> None:
+        Every query whose projected volume is within ``enum_limit`` —
+        whatever its support mask, single points included — is counted
+        by one :func:`~repro.polyhedra.kernels.box_line_counts` pass and
+        charged one ``enumerated``, as the scalar enumeration tier is.
+        Larger queries go through the per-line frontier of their
+        support mask.
+        """
         st = self.tester.stats
         m = self.m
-        L = self.L
-        c0 = c0_all[qsel]
-        wl = wlo_all[qsel]
-        l0 = line0_all[qsel]
-        if plan.ndims == 0:
-            # Single value: a window hit on a non-excluded line counts 1.
-            hit = ((c0 - wl) % m) <= L - 1
-            st.enumerated += qsel.size
-            own = (c0 // L) == (l0 // L)
-            counts[qsel] = np.minimum((hit & ~own).astype(np.int64), cap)
-            return
-        E = exts_all[np.ix_(qsel, plan.dims)]
-        volf = E.astype(np.float64).prod(axis=1)
+        exts = Bhi - Blo + 1
+        c0 = Blo @ self.coeffs + self.const
+        counts = np.zeros(len(c0), dtype=np.int64)
+        mask = (self.coeffs[None, :] != 0) & (exts > 1)
+        volf = np.where(mask, exts, 1).astype(np.float64).prod(axis=1)
         small = volf <= self.tester.enum_limit
-        if small.any():
-            st.enumerated += int(small.sum())
-            sub = np.flatnonzero(small)
-            got = self._ragged_line_count(
-                c0[sub], plan.coeffs, E[sub], wl[sub], l0[sub], cap
+        sub = np.flatnonzero(small)
+        if sub.size:
+            st.enumerated += sub.size
+            counts[sub] = kernels.box_line_counts(
+                c0[sub], exts[sub], self.coeffs, wlo[sub], line0[sub],
+                m, self.L, cap,
             )
-            counts[qsel[sub]] = got
         big = np.flatnonzero(~small)
         if big.size == 0:
-            return
-        fmin = fmin_all[qsel[big]]
-        fmax = fmax_all[qsel[big]]
-        wlb = wl[big]
+            return counts
+        em1 = exts[big] - 1
+        fmin = c0[big] + em1 @ self._cneg_full
+        fmax = c0[big] + em1 @ self._cpos_full
+        wlb = wlo[big]
         k_lo = -((wlb - fmin) // m)
-        k_hi = (fmax - wlb) // m
-        ncand = k_hi - k_lo + 1
-        none_band = ncand <= 0
-        counts[qsel[big[none_band]]] = 0
-        over = ~none_band & (ncand > self.tester.line_candidate_limit)
-        if over.any():
-            st.unknown += int(over.sum())
-            counts[qsel[big[over]]] = -1
-        go = np.flatnonzero(~none_band & ~over)
-        if go.size:
-            gsel = big[go]
-            counts[qsel[gsel]] = self._line_frontier(
+        ncand = (fmax - wlb) // m - k_lo + 1
+        over = ncand > self.tester.line_candidate_limit
+        st.unknown += int(over.sum())
+        counts[big[over]] = -1
+        go = (ncand > 0) & ~over
+        keys = mask[big] @ self._pow2
+        for key in np.unique(keys[go]):
+            sel = np.flatnonzero(go & (keys == key))
+            q = big[sel]
+            plan = self._plan(int(key))
+            counts[q] = self._line_frontier(
                 plan,
-                Blo[qsel[gsel]],
-                Bhi[qsel[gsel]],
-                E[gsel],
-                c0[gsel],
-                wl[gsel],
-                l0[gsel],
-                fmin[go],
-                k_lo[go],
-                ncand[go],
+                Blo[q],
+                Bhi[q],
+                exts[np.ix_(q, plan.dims)],
+                c0[q],
+                wlo[q],
+                line0[q],
+                fmin[sel],
+                k_lo[sel],
+                ncand[sel],
                 cap,
             )
+        return counts
 
     def _line_frontier(
         self,
@@ -701,52 +670,20 @@ class BatchCascade:
             out[idx] = hit.any(axis=1)
         return out
 
-    def _ragged_line_count(
-        self,
-        c0: np.ndarray,
-        coeffs: np.ndarray,
-        E: np.ndarray,
-        wlo: np.ndarray,
-        line0: np.ndarray,
-        cap: int,
-    ) -> np.ndarray:
-        m = self.m
-        L = self.L
-        counts = np.zeros(len(c0), dtype=np.int64)
-        for shape, idx in self._shape_batches(E):
-            offs = self._enum_offsets(coeffs, shape)
-            vals = c0[idx][:, None] + offs[None, :]
-            sel = ((vals - wlo[idx][:, None]) % m) <= L - 1
-            # Window hits are sparse (L/m of the residues): extract the
-            # few hit rows and dedup per query with one lexsort.
-            lines = vals[sel] // L
-            qrow = np.repeat(
-                np.arange(len(idx), dtype=np.int64), sel.sum(axis=1)
-            )
-            keep = lines != (line0[idx] // L)[qrow]
-            lines = lines[keep]
-            qrow = qrow[keep]
-            if len(lines):
-                order = np.lexsort((lines, qrow))
-                ql = qrow[order]
-                ll = lines[order]
-                first = np.ones(len(ql), dtype=bool)
-                first[1:] = (ql[1:] != ql[:-1]) | (ll[1:] != ll[:-1])
-                counts[idx] = np.bincount(ql[first], minlength=len(idx))
-        return np.minimum(counts, cap)
-
 
 class CompiledCascade(BatchCascade):
     """The compiled-kernel engine: same verdicts, table-driven inner loops.
 
-    Replaces the three per-query enumeration broadcasts of
+    Replaces the two per-query enumeration broadcasts of
     :class:`BatchCascade` with the precomputed-table numpy kernels of
     :mod:`repro.polyhedra.kernels`:
 
     * mod-window any-hit → one window-table lookup per query,
-    * absolute-interval membership → two binary searches per query,
-    * distinct-line counting → gather only the ≈ ``L/m``-dense window
-      hits via the mod-sorted offset order, then one dedup pass.
+    * absolute-interval membership → two binary searches per query.
+
+    Distinct-line counting is not among them: both engines count every
+    enumerable box in one :func:`~repro.polyhedra.kernels.box_line_counts`
+    pass (see :meth:`BatchCascade._count_lines_many`).
 
     The tables depend only on ``(coefficients, box shape, modulus)``,
     which repeat heavily across queries, waves and candidates, so they
@@ -765,8 +702,8 @@ class CompiledCascade(BatchCascade):
     whose per-group numpy-call overhead dominates at typical group
     sizes of a dozen queries), every small group's ``(query, offset)``
     pairs are concatenated into a single flat pass per leaf call —
-    one modular-arithmetic sweep and one dedup for the whole batch.
-    Both paths are exact, so the split is invisible in results.
+    one modular-arithmetic sweep for the whole batch.  Both paths are
+    exact, so the split is invisible in results.
     """
 
     #: Minimum ``n_queries × enumeration_volume`` for a support-shape
@@ -778,7 +715,6 @@ class CompiledCascade(BatchCascade):
         super().__init__(*args, **kwargs)
         self._table_cache: dict[tuple, np.ndarray] = {}
         self._sorted_cache: dict[tuple, np.ndarray] = {}
-        self._modsort_cache: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
 
     @staticmethod
     def _group_work(shape: tuple[int, ...], idx: np.ndarray) -> int:
@@ -852,20 +788,6 @@ class CompiledCascade(BatchCascade):
             self._sorted_cache[key] = offs
         return offs
 
-    def _mod_sorted(
-        self, coeffs: np.ndarray, shape: tuple[int, ...], mod: int
-    ) -> tuple[np.ndarray, np.ndarray]:
-        key = (coeffs.tobytes(), shape, mod)
-        pair = self._modsort_cache.get(key)
-        if pair is None:
-            pair = kernels.mod_sorted_offsets(
-                self._enum_offsets(coeffs, shape), mod
-            )
-            if len(self._modsort_cache) >= 64:
-                self._modsort_cache.clear()
-            self._modsort_cache[key] = pair
-        return pair
-
     # -- kernel-backed inner loops ------------------------------------------
     def _ragged_mod_any(
         self,
@@ -927,52 +849,6 @@ class CompiledCascade(BatchCascade):
                 qr[hit], minlength=len(c0)
             ).astype(bool)
         return out
-
-    def _ragged_line_count(
-        self,
-        c0: np.ndarray,
-        coeffs: np.ndarray,
-        E: np.ndarray,
-        wlo: np.ndarray,
-        line0: np.ndarray,
-        cap: int,
-    ) -> np.ndarray:
-        m = self.m
-        L = self.L
-        counts = np.zeros(len(c0), dtype=np.int64)
-        l0_div = line0 // L
-        small: list[tuple[tuple, np.ndarray]] = []
-        for shape, idx in self._shape_batches(E):
-            if self._group_work(shape, idx) < self._KERNEL_MIN_WORK:
-                small.append((shape, idx))
-                continue
-            res_sorted, offs_by_res = self._mod_sorted(coeffs, shape, m)
-            cq = c0[idx]
-            t = (wlo[idx] - cq) % m
-            a1, b1, a2, b2 = kernels.window_hit_ranges(res_sorted, t, L, m)
-            q1, i1 = kernels.gather_ranges(a1, b1)
-            q2, i2 = kernels.gather_ranges(a2, b2)
-            qrow = np.concatenate([q1, q2])
-            hit_idx = np.concatenate([i1, i2])
-            if len(qrow) == 0:
-                continue
-            lines = (cq[qrow] + offs_by_res[hit_idx]) // L
-            keep = lines != l0_div[idx][qrow]
-            counts[idx] = kernels.distinct_counts(
-                qrow[keep], lines[keep], len(idx)
-            )
-        for qr, off in self._fused_pairs(coeffs, small):
-            vals = c0[qr] + off
-            sel = ((vals - wlo[qr]) % m) <= L - 1
-            qh = qr[sel]
-            lines = vals[sel] // L
-            keep = lines != l0_div[qh]
-            # Small groups partition the query set disjointly from the
-            # kernel-path groups, so adding into the zero rows is exact.
-            counts += kernels.distinct_counts(
-                qh[keep], lines[keep], len(c0)
-            )
-        return np.minimum(counts, cap)
 
 
 def make_cascade(

@@ -1,28 +1,28 @@
-"""Table-driven inner kernels of the congruence cascade and the solver.
+"""Table-driven and single-pass inner kernels of the cascade and the solver.
 
-The three numeric inner loops of :mod:`repro.polyhedra.cascade` —
-mixed-radix "does any enumerated value hit the window" tests, absolute
-interval membership over an enumerated value set, and the window-sum
-distinct-line counting used by the k-way path — spend their time on the
-same *value multiset*: all values of ``Σ c_j · x_j`` over a box shape.
-This module turns each loop into a kernel over **precomputed per-shape
-tables** instead of a per-query broadcast:
+The mixed-radix "does any enumerated value hit the window" test and
+absolute interval membership over an enumerated value set spend their
+time on the same *value multiset*: all values of ``Σ c_j · x_j`` over
+a box shape.  This module turns both into kernels over **precomputed
+per-shape tables** instead of a per-query broadcast:
 
 * ``window table`` — a circular prefix-sum over the histogram of
   ``offs mod m``; any-hit and hit-count per query become two O(1)
   lookups (the query only shifts *where* the window sits, never the
   residue multiset);
 * ``sorted offsets`` — absolute-interval membership becomes a pair of
-  binary searches;
-* ``mod-sorted offsets`` — the offsets ordered by residue, so a
-  query's window hits are at most two contiguous runs, and distinct
-  line counting gathers only the hits (≈ ``L/m`` of the volume)
-  instead of scanning the whole enumeration.
+  binary searches.
 
 :func:`boxes_interfere` applies the same two counts to the solver's
 direct-mapped interval enumeration, where every box has its own shape:
 it splits each box's dimensions in two and sums binary-search counts
 over one half against the sorted values of the other.
+
+:func:`box_line_counts` serves the cascade's k-way distinct-line
+count, where nearly every box has a shape of its own too: it lists
+every point of a whole batch of ragged boxes in one pass per
+dimension, keeps the points in the reused line's cache set and counts
+their distinct lines per box.
 
 Every kernel is exact set arithmetic — no approximation anywhere — so
 the verdict contract of the cascade (bit-identical to the scalar
@@ -33,6 +33,9 @@ suite and the kernel property tests pin it mechanically.
 from __future__ import annotations
 
 import numpy as np
+
+#: Most rows one decoding pass holds (memory guard).
+_ROW_CAP = 1 << 20
 
 # -- per-shape tables ---------------------------------------------------------
 
@@ -52,16 +55,6 @@ def window_table(offs: np.ndarray, mod: int, wlen: int) -> np.ndarray:
 def sorted_offsets(offs: np.ndarray) -> np.ndarray:
     """Offsets sorted by value (absolute-interval binary search)."""
     return np.sort(offs)
-
-
-def mod_sorted_offsets(
-    offs: np.ndarray, mod: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """``(residues_sorted, offs_by_residue)`` — offsets ordered by
-    ``off mod mod``, so one residue window is ≤ 2 contiguous runs."""
-    res = offs % mod
-    order = np.argsort(res, kind="stable")
-    return res[order], offs[order]
 
 
 # -- window any-hit / hit-count ----------------------------------------------
@@ -84,29 +77,7 @@ def abs_any(
     return hi_idx > lo_idx
 
 
-# -- windowed hit gather (distinct-line counting) ------------------------------
-
-def window_hit_ranges(
-    res_sorted: np.ndarray, t: np.ndarray, wlen: int, mod: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Index ranges of each query's window hits in the mod-sorted order.
-
-    The circular window ``[t, t + wlen - 1]`` splits into at most two
-    linear segments; returns ``(a1, b1, a2, b2)`` with the hits of
-    query ``q`` at ``res_sorted[a1:b1]`` and ``res_sorted[a2:b2]``.
-    """
-    end = t + wlen - 1
-    wraps = end >= mod
-    # Segment 1: [t, min(end, mod-1)].
-    a1 = np.searchsorted(res_sorted, t, side="left")
-    b1 = np.searchsorted(res_sorted, np.minimum(end, mod - 1), side="right")
-    # Segment 2 (wrap only): [0, end - mod].
-    a2 = np.zeros_like(t)
-    b2 = np.where(
-        wraps, np.searchsorted(res_sorted, end - mod, side="right"), 0
-    )
-    return a1, b1, a2, b2
-
+# -- ragged gathers and distinct counts ---------------------------------------
 
 def gather_ranges(
     starts: np.ndarray, stops: np.ndarray
@@ -137,6 +108,66 @@ def distinct_counts(
     first = np.ones(len(ql), dtype=bool)
     first[1:] = (ql[1:] != ql[:-1]) | (ll[1:] != ll[:-1])
     return np.bincount(ql[first], minlength=nq)
+
+
+# -- k-way distinct-line counting ----------------------------------------------
+
+def box_line_counts(
+    c0: np.ndarray,
+    exts: np.ndarray,
+    coeffs: np.ndarray,
+    wlo: np.ndarray,
+    line0: np.ndarray,
+    mod: int,
+    line: int,
+    cap: int,
+) -> np.ndarray:
+    """Per box: distinct lines in the reused line's cache set, capped.
+
+    Box ``b`` holds the addresses ``a = c0[b] + Σ_j coeffs[j] · u_j``
+    over ``0 ≤ u < exts[b]``.  Its count is the number of distinct lines
+    ``a // line`` among the points with ``(a − wlo[b]) mod mod < line``
+    (the cache set whose window starts at ``wlo[b]``), ``line0[b]``'s
+    line excluded, capped at ``cap`` — what listing and deduplicating
+    the box's addresses gives.  The batch is decoded in chunks of whole
+    boxes holding at most :data:`_ROW_CAP` points (a larger box makes a
+    chunk alone), each chunk in one pass per dimension, skipping the
+    dimensions that cannot move the address (coefficient 0, or extent 1
+    in every box).
+    """
+    nb = len(c0)
+    counts = np.zeros(nb, dtype=np.int64)
+    dims = np.flatnonzero((coeffs != 0) & (exts > 1).any(axis=0))
+    exts = exts[:, dims]
+    coeffs = coeffs[dims]
+    ends = np.cumsum(exts.prod(axis=1))
+    start = 0
+    while start < nb:
+        done = int(ends[start - 1]) if start else 0
+        stop = max(
+            int(np.searchsorted(ends, done + _ROW_CAP, side="right")), start + 1
+        )
+        # rel = a - wlo for every point, the points grouped by box;
+        # ``per`` counts each box's points decoded so far.
+        rel = c0[start:stop] - wlo[start:stop]
+        per = np.ones(stop - start, dtype=np.int64)
+        for j in range(len(dims)):
+            cnt = np.repeat(exts[start:stop, j], per)
+            per *= exts[start:stop, j]
+            cum = np.cumsum(cnt)
+            u = np.arange(int(cum[-1]), dtype=np.int64) - np.repeat(cum - cnt, cnt)
+            rel = np.repeat(rel, cnt) + u * coeffs[j]
+        # A power-of-two modulus (every cache geometry) is a bit mask.
+        low = rel & (mod - 1) if mod & (mod - 1) == 0 else rel % mod
+        hit = np.flatnonzero(low < line)
+        box = np.searchsorted(ends[start:stop] - done, hit, side="right")
+        lines = (rel[hit] + wlo[start:stop][box]) // line
+        other = lines != line0[start:stop][box] // line
+        counts[start:stop] = distinct_counts(
+            box[other], lines[other], stop - start
+        )
+        start = stop
+    return np.minimum(counts, cap)
 
 
 # -- split-sum box interference -----------------------------------------------

@@ -11,13 +11,15 @@ from repro.cme.sampling import estimate_at_points, sample_original_points
 from repro.cme.solver import PointClassifier
 from repro.ir.program import program_from_nest
 from repro.layout.memory import MemoryLayout
-from repro.polyhedra.kernels import boxes_interfere
+from repro.polyhedra import kernels
+from repro.polyhedra.kernels import box_line_counts, boxes_interfere
 from repro.polyhedra.lexinterval import lex_between_boxes
 from repro.transform.tiling import tile_program
 from tests.conftest import make_small_mm, make_small_transpose
 
 CACHE_DM = CacheConfig(1024, 32, 1)
 CACHE_2W = CacheConfig(1024, 32, 2)
+CACHE_4W = CacheConfig(1024, 32, 4)
 CACHE_8K = CacheConfig(8 * 1024, 32, 1)
 
 
@@ -30,8 +32,8 @@ def _programs():
     yield "t2d-tiled", t2d, tile_program(t2d, (6, 11))
 
 
-@pytest.mark.parametrize("cache", [CACHE_DM, CACHE_2W, CACHE_8K],
-                         ids=["1KB-dm", "1KB-2way", "8KB-dm"])
+@pytest.mark.parametrize("cache", [CACHE_DM, CACHE_2W, CACHE_4W, CACHE_8K],
+                         ids=["1KB-dm", "1KB-2way", "1KB-4way", "8KB-dm"])
 def test_classify_batch_matches_classify_point(cache):
     for label, nest, prog in _programs():
         layout = MemoryLayout(nest.arrays())
@@ -72,6 +74,40 @@ def test_classify_batch_matches_classify_point_on_big_shared_boxes(
     expected = [scalar.classify_point(p) for p in mapped]
     assert PointClassifier(prog, layout, CACHE_8K).classify_batch(mapped) == expected
     assert len(shapes) > 20 and len(set(shapes)) < len(shapes)
+
+
+@pytest.mark.parametrize("compiled", [True, False], ids=["compiled", "batched"])
+def test_classify_batch_matches_classify_point_on_kway_line_counts(
+    monkeypatch, compiled
+):
+    """The same program and sample at 8KB 2-way: on both batched
+    cascade rungs the distinct-line counts reach `box_line_counts` as
+    ragged batches of single points, 1-D boxes, boxes that move along
+    two or more dimensions, and boxes with extent along a dimension the
+    address does not move along."""
+    moving, idle = [], []
+
+    def spy(c0, exts, coeffs, *rest):
+        moving.extend(map(tuple, np.where(coeffs != 0, exts, 1).tolist()))
+        idle.extend(((coeffs == 0) & (exts > 1)).any(axis=1).tolist())
+        return box_line_counts(c0, exts, coeffs, *rest)
+
+    monkeypatch.setattr(kernels, "box_line_counts", spy)
+    nest = make_small_mm(128)
+    layout = MemoryLayout(nest.arrays())
+    prog = tile_program(nest, (128, 64, 128))
+    pm = prog.point_map
+    mapped = [pm.from_original(p) for p in sample_original_points(nest, 60, 3)]
+    cache = CacheConfig(8 * 1024, 32, 2)
+    scalar = PointClassifier(prog, layout, cache)
+    expected = [scalar.classify_point(p) for p in mapped]
+    batched = PointClassifier(
+        prog, layout, cache, batch_cascade=True, compiled_cascade=compiled
+    )
+    assert batched.classify_batch(mapped) == expected
+    assert len(moving) == 210 and len(set(moving)) == 85
+    assert sum((np.array(moving) > 1).sum(axis=1) >= 2) == 19
+    assert sum(idle) == 146
 
 
 def test_estimate_batch_flag_equivalence():

@@ -2,8 +2,8 @@
 
 Every :class:`SolverStats` field — the congruence tester's tier counts
 included — and the hit/cold/replacement split are pinned for a fixed
-sample on 8KB direct-mapped and 8KB 2-way caches, one table per cascade
-rung.  A solver change that claims to be behaviour-preserving must
+sample on 8KB direct-mapped, 2-way and 4-way caches, one table per
+cascade rung.  A solver change that claims to be behaviour-preserving must
 leave all of them untouched: the counts follow which sources, boxes
 and references the waves examine, and in which batches.
 """
@@ -49,8 +49,11 @@ _DM = {
     ),
 }
 # The batched rung's distinct-line counting tests boxes round by round,
-# the compiled rung first boxes then the rest, so their 2-way tier
-# counts differ; the scalar rung counts intervals one by one.
+# the compiled rung first boxes then the rest, so their k-way tier
+# counts differ; the scalar rung counts intervals one by one.  At 4 ways
+# four line counts of (81, 294, 40) span more candidate lines than
+# `line_candidate_limit`: four `unknown` verdicts, each one counted as
+# `unknown_conservative`.
 GOLDEN = {
     "compiled": {
         **_DM,
@@ -62,6 +65,15 @@ GOLDEN = {
         ),
         (2, (81, 294, 40)): (
             (602, 0, 54), (164, 656, 670, 0, 506, 558, 0), (1440, 0, 13, 0, 13, 0, 0)
+        ),
+        (4, None): (
+            (447, 0, 209), (164, 656, 779, 0, 615, 1000, 0), (808, 0, 0, 0, 0, 0, 0)
+        ),
+        (4, (485, 31, 22)): (
+            (620, 0, 36), (164, 656, 670, 0, 506, 588, 0), (1930, 0, 0, 0, 0, 0, 0)
+        ),
+        (4, (81, 294, 40)): (
+            (604, 0, 52), (164, 656, 669, 0, 505, 554, 4), (1434, 0, 0, 0, 0, 0, 4)
         ),
     },
     "batched": {
@@ -75,6 +87,15 @@ GOLDEN = {
         (2, (81, 294, 40)): (
             (602, 0, 54), (164, 656, 670, 0, 506, 558, 0), (1445, 0, 13, 0, 13, 0, 0)
         ),
+        (4, None): (
+            (447, 0, 209), (164, 656, 779, 0, 615, 1000, 0), (808, 0, 0, 0, 0, 0, 0)
+        ),
+        (4, (485, 31, 22)): (
+            (620, 0, 36), (164, 656, 670, 0, 506, 588, 0), (1884, 0, 0, 0, 0, 0, 0)
+        ),
+        (4, (81, 294, 40)): (
+            (604, 0, 52), (164, 656, 669, 0, 505, 554, 4), (1433, 0, 0, 0, 0, 0, 4)
+        ),
     },
     "scalar": {
         **_DM,
@@ -87,6 +108,15 @@ GOLDEN = {
         (2, (81, 294, 40)): (
             (602, 0, 54), (164, 656, 670, 506, 0, 392, 0), (1445, 0, 13, 0, 13, 0, 0)
         ),
+        (4, None): (
+            (447, 0, 209), (164, 656, 779, 615, 0, 387, 0), (808, 0, 0, 0, 0, 0, 0)
+        ),
+        (4, (485, 31, 22)): (
+            (620, 0, 36), (164, 656, 670, 506, 0, 490, 0), (1884, 0, 0, 0, 0, 0, 0)
+        ),
+        (4, (81, 294, 40)): (
+            (604, 0, 52), (164, 656, 669, 505, 0, 385, 4), (1433, 0, 0, 0, 0, 0, 4)
+        ),
     },
 }
 RUNG_ENV = {
@@ -97,7 +127,9 @@ RUNG_ENV = {
 
 
 @pytest.mark.parametrize("rung", sorted(GOLDEN))
-@pytest.mark.parametrize("assoc", [1, 2], ids=["8KB-dm", "8KB-2way"])
+@pytest.mark.parametrize(
+    "assoc", [1, 2, 4], ids=["8KB-dm", "8KB-2way", "8KB-4way"]
+)
 def test_mm500_solver_stats_are_pinned(monkeypatch, rung, assoc):
     for name, value in RUNG_ENV[rung].items():
         monkeypatch.setenv(name, value)

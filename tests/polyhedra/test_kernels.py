@@ -1,8 +1,10 @@
-"""The split-sum box kernel against brute-force enumeration.
+"""The solver's box kernels against brute-force enumeration.
 
 ``boxes_interfere`` decides, per integer box, whether some reference
 address lands in the reused line's cache set on a different line — the
-verdict the solver's direct-mapped interval enumeration needs.  The
+verdict the solver's direct-mapped interval enumeration needs.
+``box_line_counts`` counts, per box, the distinct lines other than the
+reused one in that cache set, capped — the k-way cascade's count.  The
 brute force lists every point of every box.
 """
 
@@ -119,5 +121,131 @@ def test_empty_batch():
         np.empty((0, 2), dtype=np.int64), np.empty((0, 2), dtype=np.int64),
         np.ones((1, 2), dtype=np.int64), np.zeros(1, dtype=np.int64),
         np.empty(0, dtype=np.int64), MOD, LINE,
+    )
+    assert got.shape == (0,)
+
+
+# -- box_line_counts ------------------------------------------------------------
+
+def brute_counts(c0, exts, coeffs, wlo, line0, mod, line, cap):
+    out = []
+    for b in range(len(c0)):
+        axes = [np.arange(e) for e in exts[b]]
+        pts = np.stack(np.meshgrid(*axes, indexing="ij"), -1).reshape(
+            -1, len(axes)
+        )
+        addr = pts @ coeffs + c0[b]
+        lines = set((addr[(addr - wlo[b]) % mod < line] // line).tolist())
+        lines.discard(int(line0[b]) // line)
+        out.append(min(len(lines), cap))
+    return out
+
+
+@st.composite
+def line_batches(draw):
+    dg = draw(st.integers(1, 4))
+    coeffs = np.array(
+        [draw(st.sampled_from(COEFFS)) for _ in range(dg)], dtype=np.int64
+    )
+    # 96 is no power of two (the kernel's `%` path); LINE is one set.
+    mod = draw(st.sampled_from([MOD, MOD, 96, LINE]))
+    extent = st.integers(1, MAX_EXTENT[dg])
+    # Most boxes share a few shapes, some are single points, the rest
+    # are ragged loners.
+    pool = [tuple(draw(extent) for _ in range(dg)) for _ in range(2)]
+    shape = st.one_of(
+        st.sampled_from(pool),
+        st.just((1,) * dg),
+        st.tuples(*[extent] * dg),
+    )
+    nb = draw(st.integers(1, 10))
+    exts = np.array([draw(shape) for _ in range(nb)], dtype=np.int64)
+    c0 = np.array(
+        [draw(st.integers(-4 * MOD, 4 * MOD)) for _ in range(nb)], dtype=np.int64
+    )
+    line0, wlo = [], []
+    for b in range(nb):
+        # The reused line is one of the box's own lines, or far outside
+        # the box's address band.
+        u = np.array([draw(st.integers(0, int(e) - 1)) for e in exts[b]])
+        a = int(c0[b] + u @ coeffs)
+        far = draw(st.integers(-8 * MOD, 8 * MOD))
+        l0 = (a if draw(st.booleans()) else a + far) // LINE * LINE
+        line0.append(l0)
+        # The window is the reused line's set, or anywhere, wrapping
+        # past the modulus included.
+        wlo.append(
+            draw(
+                st.one_of(
+                    st.just(l0 % mod),
+                    st.integers(mod - LINE + 1, mod - 1),
+                    st.integers(-2 * mod, 2 * mod),
+                )
+            )
+        )
+    cap = draw(st.sampled_from([1, 2, 4, 8]))
+    return (
+        c0, exts, coeffs, np.array(wlo, dtype=np.int64),
+        np.array(line0, dtype=np.int64), mod, LINE, cap,
+    )
+
+
+@given(line_batches())
+@settings(max_examples=300, deadline=None)
+def test_box_line_counts_match_bruteforce(case):
+    got = kernels.box_line_counts(*case)
+    assert got.tolist() == brute_counts(*case)
+
+
+@given(line_batches(), st.data())
+@settings(max_examples=100, deadline=None)
+def test_zero_coefficient_dimensions_do_not_change_counts(case, data):
+    """A dimension the address does not move along only repeats points."""
+    c0, exts, coeffs, *rest = case
+    at = data.draw(st.integers(0, len(coeffs)))
+    extra = np.array(
+        [data.draw(st.integers(2, 5)) for _ in range(len(c0))], dtype=np.int64
+    )
+    wide = np.insert(exts, at, extra, axis=1)
+    zero = np.insert(coeffs, at, 0)
+    got = kernels.box_line_counts(c0, wide, zero, *rest)
+    assert got.tolist() == kernels.box_line_counts(c0, exts, coeffs, *rest).tolist()
+    assert got.tolist() == brute_counts(c0, exts, coeffs, *rest)
+
+
+def test_box_line_counts_row_cap(monkeypatch):
+    """Passes hold whole boxes up to the row cap; a box above it alone."""
+    passes = []
+    real = kernels.distinct_counts
+
+    def spy(qrow, lines, nq):
+        passes.append(nq)
+        return real(qrow, lines, nq)
+
+    coeffs = np.array([8, -40, 0], dtype=np.int64)
+    exts = np.array(
+        [[3, 1, 1], [2, 1, 4], [7, 1, 1], [1, 1, 1], [1, 1, 2], [3, 3, 1],
+         [2, 1, 1]],
+        dtype=np.int64,
+    )
+    n = len(exts)
+    c0 = np.arange(n, dtype=np.int64) * 100
+    wlo = np.zeros(n, dtype=np.int64)
+    line0 = np.full(n, LINE, dtype=np.int64)
+    whole = kernels.box_line_counts(c0, exts, coeffs, wlo, line0, LINE, LINE, 8)
+    monkeypatch.setattr(kernels, "_ROW_CAP", 5)
+    monkeypatch.setattr(kernels, "distinct_counts", spy)
+    got = kernels.box_line_counts(c0, exts, coeffs, wlo, line0, LINE, LINE, 8)
+    assert got.tolist() == whole.tolist()
+    assert got.tolist() == brute_counts(c0, exts, coeffs, wlo, line0, LINE, LINE, 8)
+    # Volumes along the moving dimensions: 3, 2, 7, 1, 1, 9, 2.
+    assert passes == [2, 1, 2, 1, 1]
+
+
+def test_box_line_counts_empty_batch():
+    empty = np.empty(0, dtype=np.int64)
+    got = kernels.box_line_counts(
+        empty, np.empty((0, 2), dtype=np.int64), np.array([8, 1]),
+        empty, empty, MOD, LINE, 2,
     )
     assert got.shape == (0,)

@@ -132,6 +132,59 @@ def test_negative_tolerance_is_rejected(tmp_path):
     assert exc.value.code == 2
 
 
+def test_lines_name_both_sides_commit_and_cpu(tmp_path, capsys):
+    """A wall or speedup line says which commits and machines it compared."""
+    base = dict(
+        _row("8KB", 0.100), speedup=2.0, commit="a" * 40, cpu_model="Old CPU"
+    )
+    fresh = dict(
+        _row("8KB", 0.200), speedup=1.0, commit="b" * 40, cpu_model="New CPU"
+    )
+    _write(tmp_path / "base", "BENCH_solver.json", [base])
+    _write(tmp_path / "fresh", "BENCH_solver.json", [fresh])
+    rc = main(["--baseline", str(tmp_path / "base"),
+               "--fresh", str(tmp_path / "fresh"), "--tolerance", "0.25"])
+    err = capsys.readouterr().err
+    assert rc == 1
+    sides = "[baseline aaaaaaaaaaaa on Old CPU; fresh bbbbbbbbbbbb on New CPU]"
+    wall = [ln for ln in err.splitlines() if ": wall " in ln]
+    speedup = [ln for ln in err.splitlines() if ": speedup " in ln]
+    assert len(wall) == 1 and wall[0].endswith(sides)
+    assert len(speedup) == 1 and speedup[0].endswith(sides)
+
+
+def test_rows_without_provenance_say_unknown():
+    base = {("f", "b", "c"): {"wall_s": 1.0, "cpu_count": 1}}
+    fresh = {("f", "b", "c"): {"wall_s": 1.0, "cpu_count": 2, "commit": None,
+                               "cpu_model": "X"}}
+    _, notices = compare(base, fresh, 0.25)
+    assert notices == [
+        "f:b:c: cpu_count 1 → 2, walls not comparable, skipped [baseline "
+        "unknown commit on unknown CPU; fresh unknown commit on X]"
+    ]
+
+
+def test_publish_bench_rows_stamps_provenance(tmp_path, monkeypatch):
+    from benchmarks import conftest
+
+    monkeypatch.setattr(conftest, "RESULTS_DIR", tmp_path)
+    conftest.publish_bench_rows("probe", [{"config": "c", "wall_s": 0.5}])
+    (row,) = json.loads((tmp_path / "BENCH_probe.json").read_text())
+    assert row["bench"] == "probe" and row["wall_s"] == 0.5
+    assert row["cpu_count"] >= 1
+    assert row["cpu_model"] and isinstance(row["cpu_model"], str)
+    # A 40-hex commit inside a git checkout, null outside one.
+    assert row["commit"] is None or len(row["commit"]) == 40
+
+
+def test_provenance_commit_is_null_outside_git(monkeypatch, tmp_path):
+    from benchmarks import conftest
+
+    monkeypatch.setattr(conftest, "BENCH_DIR", tmp_path)
+    monkeypatch.setenv("GIT_CEILING_DIRECTORIES", str(tmp_path.parent))
+    assert conftest._git_commit() is None
+
+
 def test_committed_baseline_matches_itself():
     """The repo's own BENCH files gate green against themselves."""
     import pathlib
