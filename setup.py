@@ -1,10 +1,24 @@
-"""Legacy setup shim.
+"""Package metadata for ``repro`` (src/ layout, numpy its one dependency).
 
-Allows ``pip install -e . --no-build-isolation --no-use-pep517`` in
-offline environments that lack the ``wheel`` package required by
-PEP 660 editable installs.  Configuration lives in ``pyproject.toml``.
+Plain ``setup()`` configuration with no ``pyproject.toml``, so
+``pip install -e . --no-build-isolation --no-use-pep517`` also works
+offline without the ``wheel`` package that PEP 660 editable installs
+need.  The version is read from ``src/repro/__init__.py``.
 """
 
-from setuptools import setup
+import pathlib
+import re
 
-setup()
+from setuptools import find_packages, setup
+
+INIT = pathlib.Path(__file__).parent / "src" / "repro" / "__init__.py"
+VERSION = re.search(r'^__version__ = "([^"]+)"', INIT.read_text(), re.M)[1]
+
+setup(
+    name="repro",
+    version=VERSION,
+    python_requires=">=3.10",
+    package_dir={"": "src"},
+    packages=find_packages("src"),
+    install_requires=["numpy"],
+)

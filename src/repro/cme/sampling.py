@@ -20,9 +20,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from statistics import NormalDist
 
 import numpy as np
-from scipy.stats import norm
 
 from repro.cache.config import CacheConfig
 from repro.cme.solver import Outcome, PointClassifier, SolverStats
@@ -45,8 +45,8 @@ def required_sample_size(width: float = 0.1, confidence: float = 0.90) -> int:
     Inputs are validated *before* any quantile computation: ``width``
     must lie in (0, 1) and ``confidence`` in (0.5, 1) — at or below
     0.5 the one-sided quantile is non-positive and the formula is
-    meaningless (and exactly 0/1 would hit the ``norm.ppf`` ±inf
-    branches).  A parameter combination so loose that it needs fewer
+    meaningless, and ``NormalDist.inv_cdf`` raises ``StatisticsError``
+    at exactly 0 or 1.  A combination so loose that it needs fewer
     than one sample point is rejected rather than silently degraded to
     a degenerate single-point "sample".
     """
@@ -56,7 +56,7 @@ def required_sample_size(width: float = 0.1, confidence: float = 0.90) -> int:
         raise ValueError(
             f"confidence must lie in (0.5, 1), got {confidence}"
         )
-    z = float(norm.ppf(confidence))
+    z = NormalDist().inv_cdf(confidence)
     n = math.floor(z * z * 0.25 / (width / 2.0) ** 2)
     if n < 1:
         raise ValueError(
@@ -104,7 +104,7 @@ class CMEEstimate:
         if self.sampled_accesses == 0:
             return 0.0
         p = self.miss_ratio if ratio is None else ratio
-        z = float(norm.ppf(self.confidence))
+        z = NormalDist().inv_cdf(self.confidence)
         return z * math.sqrt(max(p * (1 - p), 1e-12) / self.sampled_accesses)
 
     @property

@@ -22,6 +22,41 @@ def test_paper_sample_size_reproduced():
     assert PAPER_SAMPLE_SIZE == 164
 
 
+#: ``required_sample_size(width, confidence)`` over a grid; the pair
+#: (0.3, 0.6) needs fewer than one point and is left out.
+SAMPLE_SIZES = {
+    0.01: {0.6: 641, 0.75: 4549, 0.8: 7083, 0.9: 16423,
+           0.95: 27055, 0.975: 38414, 0.99: 54118, 0.999: 95495},
+    0.02: {0.6: 160, 0.75: 1137, 0.8: 1770, 0.9: 4105,
+           0.95: 6763, 0.975: 9603, 0.99: 13529, 0.999: 23873},
+    0.05: {0.6: 25, 0.75: 181, 0.8: 283, 0.9: 656,
+           0.95: 1082, 0.975: 1536, 0.99: 2164, 0.999: 3819},
+    0.1: {0.6: 6, 0.75: 45, 0.8: 70, 0.9: 164,
+          0.95: 270, 0.975: 384, 0.99: 541, 0.999: 954},
+    0.2: {0.6: 1, 0.75: 11, 0.8: 17, 0.9: 41,
+          0.95: 67, 0.975: 96, 0.99: 135, 0.999: 238},
+    0.3: {0.75: 5, 0.8: 7, 0.9: 18,
+          0.95: 30, 0.975: 42, 0.99: 60, 0.999: 106},
+}
+
+
+@pytest.mark.parametrize(
+    "width,confidence,expected",
+    [(w, c, n) for w, row in SAMPLE_SIZES.items() for c, n in row.items()],
+)
+def test_sample_size_grid(width, confidence, expected):
+    assert required_sample_size(width, confidence) == expected
+
+
+def test_ci_halfwidth_pinned():
+    est = CMEEstimate(
+        sampled_points=164, sampled_accesses=656, hits=600, cold=20,
+        replacement=36,
+    )
+    assert est.ci_halfwidth() == pytest.approx(0.013981377603607683, rel=1e-12)
+    assert est.ci_halfwidth(0.3) == pytest.approx(0.022929459269916602, rel=1e-12)
+
+
 def test_sample_size_monotonicity():
     assert required_sample_size(width=0.05) > required_sample_size(width=0.1)
     assert required_sample_size(confidence=0.99) > required_sample_size(confidence=0.9)
