@@ -16,6 +16,7 @@ from repro.cme.sampling import (
     PAPER_SAMPLE_SIZE,
     CMEEstimate,
     estimate_at_points,
+    estimate_many_at_points,
     sample_original_points,
 )
 from repro.ir.loops import LoopNest
@@ -147,6 +148,17 @@ class LocalityAnalyzer:
             self.cache,
             use_points,
             candidates=self._candidates(layout, padding),
+            cascade_budgets=self.cascade_budgets,
+        )
+
+    def estimate_many(self, tile_sizes_list) -> list[CMEEstimate]:
+        """:meth:`estimate` of each tiling; unless the sample is sharded,
+        in one pass that merges their kernel calls (same estimates)."""
+        if self.point_workers > 1:
+            return [self.estimate(tile_sizes=t) for t in tile_sizes_list]
+        return estimate_many_at_points(
+            [self.program(t) for t in tile_sizes_list], self.layout,
+            self.cache, self._points, candidates=self._candidates(self.layout, None),
             cascade_budgets=self.cascade_budgets,
         )
 

@@ -25,7 +25,7 @@ from statistics import NormalDist
 import numpy as np
 
 from repro.cache.config import CacheConfig
-from repro.cme.solver import Outcome, PointClassifier, SolverStats
+from repro.cme.solver import Outcome, PointClassifier, SolverStats, classify_many
 from repro.ir.loops import LoopNest
 from repro.ir.program import AccessProgram
 from repro.layout.memory import MemoryLayout
@@ -146,32 +146,59 @@ def estimate_at_points(
     """Classify the given original-space points under ``program``.
 
     ``batch=True`` (the default) maps and classifies the whole sample
-    in one vectorised :meth:`PointClassifier.classify_batch` call;
-    ``batch=False`` keeps the per-point scalar loop.  Both paths are
-    outcome-equivalent (see :mod:`repro.evaluation`).
+    in one vectorised pass, the one-program case of
+    :func:`estimate_many_at_points`; ``batch=False`` keeps the
+    per-point scalar loop.  Both paths are outcome-equivalent (see
+    :mod:`repro.evaluation`).
     ``cascade_budgets`` overrides the congruence-cascade work budgets
     (see :class:`repro.polyhedra.congruence.CongruenceTester`).
     """
+    if batch and original_points:
+        return estimate_many_at_points(
+            [program], layout, cache, original_points, confidence,
+            candidates, cascade_budgets,
+        )[0]
     classifier = PointClassifier(
         program, layout, cache, candidates, cascade_budgets=cascade_budgets
     )
     pm = program.point_map
+    outcomes = [classifier.classify_point(pm.from_original(p)) for p in original_points]
+    return _estimate(program, classifier, outcomes, confidence)
+
+
+def estimate_many_at_points(
+    programs: list[AccessProgram],
+    layout: MemoryLayout,
+    cache: CacheConfig,
+    original_points: list[tuple[int, ...]],
+    confidence: float = 0.90,
+    candidates=None,
+    cascade_budgets: dict[str, int] | None = None,
+) -> list[CMEEstimate]:
+    """:func:`estimate_at_points` under several programs of one nest, in
+    one :func:`repro.cme.solver.classify_many` pass that merges their
+    kernel calls; each estimate equals its one-program call."""
+    classifiers = [
+        PointClassifier(p, layout, cache, candidates, cascade_budgets=cascade_budgets)
+        for p in programs
+    ]
+    P = np.asarray(original_points, dtype=np.int64)
+    tables = classify_many(classifiers, (
+        p.point_map.from_original_batch(P.reshape(-1, p.original.depth))
+        for p in programs
+    ))
+    return [_estimate(*a, confidence) for a in zip(programs, classifiers, tables)]
+
+
+def _estimate(program, classifier, outcomes, confidence) -> CMEEstimate:
+    """Count one program's (point × reference) outcome table."""
     per_ref: dict[int, dict[str, int]] = {
         ref.position: {"hit": 0, "cold": 0, "replacement": 0}
         for ref in program.refs
     }
     refs_sorted = sorted(program.refs, key=lambda r: r.position)
-    if batch and original_points:
-        all_outcomes = classifier.classify_batch(
-            pm.from_original_batch(np.asarray(original_points, dtype=np.int64))
-        )
-    else:
-        all_outcomes = (
-            classifier.classify_point(pm.from_original(orig_p))
-            for orig_p in original_points
-        )
     # Per reference, one count per outcome over its column of the sample.
-    for ref, column in zip(refs_sorted, zip(*all_outcomes)):
+    for ref, column in zip(refs_sorted, zip(*outcomes)):
         for oc in Outcome:
             per_ref[ref.position][oc.value] = column.count(oc)
     hits, cold, repl = (
@@ -180,8 +207,8 @@ def estimate_at_points(
     )
     nrefs = len(program.refs)
     return CMEEstimate(
-        sampled_points=len(original_points),
-        sampled_accesses=len(original_points) * nrefs,
+        sampled_points=len(outcomes),
+        sampled_accesses=len(outcomes) * nrefs,
         hits=hits,
         cold=cold,
         replacement=repl,

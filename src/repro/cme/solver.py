@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro import envs
+from repro import envs, telemetry
 from repro.cache.config import CacheConfig
 from repro.ir.program import AccessProgram
 from repro.layout.memory import MemoryLayout
@@ -168,6 +168,20 @@ class PointClassifier:
             self._groups.append(
                 (dims, ridx, self._Cmat[np.ix_(ridx, dims)], self._c0vec[ridx])
             )
+        # The groups in the original nest's coordinates, where all its
+        # tilings share one coefficient matrix: the kernel queries of
+        # _run_interval_jobs are built there, keyed by content so that
+        # classify_many can merge them across classifiers.
+        orefs = sorted(orig.refs, key=lambda r: r.position)
+        exprs = [layout.address_expr(r) for r in orefs]
+        ocoef = np.array([e.coeff_vector(orig.vars) for e in exprs], np.int64)
+        oc0 = np.array([e.const for e in exprs], dtype=np.int64)
+        self._kernel_groups = []
+        for _, ridx, _, _ in self._groups:
+            odims = np.flatnonzero(ocoef[ridx].any(axis=0))
+            spec = (ocoef[np.ix_(ridx, odims)], oc0[ridx], self._M, self._L)
+            key = (len(odims), spec[0].tobytes(), spec[1].tobytes(), *spec[2:])
+            self._kernel_groups.append((odims, key, spec))
         # Per-reference batched-cascade invariants (gcd tables, period
         # decompositions, dimension orderings), built lazily once per
         # candidate and reused across every wave of this classifier.
@@ -234,10 +248,17 @@ class PointClassifier:
         reference ``aidx[t]`` and its current source ``cur[t]`` in the
         run ``[cur, stop)`` of :meth:`_batch_reuse_sources`; a wave
         gathers everything else by index.
+
+        This is the one-classifier case of :func:`classify_many`.
         """
+        return classify_many([self], [points])[0]
+
+    def _classify_waves(self, points):
+        """:meth:`classify_batch`'s waves: a generator that yields each
+        interval round's kernel queries and returns the outcome codes."""
         n = len(points)
         if n == 0:
-            return []
+            return np.empty((0, 0), dtype=np.int8)
         self.stats.points += n
         nrefs = len(self._refs)
         self.stats.ref_tests += n * nrefs
@@ -296,7 +317,7 @@ class PointClassifier:
                 killed[jobs] = (
                     self._run_count_jobs(*args, pre[jobs])
                     if k != 1
-                    else self._run_interval_jobs(*args)
+                    else (yield from self._run_interval_jobs(*args))
                 )
             hit = ~killed
             codes[ai[hit], aidx[hit]] = _HIT
@@ -309,7 +330,7 @@ class PointClassifier:
                 (np.flatnonzero(more & ~job), np.flatnonzero(more & job))
             )
             ai, aidx, cur, stop = ai[nxt], aidx[nxt], cur[nxt] + 1, stop[nxt]
-        return [[_OUTCOMES[c] for c in row] for row in codes.tolist()]
+        return codes
 
     # -- core ------------------------------------------------------------------
     def _classify_ref(self, idx: int, p: tuple[int, ...]) -> Outcome:
@@ -642,14 +663,12 @@ class PointClassifier:
         )
         return Blo, Bhi, pj[bp]
 
-    #: Point-volume cap per kernel call (memory guard).
-    _JOB_CHUNK_ROWS = 1 << 20
     #: Per-job enumeration budget per round (early-exit granularity).
     _ROUND_ROWS = 1 << 12
 
     def _run_interval_jobs(
         self, S: np.ndarray, U: np.ndarray, wlo: np.ndarray, l0: np.ndarray
-    ) -> np.ndarray:
+    ):
         """Resolve a wave of interval-interference queries at once.
 
         Job ``j`` asks whether the iterations strictly between source
@@ -663,7 +682,10 @@ class PointClassifier:
         where the cascade would enumerate exactly as well), and
         surviving big boxes fall back to the per-box congruence
         cascade.  Outcomes therefore match the scalar path on every job
-        by construction.  Returns the killed flag per job.
+        by construction.  Each round yields its kernel queries, one
+        ``(key, (coeffs, consts, mod, line), lo, exts, line0)`` per
+        reference group, and :func:`classify_many` sends the verdicts
+        back.  Returns the killed flag per job.
         """
         njobs = len(S)
         self.stats.intervals_vectorized += njobs
@@ -700,6 +722,16 @@ class PointClassifier:
         for gi, (dims, ridx, _, _) in enumerate(self._groups):
             pvol[:, gi] = exts_all[:, dims].prod(axis=1)
             galive[:, gi] = alive[:, ridx].any(axis=1)
+        # Only what the rounds need stays alive while they suspend.
+        del fmin, fmax, spans, aa, exts_all
+        # Box-mapping property: in each dimension of a between-box of a
+        # tiled space either the tile index is pinned or the element
+        # offset spans its region's whole tile, so the box holds exactly
+        # the points of the original-space box between its corners'
+        # images.  The kernel queries are those boxes, projected to each
+        # group's support: every address form keeps its value set.
+        olo = self._pm.to_original_batch(Blo)
+        oext = self._pm.to_original_batch(Bhi) - olo + 1
         # Surviving boxes, queued per job in decomposition order.  The
         # rounds below preserve the scalar path's early exit where it
         # pays: each job submits boxes only up to a per-round row
@@ -736,29 +768,16 @@ class PointClassifier:
             cursor += np.bincount(lj[take], minlength=njobs)
             tb = live[take]
             tj = lj[take]
-            for gi, (dims, _, Cg, c0g) in enumerate(self._groups):
-                in_batch = small[tb, gi]
-                if not in_batch.any():
-                    continue
-                boxes = tb[in_batch]
-                hits = np.concatenate(
-                    [
-                        # Boxes projected to the group's support
-                        # dimensions: the value set of each address
-                        # form is unchanged.
-                        boxes_interfere(
-                            Blo[np.ix_(sel, dims)],
-                            exts_all[np.ix_(sel, dims)],
-                            Cg,
-                            c0g,
-                            l0_box[sel],
-                            M,
-                            L,
-                        )
-                        for sel in self._chunk_boxes(boxes, pvol[:, gi])
-                    ]
-                )
-                killed[tj[in_batch][hits]] = True
+            queries, masks = [], []
+            for (odims, key, spec), m in zip(self._kernel_groups, small[tb].T):
+                if m.any():
+                    b = tb[m]
+                    queries.append((key, spec, olo[np.ix_(b, odims)],
+                                    oext[np.ix_(b, odims)], l0_box[b]))
+                    masks.append(m)
+            if queries:
+                for m, hits in zip(masks, (yield queries)):
+                    killed[tj[m][hits]] = True
             # Oversized projections: per-ref congruence cascade, as the
             # scalar path runs it, in (job, box, group) order.
             rows, groups = np.nonzero(big[tb])
@@ -863,24 +882,6 @@ class PointClassifier:
             if res:
                 return True
         return False
-
-    def _chunk_boxes(
-        self, idx: np.ndarray, vol_arr: np.ndarray
-    ) -> list[np.ndarray]:
-        """Split box indices so each enumerated chunk stays in memory."""
-        vols = vol_arr[idx].tolist()
-        if sum(vols) <= self._JOB_CHUNK_ROWS:
-            return [idx]
-        chunks: list[np.ndarray] = []
-        first = rows = 0
-        for t, n in enumerate(vols):
-            if t > first and rows + n > self._JOB_CHUNK_ROWS:
-                chunks.append(idx[first:t])
-                first = t
-                rows = 0
-            rows += n
-        chunks.append(idx[first:])
-        return chunks
 
     def _count_interfering_lines(
         self,
@@ -1107,3 +1108,88 @@ class PointClassifier:
     def finalize_stats(self) -> SolverStats:
         self.stats.congruence = self._tester.stats.as_dict()
         return self.stats
+
+
+#: Most classifiers :func:`classify_many` keeps in flight (memory guard).
+_IN_FLIGHT = 4
+#: Point-volume cap per kernel call (memory guard).
+_JOB_CHUNK_ROWS = 1 << 20
+
+
+def classify_many(
+    classifiers: list[PointClassifier], batches
+) -> list[list[list[Outcome]]]:
+    """:meth:`PointClassifier.classify_batch` of many classifiers at once.
+
+    ``batches[i]`` is classifier ``i``'s sample in its own coordinates.
+    Each classifier keeps its own waves, rounds, cascades and stats, but
+    every turn of this loop answers the interval-round kernel queries of
+    all classifiers in flight with one :func:`boxes_interfere` call per
+    reference group (and memory chunk), so a call's fixed cost is paid
+    once per round for all of them.  The kernel decides each box on its
+    own, so outcomes and stats equal separate calls.  Memory guard: at
+    most :data:`_IN_FLIGHT` classifiers are in flight, and each drops
+    its cached cascade tables whenever it suspends or finishes.
+    """
+    out: list = [None] * len(classifiers)
+    todo = iter(enumerate(zip(classifiers, batches)))
+    live: dict[int, tuple] = {}  # index -> (generator, its queries)
+    calls = 0
+
+    def resume(i, gen, answer):
+        try:
+            live[i] = (gen, gen.send(answer))
+        except StopIteration as done:
+            live.pop(i, None)
+            out[i] = done.value
+        for cascade in classifiers[i]._ref_cascades:
+            if cascade is not None:
+                cascade.release_tables()
+
+    while True:
+        while len(live) < _IN_FLIGHT and (nxt := next(todo, None)):
+            i, (classifier, points) = nxt
+            resume(i, classifier._classify_waves(points), None)
+        if not live:
+            break
+        merged: dict = {}
+        for i, (_, queries) in live.items():
+            for q, (key, spec, *args) in enumerate(queries):
+                merged.setdefault(key, (spec, []))[1].append(((i, q), args))
+        verdicts = {}
+        for (coeffs, consts, mod, line), parts in merged.values():
+            lo, exts, line0 = map(np.concatenate, zip(*(a for _, a in parts)))
+            hits = [
+                boxes_interfere(
+                    lo[sel], exts[sel], coeffs, consts, line0[sel], mod, line
+                )
+                for sel in _chunks(exts.prod(axis=1))
+            ]
+            calls += len(hits)
+            ends = np.cumsum([len(a[0]) for _, a in parts])[:-1]
+            hits = np.split(np.concatenate(hits), ends)
+            verdicts.update(zip((iq for iq, _ in parts), hits))
+        for i, (gen, queries) in list(live.items()):
+            resume(i, gen, [verdicts[i, q] for q in range(len(queries))])
+    rec = telemetry.recorder()
+    rec.count("cme.classify_passes")
+    rec.count("cme.classify_candidates", len(classifiers))
+    rec.count("cme.kernel_calls", calls)
+    # Outcome tables only now: while solving, finished ones stay compact.
+    return [[[_OUTCOMES[c] for c in r] for r in codes.tolist()] for codes in out]
+
+
+def _chunks(vols: np.ndarray) -> list[slice]:
+    """Runs of boxes of at most :data:`_JOB_CHUNK_ROWS` points (or one box)."""
+    if vols.sum() <= _JOB_CHUNK_ROWS:
+        return [slice(None)]
+    chunks: list[slice] = []
+    first = rows = 0
+    for t, n in enumerate(vols.tolist()):
+        if t > first and rows + n > _JOB_CHUNK_ROWS:
+            chunks.append(slice(first, t))
+            first = t
+            rows = 0
+        rows += n
+    chunks.append(slice(first, len(vols)))
+    return chunks

@@ -39,9 +39,18 @@ def _init_worker(fn: Callable[[Values], float]) -> None:
     _WAVE_CACHE.clear()
 
 
-def _eval_in_worker(values: Values) -> float:
+def _eval_in_worker(batch: list[Values]) -> list[float]:
     assert _WORKER_FN is not None, "worker used before initialisation"
-    return _WORKER_FN(values)
+    return [float(v) for v in solve_many(_WORKER_FN, batch)]
+
+
+def solve_many(fn: Callable[[Values], float], batch: list[Values]) -> list:
+    """``fn`` on each genotype: one ``fn.evaluate_many(batch)`` call if the
+    objective offers it (same values by contract), else a loop."""
+    many = getattr(fn, "evaluate_many", None)
+    if many is None:
+        return [fn(v) for v in batch]
+    return list(many(batch))
 
 
 def _eval_wave_span(task) -> list[float]:
@@ -62,7 +71,7 @@ def _eval_wave_span(task) -> list[float]:
         wave = pickle.loads(shm.fetch(desc, unlink=False))
         _WAVE_CACHE.clear()  # one wave in flight at a time
         _WAVE_CACHE[wave_id] = wave
-    return [float(_WORKER_FN(v)) for v in wave[start:stop]]
+    return _eval_in_worker(wave[start:stop])
 
 
 @runtime_checkable
@@ -135,15 +144,23 @@ class Evaluator:
         if self.workers > 1 and len(missing) > 1:
             pool = self._ensure_pool()
             if pool is not None:
-                values = self._evaluate_wave_shm(pool, missing)
-                if values is not None:
-                    return values
-                return list(pool.map(_eval_in_worker, missing))
-        return [self._fn(v) for v in missing]
+                # Function-level import: repro.evaluation.__init__
+                # imports this module, so a top-level import of a
+                # sibling would be circular.
+                from repro.evaluation.sharding import shard_spans
+
+                # A few spans per worker so a straggling chunk can't
+                # serialise the wave's tail; each span is one batch call.
+                spans = shard_spans(len(missing), self.workers * 4)
+                chunks = self._evaluate_wave_shm(pool, missing, spans) or pool.map(
+                    _eval_in_worker, [missing[a:b] for a, b in spans]
+                )
+                return [v for chunk in chunks for v in chunk]
+        return solve_many(self._fn, missing)
 
     def _evaluate_wave_shm(
-        self, pool: ProcessPoolExecutor, missing: list[Values]
-    ) -> list[float] | None:
+        self, pool: ProcessPoolExecutor, missing: list[Values], spans: list
+    ) -> list[list[float]] | None:
         """Fan the wave out through one shared-memory frame, or decline.
 
         The deduplicated candidate list is published once per wave (on
@@ -154,10 +171,7 @@ class Evaluator:
         equals candidate order, so the flattened result is
         position-identical to the serial path.
         """
-        # Function-level import: repro.evaluation.__init__ imports this
-        # module, so a top-level import of a sibling would be circular.
         from repro.evaluation import shm
-        from repro.evaluation.sharding import shard_spans
 
         if not shm.shm_enabled():
             return None
@@ -168,9 +182,6 @@ class Evaluator:
             return None  # inline fallback: nothing gained over plain map
         wave_id = self._wave_seq
         self._wave_seq += 1
-        # A few spans per worker so a straggling chunk can't serialise
-        # the wave's tail.
-        spans = shard_spans(len(missing), self.workers * 4)
         try:
             tasks = [(desc, wave_id, a, b) for a, b in spans]
             chunks = list(pool.map(_eval_wave_span, tasks))
@@ -179,7 +190,7 @@ class Evaluator:
             # same segment): all chunks gathered means all readers done.
             self._wave_arena.release(desc)
         self.shm_waves += 1
-        return [v for chunk in chunks for v in chunk]
+        return chunks
 
     def _ensure_pool(self) -> ProcessPoolExecutor | None:
         if self.parallel_fallback:

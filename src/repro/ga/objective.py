@@ -78,9 +78,14 @@ class SampledTilingFn:
         self.analyzer = analyzer
 
     def __call__(self, tiles) -> float:
-        estimate = self.analyzer.estimate(tile_sizes=tiles)
-        _record_cascade_stats(estimate)
-        return float(estimate.replacement)
+        return self.evaluate_many([tiles])[0]
+
+    def evaluate_many(self, tiles_list) -> list[float]:
+        """The objective of each tiling, solved in one merged pass."""
+        estimates = self.analyzer.estimate_many(tiles_list)
+        for estimate in estimates:
+            _record_cascade_stats(estimate)
+        return [float(e.replacement) for e in estimates]
 
     # -- span-shard protocol (RemoteShardPool coordinator half) --------------
     def shard_context(self):

@@ -117,6 +117,10 @@ class BatchCascade:
         self._plans: dict[int, _Plan] = {}
         self._offs_cache: dict[tuple, np.ndarray] = {}
 
+    def release_tables(self) -> None:
+        """Drop the cached per-shape tables; they are rebuilt on demand."""
+        self._offs_cache.clear()
+
     # -- public API ---------------------------------------------------------
     def exists_interference_many(
         self,
@@ -715,6 +719,11 @@ class CompiledCascade(BatchCascade):
         super().__init__(*args, **kwargs)
         self._table_cache: dict[tuple, np.ndarray] = {}
         self._sorted_cache: dict[tuple, np.ndarray] = {}
+
+    def release_tables(self) -> None:
+        super().release_tables()
+        self._table_cache.clear()
+        self._sorted_cache.clear()
 
     @staticmethod
     def _group_work(shape: tuple[int, ...], idx: np.ndarray) -> int:

@@ -2,13 +2,15 @@
 path — the equivalence contract documented in :mod:`repro.evaluation`.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from repro.cache.config import CacheConfig
 from repro.cme import solver
 from repro.cme.sampling import estimate_at_points, sample_original_points
-from repro.cme.solver import PointClassifier
+from repro.cme.solver import PointClassifier, classify_many
 from repro.ir.program import program_from_nest
 from repro.layout.memory import MemoryLayout
 from repro.polyhedra import kernels
@@ -110,6 +112,70 @@ def test_classify_batch_matches_classify_point_on_kway_line_counts(
     assert sum(idle) == 146
 
 
+def _wave():
+    """Seven tilings each of MM_24 and T2D_32, plus both untiled programs."""
+    mm = make_small_mm(24)
+    t2d = make_small_transpose(32)
+    for nest, tilings in (
+        (mm, [(5, 7, 24), (3, 24, 8), (24, 2, 9), (12, 12, 12), (1, 5, 17),
+              (7, 7, 1), (24, 24, 24)]),
+        (t2d, [(6, 11), (32, 1), (1, 32), (4, 4), (9, 3), (16, 32), (5, 27)]),
+    ):
+        layout = MemoryLayout(nest.arrays())
+        pts = np.asarray(sample_original_points(nest, 40, 11), dtype=np.int64)
+        for prog in [program_from_nest(nest)] + [
+            tile_program(nest, t) for t in tilings
+        ]:
+            yield prog, layout, prog.point_map.from_original_batch(pts)
+
+
+@pytest.mark.parametrize("cache", [CACHE_8K, CACHE_2W, CACHE_4W],
+                         ids=["8KB-dm", "1KB-2way", "1KB-4way"])
+@pytest.mark.parametrize("rung", ["compiled", "batched", "scalar"])
+@pytest.mark.parametrize("enum_limit", [None, 24], ids=["default", "enum24"])
+def test_classify_many_equals_separate_classify_batch(
+    monkeypatch, cache, rung, enum_limit
+):
+    """One merged pass over a wave of two nests' tilings gives every
+    candidate the outcomes and every `SolverStats`/`TesterStats` field of
+    its own `classify_batch` call.  The rung is passed explicitly, so
+    the comparison holds whatever the cascade knobs say; a small
+    `enum_limit` sends boxes of the direct-mapped rounds to the cascade
+    between merged kernel calls too."""
+    kernel_calls = []
+
+    def spy(lo, *args):
+        kernel_calls.append(len(lo))
+        return boxes_interfere(lo, *args)
+
+    monkeypatch.setattr(solver, "boxes_interfere", spy)
+    flags = dict(
+        batch_cascade=rung != "scalar",
+        compiled_cascade=rung == "compiled",
+        cascade_budgets={"enum_limit": enum_limit} if enum_limit else None,
+    )
+    wave = list(_wave())
+
+    def classifiers():
+        return [PointClassifier(p, lay, cache, **flags) for p, lay, _ in wave]
+
+    alone = classifiers()
+    expected = [c.classify_batch(pts) for c, (*_, pts) in zip(alone, wave)]
+    calls_alone, boxes_alone = len(kernel_calls), sum(kernel_calls)
+    kernel_calls.clear()
+    merged = classifiers()
+    assert classify_many(merged, [pts for *_, pts in wave]) == expected
+    for a, b in zip(alone, merged):
+        assert dataclasses.asdict(b.finalize_stats()) == dataclasses.asdict(
+            a.finalize_stats()
+        )
+    assert sum(kernel_calls) == boxes_alone
+    if cache.associativity == 1:
+        assert 0 < len(kernel_calls) < calls_alone
+    else:
+        assert calls_alone == 0 and not kernel_calls
+
+
 def test_estimate_batch_flag_equivalence():
     nest = make_small_mm(16)
     layout = MemoryLayout(nest.arrays())
@@ -183,3 +249,34 @@ def test_between_boxes_wave_matches_raw_decomposition():
             if not src < use:
                 assert not want
         assert len(jid) > 0, label
+
+
+def test_merged_pass_memory_stays_near_one_candidates():
+    """Memory guard of `classify_many`, by traced allocations (no wall
+    clock): a 30-candidate direct-mapped pass of MM_500 keeps at most
+    `_IN_FLIGHT` candidates in flight, each releasing its cached cascade
+    tables while suspended and when done, so its peak stays within a
+    small multiple of the costliest single candidate's (about twice).
+    With all 30 in flight, or with the tables kept, the pass peaks near
+    seven times that."""
+    import tracemalloc
+
+    from repro.cme.analyzer import LocalityAnalyzer
+    from repro.kernels.registry import KERNELS
+
+    analyzer = LocalityAnalyzer(KERNELS["MM"].build(500), CACHE_8K, seed=0)
+    rng = np.random.default_rng(5)
+    tilings = [tuple(int(t) for t in rng.integers(1, 501, size=3)) for _ in range(30)]
+    analyzer.estimate()  # reuse candidates and first-call state, untraced
+
+    def peak(run):
+        tracemalloc.start()
+        try:
+            run()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    single = max(peak(lambda: analyzer.estimate(tile_sizes=t)) for t in tilings)
+    merged = peak(lambda: analyzer.estimate_many(tilings))
+    assert merged < 4 * single

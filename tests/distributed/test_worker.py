@@ -153,3 +153,20 @@ def test_two_connections_have_independent_sessions(server):
 def test_capacity_validation():
     with pytest.raises(ValueError, match="capacity"):
         WorkerServer(port=0, capacity=0)
+
+
+def test_eval_chunk_is_one_batch_call():
+    """An agent's `op=eval` chunk reaches the objective's batch method
+    once, with the chunk's distinct genotypes in order."""
+    from tests.evaluation.test_evaluator import _BatchSquare, _square
+
+    session = worker._Session(capacity=1)
+    try:
+        blob = pickle.dumps(_BatchSquare())
+        assert session.handle({"op": "objective", "blob": blob})["op"] == "ok"
+        chunk = [(3, 1), (2, 2), (3, 1), (5, 0)]
+        reply = session.handle({"op": "eval", "candidates": chunk})
+        assert reply["values"] == [_square(c) for c in chunk]
+        assert session.evaluator._fn.batches == [[(3, 1), (2, 2), (5, 0)]]
+    finally:
+        session.close()

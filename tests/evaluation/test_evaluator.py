@@ -189,3 +189,70 @@ def test_shm_wave_frames_do_not_leak(tmp_path):
     finally:
         ev.close()
     assert set(glob.glob("/dev/shm/*")) == before
+
+
+class _BatchSquare:
+    """Picklable `_square` with a batch method that logs every call."""
+
+    def __init__(self, log=None):
+        self.log = log
+        self.batches = []
+
+    def __call__(self, values):
+        return _square(values)
+
+    def evaluate_many(self, batch):
+        self.batches.append(list(batch))
+        if self.log is not None:
+            with open(self.log, "a") as fh:
+                fh.write(f"{len(batch)}\n")
+        return [_square(v) for v in batch]
+
+
+WAVES = [[(5,), (2,), (5,), (7,)], [(2,), (9,), (9,), (5,), (1,)], [(7,), (2,)]]
+
+
+def test_batch_method_gets_each_waves_missing_genotypes_once(monkeypatch):
+    """Each wave's uncached genotypes reach the objective's batch method
+    in one call, deduplicated in first-appearance order; values and
+    accounting equal a plain callable's, which takes the same path."""
+    from repro.evaluation import batch as batch_mod
+
+    routed = []
+
+    def spy(fn, missing):
+        routed.append((fn, list(missing)))
+        return solve_many(fn, missing)
+
+    solve_many = batch_mod.solve_many
+    monkeypatch.setattr(batch_mod, "solve_many", spy)
+    objective = _BatchSquare()
+    batched, plain = Evaluator(objective), Evaluator(_square)
+    for wave in WAVES:
+        assert batched.evaluate_batch(wave).tolist() == (
+            plain.evaluate_batch(wave).tolist()
+        )
+    missing = [[(5,), (2,), (7,)], [(9,), (1,)]]
+    assert objective.batches == missing
+    assert routed == [(fn, m) for m in missing for fn in (objective, _square)]
+    for ev in (batched, plain):
+        assert (ev.calls, ev.new_solves, ev.distinct_evaluations) == (11, 5, 5)
+    assert batched.cache == plain.cache
+
+
+@pytest.mark.parametrize("shm_transport", ["1", "0"], ids=["shm", "inline"])
+def test_each_process_pool_span_is_one_batch_call(
+    tmp_path, monkeypatch, shm_transport
+):
+    from repro.evaluation import shm
+    from repro.evaluation.sharding import shard_spans
+
+    monkeypatch.setenv("REPRO_SHM_TRANSPORT", shm_transport)
+    log = tmp_path / "calls.log"
+    batch = [(i, i + 1) for i in range(16)]
+    with Evaluator(_BatchSquare(str(log)), workers=2) as ev:
+        got = ev.evaluate_batch(batch + batch[:4])
+        assert ev.shm_waves == int(shm_transport == "1" and shm.shm_enabled())
+    assert got.tolist() == [_square(v) for v in batch + batch[:4]]
+    sizes = sorted(int(n) for n in log.read_text().split())
+    assert sizes == sorted(b - a for a, b in shard_spans(16, 8))

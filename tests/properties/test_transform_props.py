@@ -70,3 +70,60 @@ def test_tiled_trace_is_permutation(t1, t2):
     orig = address_trace(program_from_nest(nest), layout)
     tiled = address_trace(tile_program(nest, (t1, t2)), layout)
     assert np.array_equal(np.sort(orig), np.sort(tiled))
+
+
+@given(extents_and_tiles(max_extent=7), st.data())
+@settings(max_examples=60, deadline=None)
+def test_between_boxes_of_a_tiled_space_are_original_boxes(data, draw):
+    """The box-mapping property the merged kernel queries rest on.
+
+    In every dimension of every box `_between_boxes_wave` emits, either
+    the tile index is pinned or the element offset spans the whole tile
+    of the box's region; so the box holds exactly the iteration points
+    of the original-space box between the images of its corners."""
+    from itertools import product
+
+    from repro.cache.config import CacheConfig
+    from repro.cme.solver import PointClassifier
+    from repro.ir.affine import AffineExpr
+    from repro.ir.arrays import Array, read
+    from repro.ir.loops import Loop, LoopNest
+
+    extents, tiles = data
+    d = len(extents)
+    names = [f"i{j}" for j in range(d)]
+    nest = LoopNest(
+        name="box",
+        loops=tuple(Loop(v, 1, e) for v, e in zip(names, extents)),
+        refs=(read(Array("a", extents), *map(AffineExpr.var, names)),),
+    )
+    prog = tile_program(nest, tiles)
+    pm = prog.point_map
+    cls = PointClassifier(
+        prog, MemoryLayout(nest.arrays()), CacheConfig(1024, 32, 1)
+    )
+    orig = st.tuples(*(st.integers(1, e) for e in extents))
+    pairs = draw.draw(st.lists(st.tuples(orig, orig), min_size=1, max_size=8))
+    S, U = (
+        pm.from_original_batch(np.array(side, dtype=np.int64))
+        for side in zip(*pairs)
+    )
+    Blo, Bhi, _ = cls._between_boxes_wave(S, U)
+    for lo, hi in zip(Blo.tolist(), Bhi.tolist()):
+        (region,) = [
+            r for r in cls._regions
+            if all(a <= x and y <= b for a, x, y, b in zip(r.lo, lo, hi, r.hi))
+        ]
+        for j in range(d):
+            assert lo[j] == hi[j] or (
+                (lo[d + j], hi[d + j]) == (region.lo[d + j], region.hi[d + j])
+            )
+        olo, ohi = (pm.to_original(c) for c in (tuple(lo), tuple(hi)))
+        tiled = {
+            pm.to_original(p)
+            for p in product(*(range(a, b + 1) for a, b in zip(lo, hi)))
+        }
+        assert tiled == set(
+            product(*(range(a, b + 1) for a, b in zip(olo, ohi)))
+        )
+        assert len(tiled) == int(np.prod(np.array(hi) - lo + 1))

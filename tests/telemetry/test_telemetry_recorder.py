@@ -152,3 +152,37 @@ def test_memory_sink_bounds_and_counts_drops():
         rec.count("c", i)
     assert len(sink.events) == 4
     assert sink.dropped == 6
+
+
+def test_classify_pass_counts_candidates_and_merged_kernel_calls(monkeypatch):
+    """`classify_many` records per pass how many candidates it classified
+    and how many split-sum kernel calls their merged rounds took."""
+    from repro.cache.config import CacheConfig
+    from repro.cme import solver
+    from repro.cme.analyzer import LocalityAnalyzer
+    from tests.conftest import make_small_mm
+
+    calls = []
+
+    def spy(*args):
+        calls.append(len(args[0]))
+        return kernel(*args)
+
+    kernel = solver.boxes_interfere
+    monkeypatch.setattr(solver, "boxes_interfere", spy)
+    sink = MemorySink()
+    telemetry.configure(sink=sink, default=True)
+    analyzer = LocalityAnalyzer(
+        make_small_mm(24), CacheConfig(8192, 32, 1), n_samples=40
+    )
+    analyzer.estimate_many([(5, 7, 24), (3, 24, 8), (12, 12, 12), None])
+    totals: dict = {}
+    for e in sink.drain():
+        if e["kind"] == "count" and e["name"].startswith("cme."):
+            totals[e["name"]] = totals.get(e["name"], 0) + e["value"]
+    assert totals == {
+        "cme.classify_passes": 1,
+        "cme.classify_candidates": 4,
+        "cme.kernel_calls": len(calls),
+    }
+    assert calls
