@@ -11,11 +11,6 @@ bit-identity asserted between the two.  Rows land in
 Like every bench here the committed numbers are honest records: on
 one core the span rows measure transport overhead.  The speedup is
 published, not asserted.
-
-The second half records the :class:`~repro.evaluation.shm.ShmArena`
-frame-reuse saving: publishing N frames through the arena costs one
-``shm_open`` create and N-1 slot reuses, versus N create/unlink pairs
-for plain per-frame publishing.
 """
 
 from __future__ import annotations
@@ -29,7 +24,6 @@ from repro.cache.config import CacheConfig
 from repro.cme.sampling import estimate_at_points, sample_original_points
 from repro.distributed import LoopbackCluster, RemoteShardPool
 from repro.distributed.client import ClusterClient
-from repro.evaluation import shm
 from repro.evaluation.sharding import ShardContext
 from repro.experiments.common import format_table
 from repro.ir.program import program_from_nest
@@ -110,42 +104,3 @@ def test_remote_shard_bench():
         ],
     )
 
-
-def test_arena_frame_reuse_bench():
-    """Arena vs per-frame publishing: syscalls saved, not estimated."""
-    if not shm.shm_enabled():
-        import pytest
-
-        pytest.skip("no shared memory")
-    payload = b"x" * 65536
-    n = 200
-
-    def plain():
-        for _ in range(n):
-            desc = shm.publish(payload)
-            shm.release(desc)
-
-    def arena_run():
-        arena = shm.ShmArena()
-        try:
-            for _ in range(n):
-                arena.release(arena.publish(payload))
-        finally:
-            arena.close()
-        return arena
-
-    _, t_plain = _min_of(3, plain)
-    arena, t_arena = _min_of(3, arena_run)
-    stats = arena.stats()
-    # N frames, one segment creation: that is the saving.
-    assert stats == {"creates": 1, "reuses": n - 1, "fallbacks": 0}
-    publish_bench_rows(
-        "remote_shard_arena",
-        [
-            {"config": "plain-frames", "wall_s": round(t_plain, 4),
-             "segment_creates": n},
-            {"config": "arena-reuse", "wall_s": round(t_arena, 4),
-             "segment_creates": stats["creates"],
-             "reuses": stats["reuses"]},
-        ],
-    )

@@ -41,7 +41,7 @@ CACHE_8KB_2W = CacheConfig(8 * 1024, 32, 2)
 
 
 def _classify_set(nest, layout, points, cache, tiles_list, batch_cascade,
-                  compiled_cascade=False, reps=3):
+                  reps=3):
     """min-of-reps wall time classifying the sample under each tiling."""
     best = float("inf")
     outs = None
@@ -52,8 +52,7 @@ def _classify_set(nest, layout, points, cache, tiles_list, batch_cascade,
             prog = tile_program(nest, tiles)
             mapped = [prog.point_map.from_original(p) for p in points]
             pc = PointClassifier(
-                prog, layout, cache, batch_cascade=batch_cascade,
-                compiled_cascade=compiled_cascade,
+                prog, layout, cache, batch_cascade=batch_cascade
             )
             t0 = time.perf_counter()
             outs.append(pc.classify_batch(mapped))
@@ -63,12 +62,11 @@ def _classify_set(nest, layout, points, cache, tiles_list, batch_cascade,
 
 
 def _cascade_rows(nest, layout, points, tiles_list, reps=3):
-    """Time every rung of the dispatch ladder per cache config.
+    """Time both rungs of the dispatch ladder per cache config.
 
-    ``wall_s``/``speedup`` stay the headline columns (now the compiled
-    rung — the engine the solver picks by default) so the BENCH_*.json
-    perf trajectory remains comparable across PRs; the batched rung is
-    recorded alongside.
+    ``wall_s``/``speedup`` are the batched rung's — the engine the
+    solver picks by default — so the BENCH_*.json perf trajectory
+    remains comparable across commits.
     """
     rows = []
     for label, cache in (
@@ -84,19 +82,13 @@ def _cascade_rows(nest, layout, points, tiles_list, reps=3):
             nest, layout, points, cache, tiles_list, batch_cascade=True,
             reps=reps,
         )
-        t_comp, out_c = _classify_set(
-            nest, layout, points, cache, tiles_list, batch_cascade=True,
-            compiled_cascade=True, reps=reps,
-        )
-        assert out_s == out_b == out_c, f"verdict drift under {label}"
+        assert out_s == out_b, f"verdict drift under {label}"
         rows.append(
             {
                 "config": label,
-                "wall_s": round(t_comp, 4),
+                "wall_s": round(t_batch, 4),
                 "scalar_wall_s": round(t_scalar, 4),
-                "batched_wall_s": round(t_batch, 4),
-                "speedup": round(t_scalar / t_comp, 3),
-                "batched_speedup": round(t_scalar / t_batch, 3),
+                "speedup": round(t_scalar / t_batch, 3),
             }
         )
     return rows
@@ -135,7 +127,7 @@ def test_sampling_validation_table(benchmark):
 
 
 def test_cascade_bound_speedup_mm500():
-    """Full dispatch ladder on the cascade-bound candidates: every rung
+    """Full dispatch ladder on the cascade-bound candidates: both rungs
     bit-identical; the published rows carry the speedups."""
     nest = get_kernel("MM", 500)
     layout = MemoryLayout(nest.arrays())
@@ -146,23 +138,18 @@ def test_cascade_bound_speedup_mm500():
         format_table(
             "Congruence cascade dispatch ladder vs scalar (MM_500, "
             "near-untiled long-reuse candidates, 164-point sample)",
-            ["Cache", "Scalar s", "Batched s", "Compiled s", "Speedup"],
+            ["Cache", "Scalar s", "Batched s", "Speedup"],
             [
                 [r["config"], f"{r['scalar_wall_s']:.3f}",
-                 f"{r['batched_wall_s']:.3f}", f"{r['wall_s']:.3f}",
-                 f"{r['speedup']:.2f}x"]
+                 f"{r['wall_s']:.3f}", f"{r['speedup']:.2f}x"]
                 for r in rows
             ],
             note="Outcome-identical by assertion; associative rows are "
             "congruence-cascade-bound (≈90% of classify time).  The DM "
             "row mostly exercises the already-vectorised wave path, so "
-            "all three rungs are within noise of each other there — "
-            "the ladder adds no overhead but has little left to win.  "
-            "Speedup = scalar/compiled.  Both batched rungs count "
-            "distinct lines with the same one-pass kernel, which is "
-            "most of an associative row; the compiled rung's per-shape "
-            "tables only serve the mod-window and absolute-interval "
-            "tests, so the two rungs are close.",
+            "both rungs are within noise of each other there — the "
+            "ladder adds no overhead but has little left to win.  "
+            "Speedup = scalar/batched.",
         ),
     )
     publish_bench_rows("solver", rows)

@@ -34,7 +34,7 @@ from repro.cache.config import CacheConfig
 from repro.ir.program import AccessProgram
 from repro.layout.memory import MemoryLayout
 from repro.polyhedra.box import Box
-from repro.polyhedra.cascade import TRUE, UNKNOWN, BatchCascade, make_cascade
+from repro.polyhedra.cascade import TRUE, UNKNOWN, BatchCascade
 from repro.polyhedra.congruence import CongruenceTester
 from repro.polyhedra.kernels import boxes_interfere
 from repro.polyhedra.lexinterval import lex_between_boxes
@@ -86,7 +86,6 @@ class PointClassifier:
         *,
         cascade_budgets: dict[str, int] | None = None,
         batch_cascade: bool | None = None,
-        compiled_cascade: bool | None = None,
     ):
         self.program = program
         self.layout = layout
@@ -100,20 +99,9 @@ class PointClassifier:
         self._tester = CongruenceTester(**(cascade_budgets or {}))
         if batch_cascade is None:
             batch_cascade = envs.BATCH_CASCADE.get()
-        if compiled_cascade is None:
-            compiled_cascade = envs.COMPILED_CASCADE.get()
+        # Dispatch ladder: batched-numpy → scalar reference.
         self._use_batch_cascade = bool(batch_cascade)
-        # Dispatch ladder: compiled → batched-numpy → scalar.  The
-        # compiled rung is layered under the batch rung, so disabling
-        # batching disables it too.
-        self._use_compiled_cascade = (
-            self._use_batch_cascade and bool(compiled_cascade)
-        )
-        self.cascade_tier = (
-            "compiled"
-            if self._use_compiled_cascade
-            else "batched" if self._use_batch_cascade else "scalar"
-        )
+        self.cascade_tier = "batched" if self._use_batch_cascade else "scalar"
 
         vars_ = program.space.vars
         self._refs = sorted(program.refs, key=lambda r: r.position)
@@ -190,13 +178,12 @@ class PointClassifier:
     def _ref_cascade(self, idx: int) -> BatchCascade:
         cascade = self._ref_cascades[idx]
         if cascade is None:
-            cascade = make_cascade(
+            cascade = BatchCascade(
                 self._coeffs[idx],
                 self._consts[idx],
                 self._M,
                 self._L,
                 self._tester,
-                compiled=self._use_compiled_cascade,
             )
             self._ref_cascades[idx] = cascade
         return cascade
@@ -1025,10 +1012,9 @@ class PointClassifier:
         contributes the same capped distinct-line count the scalar
         :meth:`_count_interfering_lines` would have accumulated —
         ``None`` collapsing to the cap, so verdicts are identical.  A
-        box-rank frontier preserves the scalar early exit at the cap:
-        job ``j`` only decomposes further counting work while its
-        running total is still below ``k``.  Returns the killed flag
-        per job.
+        first-boxes-then-the-rest frontier keeps the scalar verdict at
+        the cap: a job whose running total reached ``k`` submits no
+        further boxes.  Returns the killed flag per job.
         """
         njobs = len(S)
         self.stats.intervals_vectorized += njobs
@@ -1042,67 +1028,34 @@ class PointClassifier:
             return tot >= k
         wlo_b = wlo[jid]
         l0_b = l0[jid]
-        if self._use_compiled_cascade:
-            # Compiled rung: a two-phase frontier instead of the strict
-            # box-rank round-robin.  Phase one tests only each job's
-            # first box — where nearly every early exit happens in an
-            # associative cache.  Phase two sends every surviving job's
-            # remaining boxes through each cascade in one maximal batch:
-            # a surviving job rarely exits at all (an interference-free
-            # source never reaches the cap), so the fused batch does the
-            # work the scalar loop would have done anyway, minus the
-            # per-round dispatch.  Counts are non-negative and a per-box
-            # ``None`` collapses to the cap, so the summed total crosses
-            # ``k`` exactly when the scalar early-exit prefix would
-            # have; verdicts are identical by construction.
-            first = np.ones(nb, dtype=bool)
-            first[1:] = jid[1:] != jid[:-1]
-            for rows_all in (np.flatnonzero(first), np.flatnonzero(~first)):
-                if not len(rows_all):
-                    continue
-                for i in range(nrefs):
-                    rows = rows_all[tot[jid[rows_all]] < k]
-                    if not len(rows):
-                        break
-                    counts = self._ref_cascade(
-                        i
-                    ).count_interfering_lines_many(
-                        Blo[rows], Bhi[rows], wlo_b[rows], l0_b[rows], cap=k
-                    )
-                    unknown = counts < 0
-                    nunk = int(unknown.sum())
-                    if nunk:
-                        self.stats.unknown_conservative += nunk
-                    tot += np.bincount(
-                        jid[rows],
-                        weights=np.where(unknown, k, counts),
-                        minlength=njobs,
-                    ).astype(np.int64)
-            return tot >= k
-        # Rows come back grouped per job in decomposition order, so job
-        # j's queue is the run of boxes cursor[j]:stop[j]; each round
-        # every pending job submits its next box.
-        bounds = np.searchsorted(jid, np.arange(njobs + 1))
-        cursor = bounds[:-1].copy()
-        stop = bounds[1:]
-        pending = np.flatnonzero((cursor < stop) & (tot < k))
-        while len(pending):
-            boxes = cursor[pending]
-            cursor[pending] += 1
-            live = np.arange(len(pending))
+        # A two-phase frontier.  Phase one tests only each job's first
+        # box — where nearly every early exit happens in an associative
+        # cache.  Phase two sends every surviving job's remaining boxes
+        # through each cascade in one maximal batch: a surviving job
+        # rarely exits at all (an interference-free source never
+        # reaches the cap), so the batch does the work the scalar loop
+        # would have done anyway, minus the per-box dispatch.  Counts
+        # are non-negative and a per-box ``None`` collapses to the cap,
+        # so the summed total crosses ``k`` exactly when the scalar
+        # early-exit prefix would have; verdicts are identical by
+        # construction.
+        first = np.ones(nb, dtype=bool)
+        first[1:] = jid[1:] != jid[:-1]
+        for rows_all in (np.flatnonzero(first), np.flatnonzero(~first)):
             for i in range(nrefs):
-                if not len(live):
+                rows = rows_all[tot[jid[rows_all]] < k]
+                if not len(rows):
                     break
-                idx = boxes[live]
                 counts = self._ref_cascade(i).count_interfering_lines_many(
-                    Blo[idx], Bhi[idx], wlo_b[idx], l0_b[idx], cap=k
+                    Blo[rows], Bhi[rows], wlo_b[rows], l0_b[rows], cap=k
                 )
                 unknown = counts < 0
                 self.stats.unknown_conservative += int(unknown.sum())
-                jobs = pending[live]
-                tot[jobs] = np.where(unknown, k, tot[jobs] + counts)
-                live = live[tot[jobs] < k]
-            pending = pending[(tot[pending] < k) & (cursor[pending] < stop[pending])]
+                tot += np.bincount(
+                    jid[rows],
+                    weights=np.where(unknown, k, counts),
+                    minlength=njobs,
+                ).astype(np.int64)
         return tot >= k
 
     def finalize_stats(self) -> SolverStats:

@@ -38,10 +38,9 @@ A case *diverges* when ``est.miss_ratio - sim.miss_ratio`` leaves its
 class band, when its replacement-miss delta leaves the same band, or
 when one of the piggy-backed invariant checks fails:
 
-* **cascade ladder** — the compiled, batched and scalar congruence
-  engines must classify identical outcomes on the same points
-  (the PR 7 dispatch-ladder contract, fuzzed here on nests nobody
-  hand-wrote);
+* **cascade ladder** — the batched and scalar congruence engines
+  must classify identical outcomes on the same points (the
+  dispatch-ladder contract, fuzzed here on nests nobody hand-wrote);
 * **hierarchy consistency** — for two-level geometries,
   :func:`repro.simulator.hierarchy.simulate_hierarchy`'s L1 numbers
   must equal the single-level simulation exactly, and the L2 miss
@@ -224,12 +223,13 @@ class CaseReport:
 
 
 def _ladder_outcomes_identical(program, layout, cache, mapped_points) -> bool:
-    """Compiled, batched and scalar cascade engines classify identically."""
-    outcomes = []
-    for kwargs in ({}, {"compiled_cascade": False}, {"batch_cascade": False}):
-        pc = PointClassifier(program, layout, cache, **kwargs)
-        outcomes.append(pc.classify_batch(mapped_points))
-    return outcomes[0] == outcomes[1] == outcomes[2]
+    """Batched and scalar cascade engines classify identically."""
+    batched, scalar = (
+        PointClassifier(program, layout, cache, batch_cascade=flag)
+        .classify_batch(mapped_points)
+        for flag in (True, False)
+    )
+    return batched == scalar
 
 
 def run_case(

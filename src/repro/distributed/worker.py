@@ -132,8 +132,8 @@ class _Session:
             self.shard_pool = None
         if self.capacity > 1:
             # A multi-core worker re-shards each incoming span across
-            # its own local ShardPool — the exact shared-memory frame
-            # transport the coordinator-side pools use, one level down.
+            # its own local ShardPool — the token/span protocol the
+            # coordinator-side pools use, one level down.
             ctx = self.shard_ctx
             self.shard_pool = sharding.ShardPool(
                 self.capacity,

@@ -194,30 +194,6 @@ BATCH_CASCADE = _register(
     "not part of the objective fingerprint.",
 )
 
-COMPILED_CASCADE = _register(
-    "REPRO_COMPILED_CASCADE",
-    _not_zero,
-    True,
-    help="Top rung of the cascade dispatch ladder: the compiled "
-    "kernel engine (table-driven numpy kernels).  Layered under "
-    "REPRO_BATCH_CASCADE — disabling "
-    "batching disables this too.  Outcome-identical by construction "
-    "(same property suite as the batched engine), so it must NOT "
-    "enter the objective fingerprint: warm memo stores stay valid "
-    "across the knob.",
-)
-
-SHM_TRANSPORT = _register(
-    "REPRO_SHM_TRANSPORT",
-    _not_zero,
-    True,
-    help="Ship large local-IPC payloads (ShardPool candidate bundles "
-    "and estimate replies) through POSIX shared memory instead of the "
-    "executor's pickle pipes.  Pure wall-clock knob with automatic "
-    "fallback to inline pickling when shared memory is unavailable; "
-    "results are bit-identical either way.",
-)
-
 BENCH_TOLERANCE = _register(
     "REPRO_BENCH_TOLERANCE",
     float,
@@ -305,8 +281,8 @@ CORPUS_LADDER_POINTS = _register(
     int,
     96,
     help="Per-case point budget of the cascade-ladder fuzz check "
-    "(compiled vs batched vs scalar bit-identity inside the corpus "
-    "oracle).  Caps cost only; each engine sees the same points.",
+    "(batched vs scalar bit-identity inside the corpus oracle).  "
+    "Caps cost only; each engine sees the same points.",
 )
 
 #: Observability knobs.  Telemetry is write-only with respect to

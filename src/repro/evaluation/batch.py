@@ -25,18 +25,10 @@ Values = tuple[int, ...]
 
 _WORKER_FN: Callable[[Values], float] | None = None
 
-#: One-entry wave-payload memo: the current wave's candidate list,
-#: keyed by its monotonically increasing wave id.  NEVER key this by
-#: the shm descriptor (segment name): wave frames come out of a
-#: reusable :class:`repro.evaluation.shm.ShmArena`, so the same
-#: segment name carries *different* candidate lists over time.
-_WAVE_CACHE: dict[int, list] = {}
-
 
 def _init_worker(fn: Callable[[Values], float]) -> None:
     global _WORKER_FN
     _WORKER_FN = fn
-    _WAVE_CACHE.clear()
 
 
 def _eval_in_worker(batch: list[Values]) -> list[float]:
@@ -51,27 +43,6 @@ def solve_many(fn: Callable[[Values], float], batch: list[Values]) -> list:
     if many is None:
         return [fn(v) for v in batch]
     return list(many(batch))
-
-
-def _eval_wave_span(task) -> list[float]:
-    """Evaluate one ``candidates[start:stop]`` slice of a wave frame.
-
-    ``task = (desc, wave_id, start, stop)``: the wave's deduplicated
-    candidate list rides ONE creator-owned shm frame per wave instead
-    of one pickled tuple per task; each worker fetches and unpickles it
-    at most once per wave (memoised by wave id), so follow-up spans of
-    the same wave carry ~60 bytes.
-    """
-    desc, wave_id, start, stop = task
-    assert _WORKER_FN is not None, "worker used before initialisation"
-    wave = _WAVE_CACHE.get(wave_id)
-    if wave is None:
-        from repro.evaluation import shm
-
-        wave = pickle.loads(shm.fetch(desc, unlink=False))
-        _WAVE_CACHE.clear()  # one wave in flight at a time
-        _WAVE_CACHE[wave_id] = wave
-    return _eval_in_worker(wave[start:stop])
 
 
 @runtime_checkable
@@ -105,11 +76,8 @@ class Evaluator:
         self.cache: dict[Values, float] = {}
         self.calls = 0
         self.new_solves = 0
-        self.shm_waves = 0
         self.parallel_fallback = False
         self._pool: ProcessPoolExecutor | None = None
-        self._wave_arena = None
-        self._wave_seq = 0
 
     # -- single-candidate path (back-compat) -------------------------------
     def __call__(self, values: Values) -> float:
@@ -152,45 +120,11 @@ class Evaluator:
                 # A few spans per worker so a straggling chunk can't
                 # serialise the wave's tail; each span is one batch call.
                 spans = shard_spans(len(missing), self.workers * 4)
-                chunks = self._evaluate_wave_shm(pool, missing, spans) or pool.map(
+                chunks = pool.map(
                     _eval_in_worker, [missing[a:b] for a, b in spans]
                 )
                 return [v for chunk in chunks for v in chunk]
         return solve_many(self._fn, missing)
-
-    def _evaluate_wave_shm(
-        self, pool: ProcessPoolExecutor, missing: list[Values], spans: list
-    ) -> list[list[float]] | None:
-        """Fan the wave out through one shared-memory frame, or decline.
-
-        The deduplicated candidate list is published once per wave (on
-        a reusable arena slot) and addressed by ``[start, stop)`` span
-        tasks — the candidate-plane analogue of the point-shard frame
-        transport.  Returns ``None`` (caller uses the pickled-task
-        path) when shared memory is off or unavailable; span order
-        equals candidate order, so the flattened result is
-        position-identical to the serial path.
-        """
-        from repro.evaluation import shm
-
-        if not shm.shm_enabled():
-            return None
-        if self._wave_arena is None:
-            self._wave_arena = shm.ShmArena()
-        desc = self._wave_arena.publish(pickle.dumps(missing))
-        if desc[0] != shm.SHM:
-            return None  # inline fallback: nothing gained over plain map
-        wave_id = self._wave_seq
-        self._wave_seq += 1
-        try:
-            tasks = [(desc, wave_id, a, b) for a, b in spans]
-            chunks = list(pool.map(_eval_wave_span, tasks))
-        finally:
-            # Wave frames are creator-unlink (every worker reads the
-            # same segment): all chunks gathered means all readers done.
-            self._wave_arena.release(desc)
-        self.shm_waves += 1
-        return chunks
 
     def _ensure_pool(self) -> ProcessPoolExecutor | None:
         if self.parallel_fallback:
@@ -230,9 +164,6 @@ class Evaluator:
         if self._pool is not None:
             self._pool.shutdown(wait=True, cancel_futures=True)
             self._pool = None
-        if self._wave_arena is not None:
-            self._wave_arena.close()
-            self._wave_arena = None
 
     def __enter__(self) -> "Evaluator":
         return self
@@ -241,12 +172,9 @@ class Evaluator:
         self.close()
 
     def __getstate__(self):
-        # Workers receive a pool-less copy (executors and the arena's
-        # lock don't pickle; a copy must not share — or on close,
-        # unlink — the parent's arena slots either).
+        # Workers receive a pool-less copy (executors don't pickle).
         state = self.__dict__.copy()
         state["_pool"] = None
-        state["_wave_arena"] = None
         return state
 
 

@@ -46,7 +46,6 @@ from dataclasses import dataclass, fields
 
 from repro.cme.sampling import CMEEstimate, estimate_at_points
 from repro.cme.solver import SolverStats
-from repro.evaluation import shm
 from repro.polyhedra.congruence import TesterStats
 
 #: Below this many points per shard, process overhead beats the win.
@@ -185,19 +184,12 @@ def legacy_payload_bytes(
 
 @dataclass(frozen=True)
 class ShardContext:
-    """Analyzer-lifetime invariants shipped once per pool, at start.
-
-    ``use_shm`` is resolved once, pool-side, from
-    :func:`repro.evaluation.shm.shm_enabled` — workers never consult
-    the environment, so one pool's processes always agree on the reply
-    framing.
-    """
+    """Analyzer-lifetime invariants shipped once per pool, at start."""
 
     cache: object
     confidence: float
     points: tuple
     cascade_budgets: dict | None = None
-    use_shm: bool = False
 
 
 class _ContextMiss(Exception):
@@ -246,31 +238,24 @@ def _worker_ready() -> bool:
 def _classify_span(task):
     """Worker-side: classify one ``points[start:stop]`` slice.
 
-    ``task = (token, bundle_desc | None, start, stop)``; the bundle —
-    ``(program, layout, candidates)`` behind a creator-owned
-    :mod:`repro.evaluation.shm` frame (or inline bytes) — is fetched
-    and unpickled at most once per worker per token and memoised, so
-    repeat calls (and retries) reuse the candidate invariants without
-    any further deserialisation.
-
-    Returns the :class:`CMEEstimate` directly, or — when the pool
-    context enables shared memory — a receiver-unlink reply frame the
-    parent unwraps, keeping the full-pickle reply off the result pipe.
+    ``task = (token, blob | None, start, stop)``; the blob — the
+    pickled ``(program, layout, candidates)`` bundle — is unpickled at
+    most once per worker per token and memoised, so repeat calls (and
+    retries) reuse the candidate invariants without any further
+    deserialisation.
     """
-    token, bundle_desc, start, stop = task
+    token, blob, start, stop = task
     ctx = _POOL_CTX
     if ctx is None:
         raise RuntimeError("shard worker used before initialisation")
     bundle = bundle_cache_get(_BUNDLES, token)
     if bundle is None:
-        if bundle_desc is None:
+        if blob is None:
             raise _ContextMiss(token)
-        # Bundle frames are creator-unlinked (many readers share one
-        # segment), so fetch leaves the segment alive.
-        bundle = pickle.loads(shm.fetch(bundle_desc, unlink=False))
+        bundle = pickle.loads(blob)
         bundle_cache_put(_BUNDLES, token, bundle)
     program, layout, candidates = bundle
-    est = estimate_at_points(
+    return estimate_at_points(
         program,
         layout,
         ctx.cache,
@@ -279,9 +264,6 @@ def _classify_span(task):
         candidates,
         cascade_budgets=ctx.cascade_budgets,
     )
-    if ctx.use_shm:
-        return shm.publish_pickle(est, owner=False)
-    return est
 
 
 class ShardPool:
@@ -310,23 +292,15 @@ class ShardPool:
             confidence=confidence,
             points=tuple(points),
             cascade_budgets=cascade_budgets,
-            use_shm=shm.shm_enabled(),
         )
         ctx_bytes = pickle.dumps(ctx)
         self.workers = workers
         self.n_points = len(ctx.points)
-        self.use_shm = ctx.use_shm
         self.init_payload_bytes = len(ctx_bytes)
         self.payload_bytes = 0
         self.last_payload_bytes = 0
-        self.shm_bytes = 0
         self.calls = 0
         self._shipped: set[str] = set()
-        # Bundle frames are periodic (one per new token, reader-shared,
-        # creator-unlinked) — exactly the traffic a reusable-segment
-        # arena absorbs: slot reuse instead of a create/unlink syscall
-        # pair per frame.
-        self._arena = shm.ShmArena()
         self._pool = ProcessPoolExecutor(
             max_workers=workers,
             initializer=_init_pool_worker,
@@ -339,17 +313,6 @@ class ShardPool:
         if self._pool is None:
             raise RuntimeError("ShardPool is closed")
         return self._pool
-
-    def _unwrap_reply(self, part):
-        """Resolve a shard reply: estimate, or reply frame to fetch.
-
-        Reply frames are receiver-unlink: the segment dies in the same
-        fetch.  ``use_shm=False`` pools get plain estimates — no frame
-        detour, no extra pickle."""
-        if isinstance(part, tuple) and part and part[0] in (shm.SHM, shm.INLINE):
-            self.shm_bytes += shm.desc_bytes(part)
-            return shm.fetch_pickle(part, unlink=True)
-        return part
 
     def estimate(
         self,
@@ -376,49 +339,30 @@ class ShardPool:
             (base + a, base + b)
             for a, b in shard_spans(n, min(self.workers, n // MIN_SHARD_POINTS))
         ]
-        bundle_desc = None
+        # The executor does not target workers, so a token's first call
+        # attaches the pickled bundle to each of its tasks.
+        blob = None
         if token not in self._shipped:
-            bundle_desc = self._arena.publish(
-                pickle.dumps((program, layout, candidates))
-            )
-        try:
-            tasks = [(token, bundle_desc, start, stop) for start, stop in spans]
-            futures = [self._pool.submit(_classify_span, t) for t in tasks]
-            # Payload accounting stays channel-agnostic: pipe bytes plus
-            # the bundle bytes a shared-memory frame carried instead
-            # (inline bundles are already inside the pickled tasks).
-            sent = sum(len(pickle.dumps(t)) for t in tasks)
-            if bundle_desc is not None and bundle_desc[0] == shm.SHM:
-                sent += bundle_desc[2]
-            parts: list = [None] * len(spans)
-            retries: list[tuple[int, tuple]] = []
-            for slot, (future, (start, stop)) in enumerate(zip(futures, spans)):
-                try:
-                    parts[slot] = self._unwrap_reply(future.result())
-                except _ContextMiss:
-                    # A worker that never saw this token (evicted bundle
-                    # or freshly grown pool): resend with the bundle
-                    # attached — all retries in flight, then gathered.
-                    if bundle_desc is None:
-                        bundle_desc = self._arena.publish(
-                            pickle.dumps((program, layout, candidates))
-                        )
-                        if bundle_desc[0] == shm.SHM:
-                            sent += bundle_desc[2]
-                    retry = (token, bundle_desc, start, stop)
-                    sent += len(pickle.dumps(retry))
-                    retries.append(
-                        (slot, self._pool.submit(_classify_span, retry))
-                    )
-            for slot, future in retries:
-                parts[slot] = self._unwrap_reply(future.result())
-        finally:
-            if bundle_desc is not None:
-                # Bundle frames are creator-unlink: every reader is
-                # done (futures gathered), so drop the segment now.
-                if bundle_desc[0] == shm.SHM:
-                    self.shm_bytes += bundle_desc[2]
-                self._arena.release(bundle_desc)
+            blob = pickle.dumps((program, layout, candidates))
+        tasks = [(token, blob, start, stop) for start, stop in spans]
+        futures = [self._pool.submit(_classify_span, t) for t in tasks]
+        sent = sum(len(pickle.dumps(t)) for t in tasks)
+        parts: list = [None] * len(spans)
+        retries: list[tuple[int, tuple]] = []
+        for slot, (future, (start, stop)) in enumerate(zip(futures, spans)):
+            try:
+                parts[slot] = future.result()
+            except _ContextMiss:
+                # A worker that never saw this token (evicted bundle or
+                # freshly grown pool): resend with the bundle attached —
+                # all retries in flight, then gathered.
+                if blob is None:
+                    blob = pickle.dumps((program, layout, candidates))
+                retry = (token, blob, start, stop)
+                sent += len(pickle.dumps(retry))
+                retries.append((slot, self._pool.submit(_classify_span, retry)))
+        for slot, future in retries:
+            parts[slot] = future.result()
         self._shipped.add(token)
         self.calls += 1
         self.last_payload_bytes = sent
@@ -440,4 +384,3 @@ class ShardPool:
         if self._pool is not None:
             self._pool.shutdown(wait=True, cancel_futures=True)
             self._pool = None
-        self._arena.close()

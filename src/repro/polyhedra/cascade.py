@@ -674,200 +674,3 @@ class BatchCascade:
             out[idx] = hit.any(axis=1)
         return out
 
-
-class CompiledCascade(BatchCascade):
-    """The compiled-kernel engine: same verdicts, table-driven inner loops.
-
-    Replaces the two per-query enumeration broadcasts of
-    :class:`BatchCascade` with the precomputed-table numpy kernels of
-    :mod:`repro.polyhedra.kernels`:
-
-    * mod-window any-hit → one window-table lookup per query,
-    * absolute-interval membership → two binary searches per query.
-
-    Distinct-line counting is not among them: both engines count every
-    enumerable box in one :func:`~repro.polyhedra.kernels.box_line_counts`
-    pass (see :meth:`BatchCascade._count_lines_many`).
-
-    The tables depend only on ``(coefficients, box shape, modulus)``,
-    which repeat heavily across queries, waves and candidates, so they
-    are cached on the cascade exactly like the base class's offset
-    tables.  Every kernel computes the same exact set predicate the
-    broadcast computed, so verdicts and tier attribution are identical
-    by construction — the equivalence suite runs this class against
-    the scalar tester too.
-
-    Dispatch inside a batch is adaptive, per support-shape group: the
-    table kernels carry fixed per-group costs (a sort or histogram of
-    the enumeration, a dozen small numpy calls), so a group only takes
-    the kernel path when its broadcast work ``n_queries × volume``
-    would exceed :data:`_KERNEL_MIN_WORK`.  Everything below that is
-    *fused*: instead of one small broadcast per group (the base class,
-    whose per-group numpy-call overhead dominates at typical group
-    sizes of a dozen queries), every small group's ``(query, offset)``
-    pairs are concatenated into a single flat pass per leaf call —
-    one modular-arithmetic sweep for the whole batch.  Both paths are
-    exact, so the split is invisible in results.
-    """
-
-    #: Minimum ``n_queries × enumeration_volume`` for a support-shape
-    #: group before the table kernels beat the plain broadcast (fixed
-    #: per-group table/sort overhead vs O(n·vol) broadcast work).
-    _KERNEL_MIN_WORK = 1 << 13
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self._table_cache: dict[tuple, np.ndarray] = {}
-        self._sorted_cache: dict[tuple, np.ndarray] = {}
-
-    def release_tables(self) -> None:
-        super().release_tables()
-        self._table_cache.clear()
-        self._sorted_cache.clear()
-
-    @staticmethod
-    def _group_work(shape: tuple[int, ...], idx: np.ndarray) -> int:
-        vol = 1
-        for n in shape:
-            vol *= int(n)
-        return vol * len(idx)
-
-    def _fused_pairs(
-        self, coeffs: np.ndarray, groups: list[tuple[tuple, np.ndarray]]
-    ):
-        """Concatenated ``(qrow, offset)`` pairs over many small groups.
-
-        Yields flat chunks covering every (query, enumerated offset)
-        pair of the given groups.  The pair list is built with ONE
-        ragged-range gather over the concatenated per-shape offset
-        tables — group count never shows up as a numpy-call count,
-        which is the whole point: typical batches have dozens of
-        few-query shape groups.  Chunks split at the row cap so peak
-        memory stays bounded like the base class's per-group chunking.
-        """
-        if not groups:
-            return
-        bases: list[np.ndarray] = []
-        q_parts: list[np.ndarray] = []
-        s_parts: list[np.ndarray] = []
-        start = 0
-        for shape, idx in groups:
-            offs = self._enum_offsets(coeffs, shape)
-            bases.append(offs)
-            q_parts.append(idx)
-            s_parts.append(
-                np.full(
-                    (len(idx), 2), (start, start + len(offs)), dtype=np.int64
-                )
-            )
-            start += len(offs)
-        base = np.concatenate(bases)
-        queries = np.concatenate(q_parts)
-        spans = np.concatenate(s_parts)
-        qrel, pos = kernels.gather_ranges(spans[:, 0], spans[:, 1])
-        qr = queries[qrel]
-        off = base[pos]
-        for s in range(0, len(qr), _ROW_CAP):
-            yield qr[s : s + _ROW_CAP], off[s : s + _ROW_CAP]
-
-    # -- cached tables ------------------------------------------------------
-    def _window_table(
-        self, coeffs: np.ndarray, shape: tuple[int, ...], mod: int, wlen: int
-    ) -> np.ndarray:
-        key = (coeffs.tobytes(), shape, mod, wlen)
-        table = self._table_cache.get(key)
-        if table is None:
-            table = kernels.window_table(
-                self._enum_offsets(coeffs, shape), mod, wlen
-            )
-            if len(self._table_cache) >= 64:
-                self._table_cache.clear()
-            self._table_cache[key] = table
-        return table
-
-    def _sorted_offsets(
-        self, coeffs: np.ndarray, shape: tuple[int, ...]
-    ) -> np.ndarray:
-        key = (coeffs.tobytes(), shape)
-        offs = self._sorted_cache.get(key)
-        if offs is None:
-            offs = kernels.sorted_offsets(self._enum_offsets(coeffs, shape))
-            if len(self._sorted_cache) >= 64:
-                self._sorted_cache.clear()
-            self._sorted_cache[key] = offs
-        return offs
-
-    # -- kernel-backed inner loops ------------------------------------------
-    def _ragged_mod_any(
-        self,
-        c0: np.ndarray,
-        coeffs: np.ndarray,
-        E: np.ndarray,
-        wlo: np.ndarray,
-        mod: np.ndarray,
-        wlen: int,
-    ) -> np.ndarray:
-        out = np.zeros(len(c0), dtype=bool)
-        small: list[tuple[tuple, np.ndarray]] = []
-        for shape, idx in self._shape_batches(E):
-            if self._group_work(shape, idx) < self._KERNEL_MIN_WORK:
-                small.append((shape, idx))
-                continue
-            mods = mod[idx]
-            for mv in np.unique(mods):
-                mv = int(mv)
-                sel = idx[mods == mv]
-                if wlen >= mv:
-                    # The window covers every residue; the enumeration
-                    # is non-empty, so some value always hits.
-                    out[sel] = True
-                    continue
-                table = self._window_table(coeffs, shape, mv, wlen)
-                t = (wlo[sel] - c0[sel]) % mv
-                out[sel] = kernels.window_any(table, t, wlen)
-        for qr, off in self._fused_pairs(coeffs, small):
-            vals = c0[qr] + off
-            hit = ((vals - wlo[qr]) % mod[qr]) <= wlen - 1
-            out |= np.bincount(
-                qr[hit], minlength=len(c0)
-            ).astype(bool)
-        return out
-
-    def _ragged_abs_any(
-        self,
-        c0: np.ndarray,
-        coeffs: np.ndarray,
-        E: np.ndarray,
-        lo: np.ndarray,
-        hi: np.ndarray,
-    ) -> np.ndarray:
-        out = np.zeros(len(c0), dtype=bool)
-        small: list[tuple[tuple, np.ndarray]] = []
-        for shape, idx in self._shape_batches(E):
-            if self._group_work(shape, idx) < self._KERNEL_MIN_WORK:
-                small.append((shape, idx))
-                continue
-            offs_sorted = self._sorted_offsets(coeffs, shape)
-            out[idx] = kernels.abs_any(
-                offs_sorted, lo[idx] - c0[idx], hi[idx] - c0[idx]
-            )
-        for qr, off in self._fused_pairs(coeffs, small):
-            vals = c0[qr] + off
-            hit = (vals >= lo[qr]) & (vals <= hi[qr])
-            out |= np.bincount(
-                qr[hit], minlength=len(c0)
-            ).astype(bool)
-        return out
-
-
-def make_cascade(
-    coeffs: tuple[int, ...],
-    const: int,
-    m: int,
-    line_size: int,
-    tester: CongruenceTester,
-    compiled: bool = True,
-) -> BatchCascade:
-    """The batched-cascade engine for one reference: compiled or plain."""
-    cls = CompiledCascade if compiled else BatchCascade
-    return cls(coeffs, const, m, line_size, tester)

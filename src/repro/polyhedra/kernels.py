@@ -1,22 +1,9 @@
-"""Table-driven and single-pass inner kernels of the cascade and the solver.
+"""Single-pass inner kernels of the cascade and the solver.
 
-The mixed-radix "does any enumerated value hit the window" test and
-absolute interval membership over an enumerated value set spend their
-time on the same *value multiset*: all values of ``Σ c_j · x_j`` over
-a box shape.  This module turns both into kernels over **precomputed
-per-shape tables** instead of a per-query broadcast:
-
-* ``window table`` — a circular prefix-sum over the histogram of
-  ``offs mod m``; any-hit and hit-count per query become two O(1)
-  lookups (the query only shifts *where* the window sits, never the
-  residue multiset);
-* ``sorted offsets`` — absolute-interval membership becomes a pair of
-  binary searches.
-
-:func:`boxes_interfere` applies the same two counts to the solver's
-direct-mapped interval enumeration, where every box has its own shape:
-it splits each box's dimensions in two and sums binary-search counts
-over one half against the sorted values of the other.
+:func:`boxes_interfere` decides the solver's direct-mapped interval
+enumeration, where every box has its own shape: it splits each box's
+dimensions in two and sums binary-search counts over one half against
+the sorted values of the other.
 
 :func:`box_line_counts` serves the cascade's k-way distinct-line
 count, where nearly every box has a shape of its own too: it lists
@@ -37,64 +24,7 @@ import numpy as np
 #: Most rows one decoding pass holds (memory guard).
 _ROW_CAP = 1 << 20
 
-# -- per-shape tables ---------------------------------------------------------
-
-def window_table(offs: np.ndarray, mod: int, wlen: int) -> np.ndarray:
-    """Circular prefix-sum of ``offs mod mod``, wrap-extended by ``wlen``.
-
-    ``table[t + wlen] - table[t]`` is the number of offsets whose
-    residue lies in the circular window ``[t, t + wlen - 1]`` — the
-    whole mod-window tier for one query, in O(1).
-    """
-    hist = np.bincount(offs % mod, minlength=mod)
-    table = np.zeros(mod + wlen + 1, dtype=np.int64)
-    np.cumsum(np.concatenate([hist, hist[:wlen]]), out=table[1:])
-    return table
-
-
-def sorted_offsets(offs: np.ndarray) -> np.ndarray:
-    """Offsets sorted by value (absolute-interval binary search)."""
-    return np.sort(offs)
-
-
-# -- window any-hit / hit-count ----------------------------------------------
-
-def window_any(
-    table: np.ndarray, t: np.ndarray, wlen: int
-) -> np.ndarray:
-    """Any offset residue in ``[t_q, t_q + wlen - 1]`` (circular), per query."""
-    return table[t + wlen] > table[t]
-
-
-# -- absolute-interval membership --------------------------------------------
-
-def abs_any(
-    offs_sorted: np.ndarray, lo_rel: np.ndarray, hi_rel: np.ndarray
-) -> np.ndarray:
-    """Any offset in ``[lo_rel_q, hi_rel_q]``, per query (binary search)."""
-    lo_idx = np.searchsorted(offs_sorted, lo_rel, side="left")
-    hi_idx = np.searchsorted(offs_sorted, hi_rel, side="right")
-    return hi_idx > lo_idx
-
-
-# -- ragged gathers and distinct counts ---------------------------------------
-
-def gather_ranges(
-    starts: np.ndarray, stops: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Concatenate ``arange(starts_q, stops_q)`` for every query.
-
-    Returns ``(qrow, idx)``: the owning query per element and the
-    gathered indices — the standard cumsum/repeat ragged-range trick.
-    """
-    counts = np.maximum(stops - starts, 0)
-    offsets = np.zeros(len(counts), dtype=np.int64)
-    np.cumsum(counts[:-1], out=offsets[1:])
-    total = int(counts.sum())
-    qrow = np.repeat(np.arange(len(counts), dtype=np.int64), counts)
-    idx = np.arange(total, dtype=np.int64) - offsets[qrow] + starts[qrow]
-    return qrow, idx
-
+# -- distinct counts -----------------------------------------------------------
 
 def distinct_counts(
     qrow: np.ndarray, lines: np.ndarray, nq: int

@@ -78,12 +78,9 @@ def test_classify_batch_matches_classify_point_on_big_shared_boxes(
     assert len(shapes) > 20 and len(set(shapes)) < len(shapes)
 
 
-@pytest.mark.parametrize("compiled", [True, False], ids=["compiled", "batched"])
-def test_classify_batch_matches_classify_point_on_kway_line_counts(
-    monkeypatch, compiled
-):
-    """The same program and sample at 8KB 2-way: on both batched
-    cascade rungs the distinct-line counts reach `box_line_counts` as
+def test_classify_batch_matches_classify_point_on_kway_line_counts(monkeypatch):
+    """The same program and sample at 8KB 2-way: on the batched
+    cascade rung the distinct-line counts reach `box_line_counts` as
     ragged batches of single points, 1-D boxes, boxes that move along
     two or more dimensions, and boxes with extent along a dimension the
     address does not move along."""
@@ -103,9 +100,7 @@ def test_classify_batch_matches_classify_point_on_kway_line_counts(
     cache = CacheConfig(8 * 1024, 32, 2)
     scalar = PointClassifier(prog, layout, cache)
     expected = [scalar.classify_point(p) for p in mapped]
-    batched = PointClassifier(
-        prog, layout, cache, batch_cascade=True, compiled_cascade=compiled
-    )
+    batched = PointClassifier(prog, layout, cache, batch_cascade=True)
     assert batched.classify_batch(mapped) == expected
     assert len(moving) == 210 and len(set(moving)) == 85
     assert sum((np.array(moving) > 1).sum(axis=1) >= 2) == 19
@@ -131,17 +126,24 @@ def _wave():
 
 @pytest.mark.parametrize("cache", [CACHE_8K, CACHE_2W, CACHE_4W],
                          ids=["8KB-dm", "1KB-2way", "1KB-4way"])
-@pytest.mark.parametrize("rung", ["compiled", "batched", "scalar"])
-@pytest.mark.parametrize("enum_limit", [None, 24], ids=["default", "enum24"])
+@pytest.mark.parametrize("rung", ["batched", "scalar"])
+@pytest.mark.parametrize(
+    "budgets",
+    [None, {"enum_limit": 24},
+     {"enum_limit": 8, "partial_limit": 16, "line_candidate_limit": 2,
+      "abs_search_budget": 2}],
+    ids=["default", "enum24", "tight"],
+)
 def test_classify_many_equals_separate_classify_batch(
-    monkeypatch, cache, rung, enum_limit
+    monkeypatch, cache, rung, budgets
 ):
     """One merged pass over a wave of two nests' tilings gives every
     candidate the outcomes and every `SolverStats`/`TesterStats` field of
     its own `classify_batch` call.  The rung is passed explicitly, so
     the comparison holds whatever the cascade knobs say; a small
     `enum_limit` sends boxes of the direct-mapped rounds to the cascade
-    between merged kernel calls too."""
+    between merged kernel calls too, and tight budgets send k-way line
+    counts down the candidate-line frontier to `unknown` verdicts."""
     kernel_calls = []
 
     def spy(lo, *args):
@@ -150,9 +152,8 @@ def test_classify_many_equals_separate_classify_batch(
 
     monkeypatch.setattr(solver, "boxes_interfere", spy)
     flags = dict(
-        batch_cascade=rung != "scalar",
-        compiled_cascade=rung == "compiled",
-        cascade_budgets={"enum_limit": enum_limit} if enum_limit else None,
+        batch_cascade=rung == "batched",
+        cascade_budgets=budgets,
     )
     wave = list(_wave())
 

@@ -1,18 +1,21 @@
-"""The cascade dispatch ladder: compiled → batched-numpy → scalar.
+"""The cascade dispatch ladder: batched-numpy → scalar.
 
-Every rung must be forcible (knob or kwarg) and every rung must
-produce identical classification outcomes and identical cascade-level
-tier attribution — the ladder trades wall-clock only.  These tests
-force each rung explicitly, the way an operator would.
+Both rungs must be forcible (knob or kwarg) and must produce identical
+classification outcomes and identical cascade-level tier attribution —
+the ladder trades wall-clock only.  These tests force each rung
+explicitly, the way an operator would.
 """
 
 import numpy as np
+import pytest
 
 from repro.cache.config import CacheConfig
-from repro.cme.solver import PointClassifier
+from repro.cme.sampling import sample_original_points
+from repro.cme.solver import Outcome, PointClassifier
+from repro.kernels.registry import KERNELS, get_kernel
 from repro.layout.memory import MemoryLayout
 from repro.polyhedra.box import Box
-from repro.polyhedra.cascade import CompiledCascade, verdicts_to_py
+from repro.polyhedra.cascade import BatchCascade, verdicts_to_py
 from repro.polyhedra.congruence import CongruenceTester
 from repro.transform.tiling import tile_program
 from tests.conftest import make_small_mm
@@ -20,17 +23,13 @@ from tests.conftest import make_small_mm
 CACHE = CacheConfig(2048, 32, 2)
 
 
-def _classify_all(monkeypatch, batch_env, compiled_env):
+def _classify_all(monkeypatch, batch_env):
     # None means the knob's default, whatever the calling environment
     # sets (the scalar-fallback lane exports REPRO_BATCH_CASCADE=0).
-    for name, value in (
-        ("REPRO_BATCH_CASCADE", batch_env),
-        ("REPRO_COMPILED_CASCADE", compiled_env),
-    ):
-        if value is None:
-            monkeypatch.delenv(name, raising=False)
-        else:
-            monkeypatch.setenv(name, value)
+    if batch_env is None:
+        monkeypatch.delenv("REPRO_BATCH_CASCADE", raising=False)
+    else:
+        monkeypatch.setenv("REPRO_BATCH_CASCADE", batch_env)
     nest = make_small_mm(12)
     layout = MemoryLayout(nest.arrays())
     prog = tile_program(nest, (4, 6, 6))
@@ -43,37 +42,27 @@ def _classify_all(monkeypatch, batch_env, compiled_env):
 
 
 def test_env_knobs_select_every_rung(monkeypatch):
-    """REPRO_BATCH_CASCADE / REPRO_COMPILED_CASCADE walk the ladder."""
-    tier_default, out_default = _classify_all(monkeypatch, None, None)
-    tier_batched, out_batched = _classify_all(monkeypatch, None, "0")
-    tier_scalar, out_scalar = _classify_all(monkeypatch, "0", None)
-    assert tier_default == "compiled"
-    assert tier_batched == "batched"
+    """REPRO_BATCH_CASCADE walks the ladder."""
+    tier_default, out_default = _classify_all(monkeypatch, None)
+    tier_scalar, out_scalar = _classify_all(monkeypatch, "0")
+    assert tier_default == "batched"
     assert tier_scalar == "scalar"
-    assert out_default == out_batched == out_scalar
-
-
-def test_compiled_rung_needs_the_batched_rung(monkeypatch):
-    """The ladder is layered: no batching ⇒ no compiled engine either,
-    even with REPRO_COMPILED_CASCADE explicitly on."""
-    monkeypatch.setenv("REPRO_COMPILED_CASCADE", "1")
-    tier, _ = _classify_all(monkeypatch, "0", None)
-    assert tier == "scalar"
+    assert out_default == out_scalar
 
 
 def test_kwargs_override_environment(monkeypatch):
     monkeypatch.setenv("REPRO_BATCH_CASCADE", "1")
-    monkeypatch.setenv("REPRO_COMPILED_CASCADE", "1")
     nest = make_small_mm(12)
     layout = MemoryLayout(nest.arrays())
     prog = tile_program(nest, (6, 6, 6))
     assert PointClassifier(
-        prog, layout, CACHE, compiled_cascade=False
-    ).cascade_tier == "batched"
-    assert PointClassifier(
         prog, layout, CACHE, batch_cascade=False
     ).cascade_tier == "scalar"
-    assert PointClassifier(prog, layout, CACHE).cascade_tier == "compiled"
+    assert PointClassifier(prog, layout, CACHE).cascade_tier == "batched"
+    monkeypatch.setenv("REPRO_BATCH_CASCADE", "0")
+    assert PointClassifier(
+        prog, layout, CACHE, batch_cascade=True
+    ).cascade_tier == "batched"
 
 
 def _ladder_queries():
@@ -87,9 +76,9 @@ def _ladder_queries():
     return coeffs, const, m, line, lo, hi, wlo, line0
 
 
-def test_table_kernels_are_bit_identical():
-    """The compiled rung's table kernels give the scalar tester's
-    verdicts and tier attribution."""
+def test_batched_rung_is_bit_identical():
+    """The batched rung's cascade gives the scalar tester's verdicts
+    and tier attribution under tight budgets."""
     coeffs, const, m, line, lo, hi, wlo, line0 = _ladder_queries()
     budgets = {"enum_limit": 64, "partial_limit": 128,
                "line_candidate_limit": 8, "abs_search_budget": 16}
@@ -102,7 +91,40 @@ def test_table_kernels_are_bit_identical():
         for i in range(len(lo))
     ]
     tester = CongruenceTester(**budgets)
-    cascade = CompiledCascade(coeffs, const, m, line, tester)
+    cascade = BatchCascade(coeffs, const, m, line, tester)
     got = verdicts_to_py(cascade.exists_interference_many(lo, hi, wlo, line0))
     assert got == expected
     assert tester.stats.as_dict() == scalar.stats.as_dict()
+
+
+@pytest.mark.parametrize("name", sorted(KERNELS))
+def test_rungs_agree_on_every_table1_kernel(name):
+    """Each Table 1 kernel at its smallest size, tiled to a third of
+    every loop, at 8KB direct-mapped, 2-way and 4-way: both rungs'
+    `classify_batch` give the outcomes of per-point `classify_point`
+    and do the same work (points, reference tests, sources)."""
+    nest = get_kernel(name, KERNELS[name].sizes[0])
+    layout = MemoryLayout(nest.arrays())
+    prog = tile_program(nest, tuple(max(1, lp.extent // 3) for lp in nest.loops))
+    pm = prog.point_map
+    mapped = [pm.from_original(p) for p in sample_original_points(nest, 40, 5)]
+    replacements = 0
+    for ways in (1, 2, 4):
+        cache = CacheConfig(8 * 1024, 32, ways)
+        expected = [
+            PointClassifier(prog, layout, cache).classify_point(p)
+            for p in mapped
+        ]
+        rungs = [
+            PointClassifier(prog, layout, cache, batch_cascade=flag)
+            for flag in (True, False)
+        ]
+        assert [pc.cascade_tier for pc in rungs] == ["batched", "scalar"]
+        for pc in rungs:
+            assert pc.classify_batch(mapped) == expected, (ways, pc.cascade_tier)
+        batched, scalar = (pc.stats for pc in rungs)
+        assert batched.points == scalar.points == len(mapped)
+        assert batched.ref_tests == scalar.ref_tests
+        assert batched.sources_checked == scalar.sources_checked
+        replacements += sum(o.count(Outcome.REPLACEMENT) for o in expected)
+    assert replacements > 0

@@ -48,14 +48,13 @@ _DM = {
         (595, 0, 61), (164, 656, 676, 0, 508, 570, 0), (0, 0, 0, 0, 0, 0, 0)
     ),
 }
-# The batched rung's distinct-line counting tests boxes round by round,
-# the compiled rung first boxes then the rest, so their k-way tier
-# counts differ; the scalar rung counts intervals one by one.  At 4 ways
-# four line counts of (81, 294, 40) span more candidate lines than
-# `line_candidate_limit`: four `unknown` verdicts, each one counted as
-# `unknown_conservative`.
+# The batched rung's distinct-line counting tests each interval's first
+# box, then the rest; the scalar rung counts intervals one by one, so
+# their k-way tier counts differ.  At 4 ways four line counts of
+# (81, 294, 40) span more candidate lines than `line_candidate_limit`:
+# four `unknown` verdicts, each one counted as `unknown_conservative`.
 GOLDEN = {
-    "compiled": {
+    "batched": {
         **_DM,
         (2, None): (
             (447, 0, 209), (164, 656, 779, 0, 615, 1000, 0), (814, 0, 0, 0, 0, 0, 0)
@@ -74,27 +73,6 @@ GOLDEN = {
         ),
         (4, (81, 294, 40)): (
             (604, 0, 52), (164, 656, 669, 0, 505, 554, 4), (1434, 0, 0, 0, 0, 0, 4)
-        ),
-    },
-    "batched": {
-        **_DM,
-        (2, None): (
-            (447, 0, 209), (164, 656, 779, 0, 615, 1000, 0), (814, 0, 0, 0, 0, 0, 0)
-        ),
-        (2, (485, 31, 22)): (
-            (627, 0, 29), (164, 656, 672, 0, 508, 595, 0), (1923, 0, 0, 0, 0, 0, 0)
-        ),
-        (2, (81, 294, 40)): (
-            (602, 0, 54), (164, 656, 670, 0, 506, 558, 0), (1445, 0, 13, 0, 13, 0, 0)
-        ),
-        (4, None): (
-            (447, 0, 209), (164, 656, 779, 0, 615, 1000, 0), (808, 0, 0, 0, 0, 0, 0)
-        ),
-        (4, (485, 31, 22)): (
-            (620, 0, 36), (164, 656, 670, 0, 506, 588, 0), (1884, 0, 0, 0, 0, 0, 0)
-        ),
-        (4, (81, 294, 40)): (
-            (604, 0, 52), (164, 656, 669, 0, 505, 554, 4), (1433, 0, 0, 0, 0, 0, 4)
         ),
     },
     "scalar": {
@@ -120,9 +98,8 @@ GOLDEN = {
     },
 }
 RUNG_ENV = {
-    "compiled": {"REPRO_BATCH_CASCADE": "1", "REPRO_COMPILED_CASCADE": "1"},
-    "batched": {"REPRO_BATCH_CASCADE": "1", "REPRO_COMPILED_CASCADE": "0"},
-    "scalar": {"REPRO_BATCH_CASCADE": "0", "REPRO_COMPILED_CASCADE": "1"},
+    "batched": {"REPRO_BATCH_CASCADE": "1"},
+    "scalar": {"REPRO_BATCH_CASCADE": "0"},
 }
 
 

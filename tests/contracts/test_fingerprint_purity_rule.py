@@ -22,10 +22,10 @@ ENVS = textwrap.dedent(
         affects_results=True, fingerprint_field="budgets",
     )
 
-    COMPILED_CASCADE = _register("REPRO_COMPILED_CASCADE", bool, True)
+    BATCH_CASCADE = _register("REPRO_BATCH_CASCADE", bool, True)
 
-    SHM_TRANSPORT = _register(
-        "REPRO_SHM_TRANSPORT", bool, True, affects_results=False,
+    SHARD_DISPATCH = _register(
+        "REPRO_SHARD_DISPATCH", str, "auto", affects_results=False,
     )
     """
 )
@@ -62,13 +62,13 @@ def test_pure_knob_in_tuple_is_flagged(make_tree):
         {
             "src/repro/envs.py": ENVS,
             "src/repro/search/tiling.py": _search(
-                "(nest, seed, envs.COMPILED_CASCADE.get())"
+                "(nest, seed, envs.BATCH_CASCADE.get())"
             ),
         }
     )
     findings = lint(root)
     assert len(findings) == 1
-    assert "REPRO_COMPILED_CASCADE" in findings[0].message
+    assert "REPRO_BATCH_CASCADE" in findings[0].message
     assert findings[0].path == "src/repro/search/tiling.py"
 
 
@@ -79,13 +79,13 @@ def test_pure_knob_through_assignment_chain_is_flagged(make_tree):
             "src/repro/envs.py": ENVS,
             "src/repro/search/tiling.py": _search(
                 "(nest, seed, engine)",
-                prelude="    engine = 'c' if envs.SHM_TRANSPORT.get() else 'b'",
+                prelude="    engine = 's' if envs.SHARD_DISPATCH.get() else 'c'",
             ),
         }
     )
     findings = lint(root)
     assert len(findings) == 1
-    assert "REPRO_SHM_TRANSPORT" in findings[0].message
+    assert "REPRO_SHARD_DISPATCH" in findings[0].message
 
 
 def test_unrelated_knob_read_in_same_function_passes(make_tree):
@@ -95,7 +95,7 @@ def test_unrelated_knob_read_in_same_function_passes(make_tree):
             "src/repro/envs.py": ENVS,
             "src/repro/search/tiling.py": _search(
                 "(nest, seed, tuple(sorted(budgets.items())))",
-                prelude="    use_fast = envs.COMPILED_CASCADE.get()",
+                prelude="    use_fast = envs.BATCH_CASCADE.get()",
             ),
         }
     )
@@ -119,10 +119,10 @@ def test_result_affecting_knob_is_allowed(make_tree):
 def test_bare_name_import_is_flagged(make_tree):
     src = textwrap.dedent(
         """
-        from repro.envs import COMPILED_CASCADE
+        from repro.envs import BATCH_CASCADE
 
         def run(nest, seed):
-            fingerprint = (nest, seed, COMPILED_CASCADE.get())
+            fingerprint = (nest, seed, BATCH_CASCADE.get())
             return fingerprint
         """
     )
@@ -131,7 +131,7 @@ def test_bare_name_import_is_flagged(make_tree):
     )
     findings = lint(root)
     assert len(findings) == 1
-    assert "COMPILED_CASCADE" in findings[0].message
+    assert "BATCH_CASCADE" in findings[0].message
 
 
 def test_suppression_comment_is_honoured(make_tree):
@@ -141,7 +141,7 @@ def test_suppression_comment_is_honoured(make_tree):
 
         def run(nest, seed):
             # repro: lint-ok[fingerprint-purity]
-            fingerprint = (nest, seed, envs.COMPILED_CASCADE.get())
+            fingerprint = (nest, seed, envs.BATCH_CASCADE.get())
             return fingerprint
         """
     )

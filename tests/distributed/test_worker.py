@@ -10,7 +10,7 @@ from repro.cme.sampling import estimate_at_points, sample_original_points
 from repro.distributed import SmokeObjective, WireError, worker
 from repro.distributed.client import HostConnection
 from repro.distributed.worker import WorkerServer
-from repro.evaluation.sharding import ShardContext
+from repro.evaluation.sharding import ShardContext, merge_estimates
 from repro.ir.program import program_from_nest
 from repro.layout.memory import MemoryLayout
 from tests.conftest import make_small_transpose
@@ -105,6 +105,39 @@ def test_shard_span_protocol_over_tcp(conn):
         a.solver_stats.points + b.solver_stats.points
         == ref.solver_stats.points
     )
+
+
+def test_worker_subpool_spans_match_serial():
+    """A capacity>1 agent re-shards each span over its own ShardPool;
+    the merged estimate equals the serial one."""
+    nest = make_small_transpose(32)
+    layout = MemoryLayout(nest.arrays())
+    program = program_from_nest(nest)
+    points = sample_original_points(nest, 48, 0)
+    ref = estimate_at_points(program, layout, CACHE, points)
+    ctx = ShardContext(cache=CACHE, confidence=0.90, points=tuple(points))
+    srv = WorkerServer(port=0, capacity=2)
+    thread = threading.Thread(
+        target=lambda: srv.serve_forever(poll_interval=0.05), daemon=True
+    )
+    thread.start()
+    conn = HostConnection(*srv.address)
+    try:
+        conn.install_shard_context(pickle.dumps(ctx))
+        bundle = pickle.dumps((program, layout, None))
+        a = conn.shard_estimate("tok", bundle, 0, 24)
+        b = conn.shard_estimate("tok", None, 24, 48)
+        merged = merge_estimates([a, b])
+        assert merged.per_ref == ref.per_ref
+        assert (merged.hits, merged.cold, merged.replacement) == (
+            ref.hits, ref.cold, ref.replacement
+        )
+        assert merged.solver_stats.points == ref.solver_stats.points
+    finally:
+        conn.close()
+        srv.shutdown()
+        srv.server_close()
+        thread.join(timeout=5)
 
 
 def test_shard_without_context_is_an_error(conn):

@@ -136,12 +136,9 @@ def test_close_is_idempotent():
     assert ev((9,)) == 81.0
 
 
-def test_shm_wave_path_matches_serial_values():
-    """The one-frame-per-wave shm transport is a pure wall-clock
-    optimisation: values, order and cache contents are identical to
-    the serial path, and the waves actually rode shared memory."""
-    from repro.evaluation import shm
-
+def test_pool_wave_matches_serial_values():
+    """Process-pool fan-out is a pure wall-clock optimisation: values,
+    order and cache contents are identical to the serial path."""
     batch = [(i, i + 1) for i in range(16)]
     serial = Evaluator(_square)
     parallel = Evaluator(_square, workers=2)
@@ -150,8 +147,6 @@ def test_shm_wave_path_matches_serial_values():
         b = parallel.evaluate_batch(batch)
         assert np.array_equal(a, b)
         assert parallel.cache == serial.cache
-        if shm.shm_enabled():
-            assert parallel.shm_waves == 1
         # second wave: only new candidates travel, order still holds
         batch2 = batch + [(99, 7), (98, 6), (97, 5), (96, 4)]
         assert np.array_equal(
@@ -160,35 +155,6 @@ def test_shm_wave_path_matches_serial_values():
     finally:
         serial.close()
         parallel.close()
-
-
-def test_shm_wave_path_declines_when_transport_off(monkeypatch):
-    monkeypatch.setenv("REPRO_SHM_TRANSPORT", "0")
-    ev = Evaluator(_square, workers=2)
-    try:
-        got = ev.evaluate_batch([(i,) for i in range(8)])
-        assert np.array_equal(got, np.array([float(i * i) for i in range(8)]))
-        assert ev.shm_waves == 0
-    finally:
-        ev.close()
-
-
-def test_shm_wave_frames_do_not_leak(tmp_path):
-    import glob
-
-    from repro.evaluation import shm
-
-    if not shm.shm_enabled():
-        pytest.skip("no shared memory")
-    before = set(glob.glob("/dev/shm/*"))
-    ev = Evaluator(_square, workers=2)
-    try:
-        for wave in range(3):
-            ev.evaluate_batch([(wave, i) for i in range(12)])
-        assert ev.shm_waves == 3
-    finally:
-        ev.close()
-    assert set(glob.glob("/dev/shm/*")) == before
 
 
 class _BatchSquare:
@@ -240,19 +206,13 @@ def test_batch_method_gets_each_waves_missing_genotypes_once(monkeypatch):
     assert batched.cache == plain.cache
 
 
-@pytest.mark.parametrize("shm_transport", ["1", "0"], ids=["shm", "inline"])
-def test_each_process_pool_span_is_one_batch_call(
-    tmp_path, monkeypatch, shm_transport
-):
-    from repro.evaluation import shm
+def test_each_process_pool_span_is_one_batch_call(tmp_path):
     from repro.evaluation.sharding import shard_spans
 
-    monkeypatch.setenv("REPRO_SHM_TRANSPORT", shm_transport)
     log = tmp_path / "calls.log"
     batch = [(i, i + 1) for i in range(16)]
     with Evaluator(_BatchSquare(str(log)), workers=2) as ev:
         got = ev.evaluate_batch(batch + batch[:4])
-        assert ev.shm_waves == int(shm_transport == "1" and shm.shm_enabled())
     assert got.tolist() == [_square(v) for v in batch + batch[:4]]
     sizes = sorted(int(n) for n in log.read_text().split())
     assert sizes == sorted(b - a for a, b in shard_spans(16, 8))

@@ -5,6 +5,7 @@ import multiprocessing
 import pickle
 
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.cache.config import CacheConfig
 from repro.cme.analyzer import LocalityAnalyzer
@@ -117,6 +118,21 @@ def test_shard_spans_cover_in_order():
     assert shard_spans(5, 1) == [(0, 5)]
 
 
+@given(st.integers(0, 300), st.integers(0, 20))
+def test_shard_spans_partition_evenly(n, n_shards):
+    """Spans tile ``[0, n)`` in order: ``min(n_shards, n)`` of them (at
+    least one), none empty, sizes within one of each other."""
+    spans = shard_spans(n, n_shards)
+    if n == 0:
+        assert spans == []
+        return
+    assert len(spans) == max(1, min(n_shards, n))
+    assert spans[0][0] == 0 and spans[-1][1] == n
+    assert all(a[1] == b[0] for a, b in zip(spans, spans[1:]))
+    sizes = [stop - start for start, stop in spans]
+    assert min(sizes) >= 1 and max(sizes) - min(sizes) <= 1
+
+
 def _hold_bundle(barrier, token: str, blob: bytes) -> None:
     """Worker side: cache ``token``'s bundle once every worker is here.
 
@@ -153,6 +169,8 @@ def test_shard_pool_zero_copy_payloads():
                 analyzer._candidates(layout, None),
             )
         )
+        # The first call carried the bundle...
+        assert first_bytes >= len(blob)
         with multiprocessing.Manager() as manager:
             barrier = manager.Barrier(pool.workers, timeout=60)
             holds = [
@@ -163,9 +181,12 @@ def test_shard_pool_zero_copy_payloads():
                 hold.result()
         again = analyzer.estimate(tile_sizes=(8, 8))
         repeat_bytes = pool.last_payload_bytes
-        # The candidate bundle travelled once; the repeat call addressed
-        # the worker-held sample by span under the cached token.
+        # ...and only once: the repeat call addressed the worker-held
+        # sample by span under the cached token.
         assert repeat_bytes < first_bytes / 5
+        # A repeat estimate of a token equals the first, count for count.
+        assert again.per_ref == first.per_ref
+        assert again.solver_stats == first.solver_stats
         ref = serial.estimate(tile_sizes=(8, 8))
         for est in (first, again):
             assert est.per_ref == ref.per_ref
@@ -174,6 +195,74 @@ def test_shard_pool_zero_copy_payloads():
             )
     finally:
         analyzer.close()
+
+
+def test_shard_pool_ships_bundle_inline_on_a_tokens_first_call():
+    """A task is ``(token, pickled bundle | None, start, stop)``: every
+    task of a token's first call carries the bundle, a repeat call's
+    tasks carry none (a retry after a worker's miss carries it again),
+    and a new token ships its own bundle."""
+    from repro.evaluation import sharding
+
+    nest = make_small_transpose(32)
+    layout = MemoryLayout(nest.arrays())
+    programs = {"a": tile_program(nest, (8, 8)), "b": tile_program(nest, (16, 4))}
+    points = sample_original_points(nest, 48, 0)
+    pool = sharding.ShardPool(2, CACHE, points)
+    calls: list[list[tuple]] = []
+    submit = pool.executor.submit
+
+    def spy(fn, task):
+        calls[-1].append(task)
+        return submit(fn, task)
+
+    pool.executor.submit = spy
+    try:
+        for token in ("a", "a", "b"):
+            calls.append([])
+            got = pool.estimate(programs[token], layout, None, token)
+            ref = estimate_at_points(programs[token], layout, CACHE, points)
+            assert got.per_ref == ref.per_ref
+    finally:
+        pool.close()
+    spans = shard_spans(48, 2)
+    first, repeat, other = calls
+    for tasks, token in ((first, "a"), (repeat, "a"), (other, "b")):
+        assert [(t[0], t[2], t[3]) for t in tasks[: len(spans)]] == [
+            (token, start, stop) for start, stop in spans
+        ]
+    blob = first[0][1]
+    assert len(first) == len(spans) and all(t[1] == blob for t in first)
+    program, _, candidates = pickle.loads(blob)
+    assert program.point_map.tile_sizes == (8, 8) and candidates is None
+    assert all(t[1] is None for t in repeat[: len(spans)])
+    assert all(t[1] is not None for t in repeat[len(spans):])
+    assert len(other) == len(spans) and all(t[1] is not None for t in other)
+    assert pickle.loads(other[0][1])[0].point_map.tile_sizes == (16, 4)
+
+
+def test_shard_pool_span_estimates_a_slice_of_the_sample():
+    """``span`` re-shards ``points[start:stop]`` of the context sample
+    across the pool (the TCP worker agent's local sub-pool does this
+    with its incoming span): the merged estimate is the serial estimate
+    of that slice."""
+    from repro.evaluation import sharding
+
+    nest = make_small_transpose(32)
+    layout = MemoryLayout(nest.arrays())
+    program = tile_program(nest, (8, 8))
+    points = sample_original_points(nest, 48, 0)
+    pool = sharding.ShardPool(2, CACHE, points)
+    try:
+        got = pool.estimate(program, layout, None, "tok", span=(8, 40))
+    finally:
+        pool.close()
+    ref = estimate_at_points(program, layout, CACHE, points[8:40])
+    assert got.sampled_points == ref.sampled_points == 32
+    assert got.per_ref == ref.per_ref
+    assert (got.hits, got.cold, got.replacement) == (
+        ref.hits, ref.cold, ref.replacement
+    )
 
 
 def test_shard_pool_context_miss_roundtrip():
@@ -195,7 +284,7 @@ def test_shard_pool_context_miss_roundtrip():
         sharding._init_pool_worker(pickle.dumps(ctx))
         with pytest.raises(sharding._ContextMiss):
             sharding._classify_span(("tok", None, 0, 24))
-        blob = ("inline", pickle.dumps((program, layout, None)))
+        blob = pickle.dumps((program, layout, None))
         est = sharding._classify_span(("tok", blob, 0, 24))
         # memoised now: the blob is no longer needed
         est2 = sharding._classify_span(("tok", None, 0, 24))
@@ -281,7 +370,7 @@ def test_worker_bundle_lru_evicts_in_recency_order():
     program = program_from_nest(nest)
     points = sample_original_points(nest, 16, 0)
     ctx = sharding.ShardContext(cache=CACHE, confidence=0.90, points=tuple(points))
-    blob = ("inline", pickle.dumps((program, layout, None)))
+    blob = pickle.dumps((program, layout, None))
     old_ctx, old_bundles = sharding._POOL_CTX, dict(sharding._BUNDLES)
     old_size = sharding.BUNDLE_CACHE_SIZE
     try:

@@ -7,25 +7,58 @@ that search trajectories and accuracy-regression counters are
 bit-identical whichever engine runs.  This suite cross-checks both over
 thousands of seeded random (box, modulus, window) queries, including
 degenerate dimensions, full-period subgroup collapses, and
-budget-exhaustion (``None``) regimes.
+budget-exhaustion (``None``) regimes.  Each query's verdict and
+attribution are its own: the same queries fed in uneven slices, down to
+one query per call, give the same answers and the same summed stats.
 """
 
 from __future__ import annotations
+
+import itertools
 
 import numpy as np
 import pytest
 
 from repro.polyhedra.box import Box
-from repro.polyhedra.cascade import (
-    BatchCascade,
-    CompiledCascade,
-    verdicts_to_py,
-)
+from repro.polyhedra.cascade import BatchCascade, verdicts_to_py
 from repro.polyhedra.congruence import CongruenceTester
 
-#: Both batched rungs of the dispatch ladder are held to the same
-#: bit-identical contract against the scalar tester.
-ENGINES = {"batched": BatchCascade, "compiled": CompiledCascade}
+#: Uneven call sizes for :class:`SplitCascade`, single queries included.
+SLICE_SIZES = (1, 2, 5, 13, 1, 37, 97)
+
+
+def _uneven_slices(n):
+    starts = itertools.accumulate(itertools.cycle(SLICE_SIZES), initial=0)
+    bounds = list(itertools.takewhile(lambda b: b < n, starts)) + [n]
+    return [slice(a, b) for a, b in zip(bounds, bounds[1:])]
+
+
+class SplitCascade(BatchCascade):
+    """The batched rung answering each batch in uneven slices.
+
+    The solver's waves vary in size and mix queries of many boxes, so a
+    query's verdict and tier attribution must not depend on which other
+    queries share its call.
+    """
+
+    def exists_interference_many(self, Blo, Bhi, wlo, line0):
+        call = super().exists_interference_many
+        return np.concatenate(
+            [call(Blo[s], Bhi[s], wlo[s], line0[s])
+             for s in _uneven_slices(len(Blo))]
+        )
+
+    def count_interfering_lines_many(self, Blo, Bhi, wlo, line0, cap):
+        call = super().count_interfering_lines_many
+        return np.concatenate(
+            [call(Blo[s], Bhi[s], wlo[s], line0[s], cap)
+             for s in _uneven_slices(len(Blo))]
+        )
+
+
+#: The batched rung of the dispatch ladder, whole and sliced, held to
+#: the bit-identical contract against the scalar tester.
+ENGINES = {"batched": BatchCascade, "split": SplitCascade}
 
 
 def _random_ref(rng, d):

@@ -125,6 +125,23 @@ def test_empty_batch():
     assert got.shape == (0,)
 
 
+# -- distinct_counts ------------------------------------------------------------
+
+@given(
+    st.lists(st.tuples(st.integers(0, 6), st.integers(-3, 3)), max_size=40),
+    st.integers(0, 3),
+)
+@settings(max_examples=200, deadline=None)
+def test_distinct_counts_match_sets(pairs, spare):
+    """Per query, the number of distinct lines among its (query, line)
+    rows, in any row order; queries without rows count zero."""
+    nq = max((q for q, _ in pairs), default=-1) + 1 + spare
+    qrow = np.array([q for q, _ in pairs], dtype=np.int64)
+    lines = np.array([line for _, line in pairs], dtype=np.int64)
+    want = [len({line for q, line in pairs if q == i}) for i in range(nq)]
+    assert kernels.distinct_counts(qrow, lines, nq).tolist() == want
+
+
 # -- box_line_counts ------------------------------------------------------------
 
 def brute_counts(c0, exts, coeffs, wlo, line0, mod, line, cap):

@@ -4,7 +4,8 @@ The docs are part of the contract surface, so they are tested:
 
 * every registered CLI flag (``repro.cli.FLAG_SPEC``) and every
   ``REPRO_*`` environment variable referenced in the source appears in
-  ``docs/CLI.md``;
+  ``docs/CLI.md``, every knob in ``repro.envs.KNOBS`` has a row in its
+  environment table, and every variable that table lists is registered;
 * every ``python -m repro.cli`` invocation shown in the docs parses —
   unknown flags or commands in an example would raise here;
 * fenced ``python`` blocks in README/docs compile, and blocks not
@@ -20,7 +21,7 @@ import shlex
 
 import pytest
 
-from repro import cli
+from repro import cli, envs
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 DOC_FILES = [
@@ -70,6 +71,30 @@ def test_every_env_var_is_documented():
     text = CLI_DOC.read_text()
     missing = sorted(v for v in _source_env_vars() if v not in text)
     assert not missing, f"env vars absent from docs/CLI.md: {missing}"
+
+
+def _env_table_vars() -> set[str]:
+    """``REPRO_*`` names in the first column of CLI.md's environment table."""
+    section = CLI_DOC.read_text().split("## Environment variables", 1)[1]
+    section = section.split("\n## ", 1)[0]
+    found: set[str] = set()
+    for line in section.splitlines():
+        cell = re.match(r"\|((?:[^|\\]|\\.)*)\|", line)
+        if cell:
+            found.update(re.findall(r"REPRO_[A-Z]+(?:_[A-Z]+)*", cell.group(1)))
+    return found
+
+
+def test_every_documented_env_var_is_registered():
+    documented = _env_table_vars()
+    assert documented, "no environment table found in docs/CLI.md"
+    stale = sorted(documented - set(envs.KNOBS))
+    assert not stale, f"docs/CLI.md documents unregistered env vars: {stale}"
+
+
+def test_every_registered_env_var_has_a_table_row():
+    missing = sorted(set(envs.KNOBS) - _env_table_vars())
+    assert not missing, f"knobs without a docs/CLI.md table row: {missing}"
 
 
 def _fenced_blocks(path: pathlib.Path, language: str):
