@@ -133,7 +133,16 @@ def recv_frame(sock: socket.socket) -> dict[str, Any]:
     (length,) = _LEN.unpack(header)
     if length > MAX_FRAME_BYTES:
         raise WireError(f"frame length {length} exceeds MAX_FRAME_BYTES")
-    payload = pickle.loads(_recv_exact(sock, length))
+    blob = _recv_exact(sock, length)
+    try:
+        payload = pickle.loads(blob)
+    # Undecodable bytes can raise nearly anything out of the pickle VM
+    # (UnpicklingError, EOFError, ValueError, …); each one is a corrupt
+    # frame, which the connection loops on both sides handle as such.
+    except Exception as exc:  # repro: lint-ok[broad-except]
+        raise WireError(
+            f"undecodable frame payload: {type(exc).__name__}: {exc}"
+        ) from exc
     if not isinstance(payload, dict) or "op" not in payload:
         raise WireError(f"malformed frame payload: {type(payload).__name__}")
     return payload  # payload values are protocol-checked by the caller

@@ -16,25 +16,33 @@ scalar path repeats per query:
 * queries are grouped by support mask, so tier selection (interval
   reject / exact enumeration / subgroup collapse / partial enumeration
   / unknown) becomes array arithmetic over the whole group;
-* mixed-radix enumerations of many boxes are concatenated into single
-  NumPy passes instead of one small array chain per box; distinct-line
-  counting lists every enumerable box of a batch, whatever its support
-  mask, in one ragged pass;
-* the recursive absolute-interval search becomes an iterative
-  level-synchronous frontier over all pending queries; per-query
-  budget semantics (and therefore ``None`` verdicts) are reproduced by
-  replaying the recorded search tree in the scalar's depth-first
-  order, which only ever touches the nodes the scalar code would have
-  visited.
+* mixed-radix enumerations of many boxes with one shape share one
+  offset table and one NumPy pass, scanned in growing chunks so that a
+  query stops at the chunk holding its first witness (the scalar code
+  lists every value, then asks ``.any()``); distinct-line counting
+  lists every enumerable box of a batch, whatever its support mask, in
+  one ragged pass;
+* the per-line absolute-interval searches of a distinct-line count
+  run in widening rounds: round ``r`` submits the next ``cap · 2^r``
+  candidate lines of every undecided query as rows of one
+  level-synchronous search tree.  Each query's rows are then replayed
+  in the scalar's line order and depth-first node order until ``cap``
+  lines are found, so budget semantics (and therefore ``None``
+  verdicts) and every stats charge cover exactly the lines and nodes
+  the scalar code would have visited; rows built past that point are
+  never charged.
 
 Pathological trees whose full expansion would dwarf the scalar node
-budget fall back to the scalar recursion for that one query — exactness
-by construction, never by luck.
+budget fall back to the scalar recursion for that one row — exactness
+by construction, never by luck.  The same node cap bounds one tree
+pass: at most ``_ROW_CAP // (_NODE_CAP_FACTOR · budget)`` rows, so one
+pass holds about ``_ROW_CAP`` nodes at worst.
 """
 
 from __future__ import annotations
 
 from math import gcd
+from typing import Callable
 
 import numpy as np
 
@@ -48,6 +56,11 @@ from repro.polyhedra.kernels import _ROW_CAP
 #: has no depth-first early exit, so an explicit cap keeps adversarial
 #: trees bounded).
 _NODE_CAP_FACTOR = 4
+
+#: Early-exit enumeration: offsets scanned in the first chunk, and the
+#: factor each later chunk grows by.
+_FIRST_CHUNK = 1024
+_CHUNK_GROWTH = 4
 
 #: Verdict encoding: scalar ``False`` / ``True`` / ``None``.
 FALSE, TRUE, UNKNOWN = np.int8(0), np.int8(1), np.int8(2)
@@ -261,9 +274,10 @@ class BatchCascade:
         if small.any():
             st.enumerated += int(small.sum())
             sub = np.flatnonzero(small)
-            hit = self._ragged_mod_any(
-                c0[sub], plan.coeffs, E[sub], wl[sub],
-                np.full(sub.size, m, dtype=np.int64), wlen,
+            wsub = wl[sub]
+            hit = self._ragged_any(
+                c0[sub], plan.coeffs, E[sub],
+                lambda vals, r: ((vals - wsub[r, None]) % m) <= wlen - 1,
             )
             verdict[qsel[sub]] = hit.astype(np.int8)
         big = alive & ~small
@@ -300,8 +314,11 @@ class BatchCascade:
         if rest.size:
             mod = np.where(full_g[rest] == 0, m, full_g[rest])
             Epart = np.where(full[rest], 1, E[rest])
-            hit = self._ragged_mod_any(
-                c0[rest], plan.coeffs, Epart, wl[rest], mod, wlen
+            wrest = wl[rest]
+            hit = self._ragged_any(
+                c0[rest], plan.coeffs, Epart,
+                lambda vals, r: ((vals - wrest[r, None]) % mod[r, None])
+                <= wlen - 1,
             )
             verdict[qsel[rest]] = hit.astype(np.int8)
 
@@ -387,12 +404,18 @@ class BatchCascade:
     ) -> np.ndarray:
         """Per-line queries, nearest-the-reused-line first, batched.
 
-        Step ``r`` submits the ``r``-th candidate line of every still
-        undecided query to one batched absolute-interval search —
-        exactly the candidates, in exactly the order, the scalar loop
-        visits, so early exit at ``cap`` and all stats line up.
+        Each query's candidate lines are ordered as the scalar loop
+        visits them.  Rounds widen: round ``r`` submits the next
+        ``cap · 2^r`` lines of every still undecided query as rows of
+        one search tree (:meth:`_abs_tree`, at most ``pass_rows`` rows a
+        pass).  Each query's rows are then walked in scalar order,
+        replaying the tree (or, for a node-cap row, running the scalar
+        search) until ``cap`` lines are found.  Rows past that point are
+        never replayed, so ``line_queries`` and every tier are charged
+        only for the lines the scalar loop visits.
         """
         st = self.tester.stats
+        budget = self.tester.abs_search_budget
         m = self.m
         L = self.L
         nq = len(c0)
@@ -415,23 +438,51 @@ class BatchCascade:
         seq_len = valid.sum(axis=1)
         found = np.zeros(nq, dtype=np.int64)
         unknown = np.zeros(nq, dtype=bool)
-        for r in range(int(seq_len.max()) if nq else 0):
-            live = np.flatnonzero((found < cap) & (r < seq_len))
+        submitted = np.zeros(nq, dtype=np.int64)
+        # Memory guard: a row holds at most `_NODE_CAP_FACTOR * budget`
+        # tree nodes, so one pass holds about `_ROW_CAP` at most.
+        pass_rows = max(1, _ROW_CAP // (_NODE_CAP_FACTOR * budget))
+        width = cap
+        while True:
+            live = np.flatnonzero((found < cap) & (submitted < seq_len))
             if live.size == 0:
                 break
-            st.line_queries += live.size
-            line_lo = seq[live, r]
-            res = self._abs_exists_many(
-                plan,
-                Blo[live],
-                Bhi[live],
-                E[live],
-                c0[live],
-                line_lo,
-                line_lo + L - 1,
+            take = np.minimum(seq_len[live] - submitted[live], width)
+            rq = np.repeat(live, take)
+            rc = (
+                np.arange(len(rq), dtype=np.int64)
+                - np.repeat(np.cumsum(take) - take, take)
+                + submitted[rq]
             )
-            found[live] += res == TRUE
-            unknown[live] |= res == UNKNOWN
+            submitted[live] += take
+            width *= 2
+            for s in range(0, len(rq), pass_rows):
+                q = rq[s : s + pass_rows]
+                line_lo = seq[q, rc[s : s + pass_rows]]
+                levels, fallback = self._abs_tree(
+                    plan, E[q], c0[q], line_lo, line_lo + L - 1
+                )
+                for row, i in enumerate(q.tolist()):
+                    if found[i] >= cap:
+                        continue
+                    st.line_queries += 1
+                    if fallback[row]:
+                        res = exists_absolute_interval(
+                            self.coeffs_tuple,
+                            self.const,
+                            Box(tuple(Blo[i]), tuple(Bhi[i])),
+                            int(line_lo[row]),
+                            int(line_lo[row]) + L - 1,
+                            st,
+                            budget=budget,
+                            enum_limit=self.tester.enum_limit,
+                        )
+                    else:
+                        res = self._replay_abs(levels, row, budget)
+                    if res is None:
+                        unknown[i] = True
+                    elif res:
+                        found[i] += 1
         out = found.copy()
         exhausted = (found < cap) & unknown
         st.unknown += int(exhausted.sum())
@@ -439,25 +490,25 @@ class BatchCascade:
         return out
 
     # -- batched absolute-interval search ----------------------------------
-    def _abs_exists_many(
+    def _abs_tree(
         self,
         plan: _Plan,
-        Blo: np.ndarray,
-        Bhi: np.ndarray,
         E: np.ndarray,
         c0_root: np.ndarray,
         lo: np.ndarray,
         hi: np.ndarray,
-    ) -> np.ndarray:
-        """Batched ``exists_absolute_interval`` over one support plan.
+    ) -> tuple[list[dict], np.ndarray]:
+        """Search tree of ``exists_absolute_interval`` for a batch of rows.
 
         The scalar recursion branches one dimension at a time; here one
-        level-synchronous frontier expands every query's branch nodes
-        together, enumerations are concatenated, and the recorded tree
-        is replayed per query in scalar depth-first order to reproduce
-        budget consumption (and hence ``None`` verdicts) exactly.
+        level-synchronous frontier expands every row's branch nodes
+        together and concatenates the enumerations.  Nothing is charged
+        to the stats: :meth:`_replay_abs` walks a row's recorded tree in
+        scalar depth-first order to reproduce its budget consumption
+        (and hence ``None`` verdicts) exactly.  Returns the levels and a
+        per-row mask of rows whose tree outgrew the node cap and were
+        not expanded; those rows take the scalar recursion instead.
         """
-        st = self.tester.stats
         enum_limit = self.tester.enum_limit
         budget = self.tester.abs_search_budget
         nq = len(c0_root)
@@ -502,12 +553,13 @@ class BatchCascade:
             nodes["status"][enum_mask] = _ENUM
             if enum_mask.any():
                 sub = np.flatnonzero(enum_mask)
-                nodes["res"][sub] = self._ragged_abs_any(
+                sub_lo, sub_hi = node_lo[sub], node_hi[sub]
+                nodes["res"][sub] = self._ragged_any(
                     c0[sub],
                     plan.coeffs[level:],
                     E[np.ix_(qi[sub], np.arange(level, nd))],
-                    node_lo[sub],
-                    node_hi[sub],
+                    lambda vals, r: (vals >= sub_lo[r, None])
+                    & (vals <= sub_hi[r, None]),
                 )
             expand = ~pruned & ~enum_mask
             sub = np.flatnonzero(expand)
@@ -545,23 +597,7 @@ class BatchCascade:
             local = np.arange(total, dtype=np.int64) - offs[parent]
             qi = qs[parent]
             c0 = c0s[parent] + cq * (xlo[parent] + local)
-        out = np.empty(nq, dtype=np.int8)
-        for q in range(nq):
-            if fallback[q]:
-                res = exists_absolute_interval(
-                    self.coeffs_tuple,
-                    self.const,
-                    Box(tuple(Blo[q]), tuple(Bhi[q])),
-                    int(lo[q]),
-                    int(hi[q]),
-                    st,
-                    budget=budget,
-                    enum_limit=enum_limit,
-                )
-            else:
-                res = self._replay_abs(levels, q, budget)
-            out[q] = UNKNOWN if res is None else np.int8(bool(res))
-        return out
+        return levels, fallback
 
     def _replay_abs(
         self, levels: list[dict], root: int, budget: int
@@ -641,36 +677,31 @@ class BatchCascade:
             self._offs_cache[key] = offs
         return offs
 
-    def _ragged_mod_any(
+    def _ragged_any(
         self,
         c0: np.ndarray,
         coeffs: np.ndarray,
         E: np.ndarray,
-        wlo: np.ndarray,
-        mod: np.ndarray,
-        wlen: int,
+        hit: Callable[[np.ndarray, np.ndarray], np.ndarray],
     ) -> np.ndarray:
-        out = np.zeros(len(c0), dtype=bool)
-        for shape, idx in self._shape_batches(E):
-            offs = self._enum_offsets(coeffs, shape)
-            vals = c0[idx][:, None] + offs[None, :]
-            hit = ((vals - wlo[idx][:, None]) % mod[idx][:, None]) <= wlen - 1
-            out[idx] = hit.any(axis=1)
-        return out
+        """Per query: does some value ``c0 + Σ coeffs_j · x_j`` of its
+        box (extents ``E``) satisfy ``hit``?
 
-    def _ragged_abs_any(
-        self,
-        c0: np.ndarray,
-        coeffs: np.ndarray,
-        E: np.ndarray,
-        lo: np.ndarray,
-        hi: np.ndarray,
-    ) -> np.ndarray:
+        ``hit(vals, rows)`` maps a block of values, one row per query
+        index in ``rows``, to a boolean block.  Each shape batch's offset
+        table is scanned in mixed-radix order, in chunks growing from
+        :data:`_FIRST_CHUNK` by :data:`_CHUNK_GROWTH`; a query leaves the
+        scan at the chunk holding its first witness.
+        """
         out = np.zeros(len(c0), dtype=bool)
-        for shape, idx in self._shape_batches(E):
+        for shape, rows in self._shape_batches(E):
             offs = self._enum_offsets(coeffs, shape)
-            vals = c0[idx][:, None] + offs[None, :]
-            hit = (vals >= lo[idx][:, None]) & (vals <= hi[idx][:, None])
-            out[idx] = hit.any(axis=1)
+            start, width = 0, _FIRST_CHUNK
+            while rows.size and start < len(offs):
+                part = offs[start : start + width]
+                got = hit(c0[rows, None] + part[None, :], rows).any(axis=1)
+                out[rows[got]] = True
+                rows = rows[~got]
+                start += width
+                width *= _CHUNK_GROWTH
         return out
-

@@ -6,15 +6,22 @@ sample on 8KB direct-mapped, 2-way and 4-way caches, one table per
 cascade rung.  A solver change that claims to be behaviour-preserving must
 leave all of them untouched: the counts follow which sources, boxes
 and references the waves examine, and in which batches.
+
+A second pin sums the same fields over every estimate of a whole GA
+search, which reaches tiers and batch shapes the three fixed tilings
+do not (the direct-mapped partial enumeration, long line frontiers).
 """
 
+import collections
 import dataclasses
 
 import pytest
 
 from repro.cache.config import CacheConfig
+from repro.cme import solver
 from repro.cme.analyzer import LocalityAnalyzer
 from repro.kernels.registry import KERNELS
+from repro.search.tiling import search_tiling
 
 TILES = (None, (485, 31, 22), (81, 294, 40))
 STAT_FIELDS = (
@@ -127,3 +134,60 @@ def test_mm500_solver_stats_are_pinned(monkeypatch, rung, assoc):
             assert got == GOLDEN[rung][assoc, tiles], (rung, assoc, tiles)
     finally:
         analyzer.close()
+
+
+# assoc -> summed STAT_FIELDS, summed TIERS, (kernel calls, kernel boxes)
+# over the 62 estimates of one GA search (answer (485, 31, 22)).
+SEARCH_GOLDEN = {
+    1: (
+        (10168, 40672, 43028, 0, 32613, 41086, 18),
+        (20, 0, 28, 222, 33, 0, 21),
+        (139, 40970),
+    ),
+    2: (
+        (10168, 40672, 43239, 0, 33071, 42477, 0),
+        (84772, 0, 1175, 0, 1246, 0, 0),
+        (0, 0),
+    ),
+}
+
+
+@pytest.mark.parametrize("assoc", [1, 2], ids=["8KB-dm", "8KB-2way"])
+def test_mm500_ga_search_work_is_pinned(monkeypatch, assoc):
+    """Solver work of ``search_tiling(MM_500, "ga", budget=60, seed=0)``
+    on the batched rung: every field and tier summed over the search's
+    estimates, and the direct-mapped kernel's calls and boxes."""
+    monkeypatch.setenv("REPRO_BATCH_CASCADE", "1")
+    sums: collections.Counter = collections.Counter()
+    finalize = solver.PointClassifier.finalize_stats
+
+    def summing(self):
+        stats = finalize(self)
+        fields = dataclasses.asdict(stats)
+        sums.update(fields.pop("congruence"))
+        sums.update(fields)
+        sums["estimates"] += 1
+        return stats
+
+    kernel = solver.boxes_interfere
+
+    def counting(lo, *args):
+        sums["kernel_calls"] += 1
+        sums["kernel_boxes"] += len(lo)
+        return kernel(lo, *args)
+
+    monkeypatch.setattr(solver.PointClassifier, "finalize_stats", summing)
+    monkeypatch.setattr(solver, "boxes_interfere", counting)
+    out = search_tiling(
+        KERNELS["MM"].build(500), CacheConfig(8 * 1024, 32, assoc),
+        strategy="ga", budget=60, seed=0,
+    )
+    assert out.tile_sizes == (485, 31, 22)
+    assert sums.pop("estimates") == 62
+    got = (
+        tuple(sums.pop(f) for f in STAT_FIELDS),
+        tuple(sums.pop(t) for t in TIERS),
+        (sums.pop("kernel_calls", 0), sums.pop("kernel_boxes", 0)),
+    )
+    assert not sums, sums  # no field escapes the pin
+    assert got == SEARCH_GOLDEN[assoc]

@@ -61,6 +61,22 @@ def test_recv_rejects_non_dict_payload():
         b.close()
 
 
+@pytest.mark.parametrize(
+    "blob",
+    [b"not a pickle", pickle.dumps({"op": "ping", "pad": "x" * 64})[:-5]],
+    ids=["garbage", "truncated-pickle"],
+)
+def test_recv_wraps_undecodable_payload_in_wire_error(blob):
+    a, b = _pair()
+    try:
+        a.sendall(struct.pack(">I", len(blob)) + blob)
+        with pytest.raises(wire.WireError, match="undecodable"):
+            wire.recv_frame(b)
+    finally:
+        a.close()
+        b.close()
+
+
 def test_handshake_roundtrip_carries_fingerprint_key():
     a, b = _pair()
     fp = ("MM_500", "cache-repr", 164, 0)

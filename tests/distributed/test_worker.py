@@ -1,13 +1,15 @@
 """Worker agent sessions over real sockets (in-process server)."""
 
 import pickle
+import socket
+import struct
 import threading
 
 import pytest
 
 from repro.cache.config import CacheConfig
 from repro.cme.sampling import estimate_at_points, sample_original_points
-from repro.distributed import SmokeObjective, WireError, worker
+from repro.distributed import SmokeObjective, WireError, wire, worker
 from repro.distributed.client import HostConnection
 from repro.distributed.worker import WorkerServer
 from repro.evaluation.sharding import ShardContext, merge_estimates
@@ -181,6 +183,28 @@ def test_two_connections_have_independent_sessions(server):
     finally:
         a.close()
         b.close()
+
+
+@pytest.mark.parametrize(
+    "blob",
+    [b"not a pickle", pickle.dumps({"op": "ping", "pad": "x" * 64})[:-5]],
+    ids=["garbage", "truncated-pickle"],
+)
+def test_undecodable_frame_closes_only_that_connection(server, monkeypatch, blob):
+    """A corrupt frame ends its own session cleanly (no traceback from
+    the connection thread), and the agent keeps serving new ones."""
+    crashed = []
+    monkeypatch.setattr(server, "handle_error", lambda *a: crashed.append(a))
+    with socket.create_connection(server.address, timeout=5) as raw:
+        wire.client_handshake(raw)
+        raw.sendall(struct.pack(">I", len(blob)) + blob)
+        assert raw.recv(1) == b""  # the agent hung up on this connection
+    assert crashed == []
+    fresh = HostConnection(*server.address)
+    try:
+        assert fresh.request({"op": "ping"})["op"] == "pong"
+    finally:
+        fresh.close()
 
 
 def test_capacity_validation():

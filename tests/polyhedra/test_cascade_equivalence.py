@@ -19,6 +19,7 @@ import itertools
 import numpy as np
 import pytest
 
+from repro.polyhedra import cascade, congruence
 from repro.polyhedra.box import Box
 from repro.polyhedra.cascade import BatchCascade, verdicts_to_py
 from repro.polyhedra.congruence import CongruenceTester
@@ -173,6 +174,208 @@ def test_count_interfering_lines_equivalence(cfg, cap, engine):
     got = [None if c < 0 else int(c) for c in counts]
     assert got == expected
     assert batch_tester.stats.as_dict() == scalar.stats.as_dict()
+
+
+#: Line-frontier edge cases on one reference, under budgets tight
+#: enough that a 2-D box reaches the per-line search (``enum_limit`` 16)
+#: and can run out of nodes (``abs_search_budget`` 4, node cap 16).
+#: Each case is a query (lo, hi, wlo, line0) at cap 2 and the per-line
+#: verdicts the scalar loop visits for it, in order.
+FRONTIER_REF = ((336, 416), 4930, 8192, 32)
+FRONTIER_BUDGETS = {"enum_limit": 16, "abs_search_budget": 4}
+FRONTIER_CAP = 2
+FRONTIER_CASES = {
+    # The only candidate line's search runs out of budget: None, not 0.
+    "ends-in-none": (((25, 34), (38, 52), 832, 418624), [None]),
+    # An unknown line before the second hit: the count is 2, not None.
+    "unknown-before-cap": (((46, 40), (112, 77), 128, 73856), [True, None, True]),
+    # The second hit is the first line of a round with lines left in it.
+    "cap-mid-round": (((57, 20), (118, 49), 7296, 72832), [False, True, True]),
+    # Both lines share one pass, and one of them is past the node cap.
+    "node-cap-shares-pass": (((35, 39), (77, 54), 1344, 468288), [True, True]),
+}
+
+
+def _frontier_run(monkeypatch, engine, queries):
+    """Count ``queries`` on the scalar tester and on ``engine``.
+
+    Records the scalar's per-line verdicts per query, and per tree pass
+    of the batched rung its rows, the rows it replayed and the rows it
+    handed to the scalar node-cap fallback.
+    """
+    coeffs, const, m, line = FRONTIER_REF
+    lo, hi, wlo, line0 = (np.array(col) for col in zip(*queries))
+    traces = []
+    scalar_line = congruence.exists_absolute_interval
+
+    def recording(*args, **kwargs):
+        traces[-1].append(scalar_line(*args, **kwargs))
+        return traces[-1][-1]
+
+    monkeypatch.setattr(congruence, "exists_absolute_interval", recording)
+    scalar = CongruenceTester(**FRONTIER_BUDGETS)
+    expected = []
+    for i in range(len(lo)):
+        traces.append([])
+        expected.append(scalar.count_interfering_lines(
+            coeffs, const, Box(tuple(lo[i]), tuple(hi[i])),
+            m, int(wlo[i]), line, int(line0[i]), cap=FRONTIER_CAP,
+        ))
+
+    passes = []
+    tree, replay, fallback = (
+        BatchCascade._abs_tree, BatchCascade._replay_abs,
+        cascade.exists_absolute_interval,
+    )
+
+    def tree_spy(self, *args):
+        levels, capped = tree(self, *args)
+        passes.append({"rows": len(capped), "replayed": 0, "fallback": 0})
+        return levels, capped
+
+    def replay_spy(self, *args):
+        passes[-1]["replayed"] += 1
+        return replay(self, *args)
+
+    def fallback_spy(*args, **kwargs):
+        passes[-1]["fallback"] += 1
+        return fallback(*args, **kwargs)
+
+    monkeypatch.setattr(BatchCascade, "_abs_tree", tree_spy)
+    monkeypatch.setattr(BatchCascade, "_replay_abs", replay_spy)
+    monkeypatch.setattr(cascade, "exists_absolute_interval", fallback_spy)
+    tester = CongruenceTester(**FRONTIER_BUDGETS)
+    counts = ENGINES[engine](coeffs, const, m, line, tester) \
+        .count_interfering_lines_many(lo, hi, wlo, line0, cap=FRONTIER_CAP)
+    got = [None if c < 0 else int(c) for c in counts]
+    assert got == expected
+    assert tester.stats.as_dict() == scalar.stats.as_dict()
+    return expected, traces, tester.stats, passes
+
+
+@pytest.mark.parametrize("engine", sorted(ENGINES), ids=sorted(ENGINES))
+@pytest.mark.parametrize("case", sorted(FRONTIER_CASES))
+def test_line_frontier_edge_cases(monkeypatch, case, engine):
+    query, trace = FRONTIER_CASES[case]
+    expected, traces, stats, passes = _frontier_run(monkeypatch, engine, [query])
+    assert traces == [trace]  # the case still takes the path it names
+    assert expected == [None if case == "ends-in-none" else FRONTIER_CAP]
+    built = sum(p["rows"] for p in passes)
+    visited = sum(p["replayed"] + p["fallback"] for p in passes)
+    assert visited == stats.line_queries == len(trace)
+    if case == "cap-mid-round":
+        assert built > visited  # rows past the cap: built, never charged
+    if case == "node-cap-shares-pass":
+        assert any(p["replayed"] and p["fallback"] for p in passes)
+
+
+@pytest.mark.parametrize("engine", sorted(ENGINES), ids=sorted(ENGINES))
+def test_line_frontier_edge_cases_share_one_call(monkeypatch, engine):
+    """The same queries in one call: rows of different queries share
+    passes, and each query is still charged only its own lines."""
+    cases = [FRONTIER_CASES[c] for c in sorted(FRONTIER_CASES)]
+    _, traces, stats, _ = _frontier_run(
+        monkeypatch, engine, [q for q, _ in cases]
+    )
+    assert traces == [t for _, t in cases]
+    assert stats.line_queries == sum(map(len, traces))
+
+
+def _chunk_ends(first, growth, upto):
+    ends, width = [first], first
+    while ends[-1] < upto:
+        width *= growth
+        ends.append(ends[-1] + width)
+    return ends
+
+
+def _brute_any(c0, coeffs, E, hit_one):
+    """Every value of every box, tested one by one."""
+    out = []
+    for q in range(len(c0)):
+        pts = itertools.product(*(range(int(n)) for n in E[q]))
+        vals = (int(c0[q]) + sum(int(c) * x for c, x in zip(coeffs, p))
+                for p in pts)
+        out.append(any(hit_one(q, v) for v in vals))
+    return out
+
+
+def _predicates(kind, c0, rng, m=8192):
+    """A vectorised predicate for ``_ragged_any`` and its scalar twin."""
+    n = len(c0)
+    if kind == "abs":
+        lo = c0 + rng.integers(-400, 400, size=n)
+        hi = lo + rng.integers(0, 40, size=n)
+        return (
+            lambda vals, r: (vals >= lo[r, None]) & (vals <= hi[r, None]),
+            lambda q, v: lo[q] <= v <= hi[q],
+        )
+    # `mod < m` is the partial tier's full_g path.
+    wlen = 32
+    mod = rng.choice([m, m // 2, 64, 256], size=n)
+    wlo = rng.integers(0, m, size=n)
+    return (
+        lambda vals, r: ((vals - wlo[r, None]) % mod[r, None]) <= wlen - 1,
+        lambda q, v: (v - wlo[q]) % mod[q] <= wlen - 1,
+    )
+
+
+CHUNKINGS = [(3, 2), (1, 3), (cascade._FIRST_CHUNK, cascade._CHUNK_GROWTH)]
+
+
+@pytest.mark.parametrize("first, growth", CHUNKINGS)
+@pytest.mark.parametrize("kind", ["abs", "mod"])
+def test_ragged_any_matches_brute_force(monkeypatch, kind, first, growth):
+    """Random boxes of several shapes in one call, negative and zero
+    coefficients, volumes on and off chunk boundaries."""
+    monkeypatch.setattr(cascade, "_FIRST_CHUNK", first)
+    monkeypatch.setattr(cascade, "_CHUNK_GROWTH", growth)
+    rng = np.random.default_rng(first * 31 + growth + len(kind))
+    coeffs = np.array([-37, 5, 0, 96], dtype=np.int64)
+    shapes = [(1, 1, 1, 1), (3, 1, 2, 1), (3, 3, 1, 1), (1, 7, 1, 3),
+              (5, 9, 1, 1), (2, 1, 1, 1)]
+    E = np.array([shapes[i] for i in rng.integers(0, len(shapes), 120)])
+    c0 = rng.integers(-5000, 5000, size=len(E))
+    hit, hit_one = _predicates(kind, c0, rng)
+    bc = BatchCascade(tuple(coeffs), 0, 8192, 32, CongruenceTester())
+    got = bc._ragged_any(c0, coeffs, E, hit).tolist()
+    assert got == _brute_any(c0, coeffs, E, hit_one)
+    assert any(got) and not all(got)
+
+
+@pytest.mark.parametrize("first, growth", CHUNKINGS)
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("kind", ["abs", "mod"])
+def test_ragged_any_witness_position(monkeypatch, kind, sign, first, growth):
+    """One witness at each chunk's first and last offset — the last
+    chunk included — and none at all, over volumes that end exactly on
+    a chunk boundary and volumes that do not."""
+    monkeypatch.setattr(cascade, "_FIRST_CHUNK", first)
+    monkeypatch.setattr(cascade, "_CHUNK_GROWTH", growth)
+    ends = _chunk_ends(first, growth, 3 * first * growth)
+    m, wlen = 1 << 20, 1
+    for vol in sorted({ends[2], ends[2] + 1, ends[1] - 1}):
+        # Shape (2, vol // 2) or (vol,): offsets are ±(flat index), so a
+        # window one value wide holds exactly one index.
+        shape = (2, vol // 2) if vol % 2 == 0 else (1, vol)
+        coeffs = np.array([sign * shape[1], sign], dtype=np.int64)
+        starts = [0] + [e for e in ends if e < vol]
+        witness = sorted({i for s in starts for i in (s, s - 1)
+                          if 0 <= i < vol} | {vol - 1})
+        targets = witness + [vol]  # index `vol` is past the box: no witness
+        n = len(targets)
+        c0 = np.full(n, 1000, dtype=np.int64)
+        val = c0 + sign * np.array(targets)
+        E = np.tile(shape, (n, 1))
+        if kind == "abs":
+            def hit(vals, r):
+                return vals == val[r, None]
+        else:
+            def hit(vals, r):
+                return ((vals - val[r, None]) % m) <= wlen - 1
+        bc = BatchCascade(tuple(coeffs), 0, m, 32, CongruenceTester())
+        got = bc._ragged_any(c0, coeffs, E, hit).tolist()
+        assert got == [True] * (n - 1) + [False], (vol, targets)
 
 
 def test_full_period_subgroup_collapse():
