@@ -25,7 +25,13 @@ from statistics import NormalDist
 import numpy as np
 
 from repro.cache.config import CacheConfig
-from repro.cme.solver import Outcome, PointClassifier, SolverStats, classify_many
+from repro.cme.solver import (
+    OUTCOMES,
+    Outcome,
+    PointClassifier,
+    SolverStats,
+    classify_codes,
+)
 from repro.ir.loops import LoopNest
 from repro.ir.program import AccessProgram
 from repro.layout.memory import MemoryLayout
@@ -150,10 +156,12 @@ def estimate_at_points(
     :func:`estimate_many_at_points`; ``batch=False`` keeps the
     per-point scalar loop.  Both paths are outcome-equivalent (see
     :mod:`repro.evaluation`).
-    ``cascade_budgets`` overrides the congruence-cascade work budgets
-    (see :class:`repro.polyhedra.congruence.CongruenceTester`).
+    ``original_points`` is a sequence of point tuples or an
+    ``(n, depth)`` integer array.  ``cascade_budgets`` overrides the
+    congruence-cascade work budgets (see
+    :class:`repro.polyhedra.congruence.CongruenceTester`).
     """
-    if batch and original_points:
+    if batch:
         return estimate_many_at_points(
             [program], layout, cache, original_points, confidence,
             candidates, cascade_budgets,
@@ -162,8 +170,15 @@ def estimate_at_points(
         program, layout, cache, candidates, cascade_budgets=cascade_budgets
     )
     pm = program.point_map
-    outcomes = [classifier.classify_point(pm.from_original(p)) for p in original_points]
-    return _estimate(program, classifier, outcomes, confidence)
+    P = np.asarray(original_points, dtype=np.int64)
+    outcomes = [
+        classifier.classify_point(pm.from_original(tuple(p)))
+        for p in P.reshape(-1, program.original.depth).tolist()
+    ]
+    codes = np.array(
+        [[OUTCOMES.index(oc) for oc in row] for row in outcomes], dtype=np.int8
+    ).reshape(len(outcomes), len(program.refs))
+    return _estimate(program, classifier, codes, confidence)
 
 
 def estimate_many_at_points(
@@ -176,39 +191,46 @@ def estimate_many_at_points(
     cascade_budgets: dict[str, int] | None = None,
 ) -> list[CMEEstimate]:
     """:func:`estimate_at_points` under several programs of one nest, in
-    one :func:`repro.cme.solver.classify_many` pass that merges their
-    kernel calls; each estimate equals its one-program call."""
+    one :func:`repro.cme.solver.classify_codes` pass that merges their
+    kernel calls and shares their reuse-source table; each estimate
+    equals its one-program call."""
     classifiers = [
         PointClassifier(p, layout, cache, candidates, cascade_budgets=cascade_budgets)
         for p in programs
     ]
     P = np.asarray(original_points, dtype=np.int64)
-    tables = classify_many(classifiers, (
+    tables = classify_codes(classifiers, (
         p.point_map.from_original_batch(P.reshape(-1, p.original.depth))
         for p in programs
     ))
     return [_estimate(*a, confidence) for a in zip(programs, classifiers, tables)]
 
 
-def _estimate(program, classifier, outcomes, confidence) -> CMEEstimate:
-    """Count one program's (point × reference) outcome table."""
+def _estimate(program, classifier, codes, confidence) -> CMEEstimate:
+    """Count one program's (point × reference) outcome-code table.
+
+    Column ``j`` of ``codes`` is the ``j``-th reference in position
+    order; its codes index :data:`repro.cme.solver.OUTCOMES`.
+    """
+    refs_sorted = sorted(program.refs, key=lambda r: r.position)
+    tally = {
+        ref.position: np.bincount(column, minlength=len(OUTCOMES)).tolist()
+        for ref, column in zip(refs_sorted, codes.T)
+    }
     per_ref: dict[int, dict[str, int]] = {
-        ref.position: {"hit": 0, "cold": 0, "replacement": 0}
+        ref.position: {
+            oc.value: tally[ref.position][OUTCOMES.index(oc)] for oc in Outcome
+        }
         for ref in program.refs
     }
-    refs_sorted = sorted(program.refs, key=lambda r: r.position)
-    # Per reference, one count per outcome over its column of the sample.
-    for ref, column in zip(refs_sorted, zip(*outcomes)):
-        for oc in Outcome:
-            per_ref[ref.position][oc.value] = column.count(oc)
     hits, cold, repl = (
         sum(counts[oc.value] for counts in per_ref.values())
         for oc in (Outcome.HIT, Outcome.COLD, Outcome.REPLACEMENT)
     )
     nrefs = len(program.refs)
     return CMEEstimate(
-        sampled_points=len(outcomes),
-        sampled_accesses=len(outcomes) * nrefs,
+        sampled_points=len(codes),
+        sampled_accesses=len(codes) * nrefs,
         hits=hits,
         cold=cold,
         replacement=repl,

@@ -47,8 +47,8 @@ class Outcome(enum.Enum):
     REPLACEMENT = "replacement"
 
 
-# Outcome codes of classify_batch's (point, ref) table.
-_OUTCOMES = (Outcome.COLD, Outcome.HIT, Outcome.REPLACEMENT)
+#: Outcome codes of a classify pass's (point, ref) tables: ``OUTCOMES[c]``.
+OUTCOMES = (Outcome.COLD, Outcome.HIT, Outcome.REPLACEMENT)
 _HIT = 1
 _REPLACEMENT = 2
 
@@ -162,14 +162,47 @@ class PointClassifier:
         # classify_many can merge them across classifiers.
         orefs = sorted(orig.refs, key=lambda r: r.position)
         exprs = [layout.address_expr(r) for r in orefs]
-        ocoef = np.array([e.coeff_vector(orig.vars) for e in exprs], np.int64)
+        ocoef = np.array(
+            [e.coeff_vector(orig.vars) for e in exprs], np.int64
+        ).reshape(len(exprs), orig.depth)
         oc0 = np.array([e.const for e in exprs], dtype=np.int64)
+        self._ocoef, self._oc0 = ocoef, oc0
+        # One kernel row per distinct address form: the kernel's verdict
+        # is an OR over rows, so a repeated row can never add a hit.
+        # Equal forms have equal supports, so they share a group.
+        first: dict[tuple, int] = {}
+        for i, form in enumerate(np.column_stack((ocoef, oc0)).tolist()):
+            first.setdefault(tuple(form), i)
+        distinct = np.zeros(len(orefs), dtype=bool)
+        distinct[list(first.values())] = True
         self._kernel_groups = []
         for _, ridx, _, _ in self._groups:
             odims = np.flatnonzero(ocoef[ridx].any(axis=0))
+            ridx = ridx[distinct[ridx]]
             spec = (ocoef[np.ix_(ridx, odims)], oc0[ridx], self._M, self._L)
             key = (len(odims), spec[0].tobytes(), spec[1].tobytes(), *spec[2:])
             self._kernel_groups.append((odims, key, spec))
+        # Reuse-source offsets in original coordinates, one per distinct
+        # (reference, source reference, candidate vector · sign); the
+        # SourceTable of a sample applies them to every point.
+        index = {ref.position: i for i, ref in enumerate(self._refs)}
+        offsets: dict[tuple, None] = {}
+        for idx, ref in enumerate(self._refs):
+            for cand in self.candidates.get(ref.position, ()):
+                vec = tuple(cand.vector)
+                row = (idx, index[cand.source_position])
+                if any(vec):
+                    offsets[row + vec] = None
+                    offsets[row + tuple(-r for r in vec)] = None
+                elif cand.source_position < ref.position:
+                    # Intra-iteration: q == p, the source precedes in body.
+                    offsets[row + vec] = None
+        offs = np.array(list(offsets), dtype=np.int64).reshape(
+            len(offsets), 2 + orig.depth
+        )
+        self._src_ref, self._src_sref, self._src_off = (
+            offs[:, 0], offs[:, 1], offs[:, 2:]
+        )
         # Per-reference batched-cascade invariants (gcd tables, period
         # decompositions, dimension orderings), built lazily once per
         # candidate and reused across every wave of this classifier.
@@ -217,8 +250,9 @@ class PointClassifier:
         ``points`` is an ``(n, depth)`` integer array or a sequence of
         point tuples.  Agrees outcome-for-outcome with
         :meth:`classify_point` on every point (the batched-vs-scalar
-        equivalence contract of :mod:`repro.evaluation`).  Addresses
-        and reuse sources are computed vectorised over the batch;
+        equivalence contract of :mod:`repro.evaluation`).  The reuse
+        sources come from the pass's :class:`SourceTable`, built once
+        for every tiling of the sample and ordered per program;
         per-source interference is then resolved in *waves*: every
         still-undecided (point, ref) pair submits its next reuse
         source, all small source→use intervals of the wave are
@@ -240,45 +274,41 @@ class PointClassifier:
         """
         return classify_many([self], [points])[0]
 
-    def _classify_waves(self, points):
-        """:meth:`classify_batch`'s waves: a generator that yields each
-        interval round's kernel queries and returns the outcome codes."""
-        n = len(points)
-        if n == 0:
-            return np.empty((0, 0), dtype=np.int8)
-        self.stats.points += n
+    def _classify_waves(self, P: np.ndarray, table: SourceTable | None):
+        """:meth:`classify_batch`'s waves over the points ``P`` (in this
+        program's coordinates) and their :class:`SourceTable`: a
+        generator that yields each interval round's kernel queries and
+        returns the outcome codes."""
+        n = len(P)
         nrefs = len(self._refs)
+        if n == 0:
+            return np.empty((0, nrefs), dtype=np.int8)
+        self.stats.points += n
         self.stats.ref_tests += n * nrefs
-        L = self._L
         k = self._k
-        P = np.asarray(points, dtype=np.int64)
-        addrs = P @ self._Cmat.T + self._c0vec  # (n, nrefs)
-        l0s = addrs // L * L
-        wlos = l0s % self._M
         # Every (point, ref) without a source stays COLD.
         codes = np.zeros((n, nrefs), dtype=np.int8)
-        SRC, SPOS, ai, aidx, cur, stop = self._batch_reuse_sources(P, addrs)
+        SRC, rows, ai, aidx, cur, stop = self._batch_reuse_sources(P, table)
         while len(cur):
             S = SRC[cur]
             U = P[ai]
-            wlo = wlos[ai, aidx]
-            l0 = l0s[ai, aidx]
+            row = rows[cur]
+            wlo = table.wlo[ai, aidx]
+            l0 = table.l0[ai, aidx]
             self.stats.sources_checked += len(cur)
-            same = (S == U).all(axis=1)
+            same = table.same[row]
             pre = None
             if self._use_batch_cascade:
-                # Boundary-iteration line counts of the whole wave in
-                # one vectorised pass; a count at the cap decides.
-                pre = self._endpoint_counts_wave(
-                    S, U, same, SPOS[cur], self._positions[aidx], wlo, l0
-                )
+                # Boundary-iteration line counts, each table row's once
+                # per pass; a count at the cap decides.
+                pre = table.endpoint_counts(row)
                 killed = pre >= max(k, 1)
                 job = ~(killed | same)
             else:
                 # Scalar rung: the per-item reference implementations.
-                rows = zip(
+                items = zip(
                     map(tuple, S.tolist()),
-                    SPOS[cur].tolist(),
+                    self._positions[table.sref[row]].tolist(),
                     map(tuple, U.tolist()),
                     aidx.tolist(),
                     l0.tolist(),
@@ -289,12 +319,12 @@ class PointClassifier:
                     # distinct-line overcount is documented
                     # conservative behaviour batch mode reproduces.
                     killed = np.array(
-                        [self._reuse_killed(*row) for row in rows], dtype=bool
+                        [self._reuse_killed(*item) for item in items], dtype=bool
                     )
                     job = np.zeros(len(cur), dtype=bool)
                 else:
                     killed = np.array(
-                        [self._endpoint_interference(*row) for row in rows],
+                        [self._endpoint_interference(*item) for item in items],
                         dtype=bool,
                     )
                     job = ~(killed | same)
@@ -380,98 +410,70 @@ class PointClassifier:
                 out.append((q, cand.source_position))
         return out
 
-    #: Cap on (offset, point) rows per stacked reuse-source pass (memory guard).
-    _SOURCE_CHUNK_ROWS = 1 << 14
+    def _source_key(self, O: np.ndarray) -> tuple:
+        """What the :class:`SourceTable` of original-space sample ``O``
+        depends on, by content: classifiers with equal keys share one."""
+        arrays = (
+            self._ocoef, self._oc0, self._positions, self._orig_lo_arr,
+            self._orig_hi_arr, self._src_ref, self._src_sref, self._src_off, O,
+        )
+        return (self._L, self._M, self._k) + tuple(
+            (a.shape, a.tobytes()) for a in arrays
+        )
 
-    def _batch_reuse_sources(self, P: np.ndarray, addrs: np.ndarray):
+    def _batch_reuse_sources(self, P: np.ndarray, table: SourceTable):
         """Reuse sources for every (point, reference) of a batch.
 
-        Vectorises :meth:`_reuse_sources` over the whole batch: every
-        (reference, candidate, sign) is one stacked original-space
-        offset, and bounds checks, execution order and the same-line
-        test are array operations over all of them at once (in chunks
-        of offsets when the batch is large).  One sort then lays the
-        sources out in runs per (point, reference), each in the order
-        :meth:`_classify_ref` tries them (descending ``(q, position)``,
-        duplicates dropped).
+        Vectorises :meth:`_reuse_sources` over the whole batch, given
+        the tiling-invariant :class:`SourceTable` of its sample: map the
+        table's sources to this program's coordinates, keep those that
+        run before their use (``q ⪯ p``; ``q == p`` only on the
+        intra-iteration rows, whose source precedes in the body), and
+        lay them out in runs per (point, reference), each in the order
+        :meth:`_classify_ref` tries them (descending ``(q, position)``).
+        The fields (run, q, position) are packed into as few int64
+        words as their value ranges allow (:func:`_word_strides`), the
+        coordinates reversed so that ascending words mean descending
+        ``q``; the coordinate part of the same words decides execution
+        order, and the words sort the rows.  Table rows are distinct, so
+        no run holds a duplicate.
 
-        Returns ``(src, spos, point, ref, start, stop)``: the sources
-        and their positions, then one entry per run that is not empty,
-        in (point, reference) order, covering ``src[start:stop]``.
+        Returns ``(src, rows, point, ref, start, stop)``: the sources
+        in this program's coordinates and their table rows, then one
+        entry per run that is not empty, in (point, reference) order,
+        covering ``src[start:stop]``.
         """
-        n, d = P.shape
-        offs: list[tuple[int, ...]] = []
-        rows: list[tuple[int, int]] = []  # (reference, source reference)
-        for idx, ref in enumerate(self._refs):
-            for cand in self.candidates.get(ref.position, ()):
-                if cand.is_intra_iteration:
-                    # q == p for every point; source must precede in body.
-                    if cand.source_position >= ref.position:
-                        continue
-                    signs = (1,)
-                else:
-                    signs = (1, -1)
-                sidx = self._position_index(cand.source_position)
-                for sign in signs:
-                    offs.append(tuple(sign * r for r in cand.vector))
-                    rows.append((idx, sidx))
-        if not offs:
-            none = np.empty(0, dtype=np.intp)
-            return np.empty((0, d), dtype=np.int64), none, none, none, none, none
-        off_all = np.array(offs, dtype=np.int64)
-        ridx_all, sidx_all = np.array(rows, dtype=np.intp).T
-        pm = self._pm
-        O = pm.to_original_batch(P)
-        lines = (addrs // self._L).T
-        step = max(1, self._SOURCE_CHUNK_ROWS // n)
-        qs, rfs, sis, pts = [], [], [], []
-        for first in range(0, len(offs), step):
-            ridx = ridx_all[first:first + step]
-            sidx = sidx_all[first:first + step]
-            c = len(ridx)
-            Qo = O - off_all[first:first + step, None, :]  # (c, n, depth)
-            inb = (
-                (Qo >= self._orig_lo_arr) & (Qo <= self._orig_hi_arr)
-            ).all(axis=2)
-            Q = pm.from_original_batch(Qo.reshape(c * n, -1)).reshape(c, n, d)
-            # Execution order: keep only q ≺ p (q == p only for the
-            # intra-iteration candidates admitted above).
-            diff = Q - P
-            neq = diff != 0
-            lead = np.take_along_axis(
-                diff, neq.argmax(axis=2)[:, :, None], axis=2
-            )[:, :, 0]
-            src_line = (
-                np.einsum("cnd,cd->cn", Q, self._Cmat[sidx])
-                + self._c0vec[sidx][:, None]
-            ) // self._L
-            keep = (
-                inb
-                & ((lead < 0) | ~neq.any(axis=2))
-                & (src_line == lines[ridx])
-            )
-            ci, pi = np.nonzero(keep)
-            qs.append(Q[ci, pi])
-            rfs.append(ridx[ci])
-            sis.append(sidx[ci])
-            pts.append(pi)
-        q = np.concatenate(qs)
-        rf = np.concatenate(rfs)
-        spos = self._positions[np.concatenate(sis)]
-        point = np.concatenate(pts)
-        # Sort by point, reference, then descending (q, spos).
-        order = np.lexsort(
-            (-spos, *(-q[:, l] for l in reversed(range(d))), rf, point)
+        nrefs = len(self._refs)
+        Q = self._pm.from_original_batch(table.src)
+        # The program's bounding box holds every source and use.
+        hi = self._region_hi.max(axis=0)
+        extents = hi - self._region_lo.min(axis=0) + 1
+        strides = _word_strides([len(P) * nrefs, *extents.tolist(), nrefs])
+        coord = strides[1:-1]
+        Wq = (hi - Q) @ coord
+        Wp = ((hi - P) @ coord)[table.point]
+        # q ⪯ p: Q's reversed coordinates are lexicographically >= P's.
+        ge = np.ones(len(Q), dtype=bool)
+        for wq, wp in zip(Wq.T[::-1], Wp.T[::-1]):
+            ge = (wq > wp) | ((wq == wp) & ge)
+        rows = np.flatnonzero(ge)
+        run = table.point[rows] * np.int64(nrefs) + table.ref[rows]
+        keys = (
+            Wq[rows]
+            + np.outer(run, strides[0])
+            + np.outer(nrefs - 1 - table.sref[rows], strides[-1])
         )
-        q, spos, point, rf = q[order], spos[order], point[order], rf[order]
-        new_run = np.ones(len(point), dtype=bool)
-        new_run[1:] = (point[1:] != point[:-1]) | (rf[1:] != rf[:-1])
-        fresh = new_run.copy()
-        fresh[1:] |= (spos[1:] != spos[:-1]) | (q[1:] != q[:-1]).any(axis=1)
-        q, spos, point, rf = q[fresh], spos[fresh], point[fresh], rf[fresh]
-        start = np.flatnonzero(new_run[fresh])
-        stop = np.append(start[1:], len(point))
-        return q, spos, point[start], rf[start], start, stop
+        # Least significant word first; the later passes are stable.
+        order = np.argsort(keys[:, -1])
+        for word in keys.T[-2::-1]:
+            order = order[np.argsort(word[order], kind="stable")]
+        rows, run = rows[order], run[order]
+        new_run = np.ones(len(rows), dtype=bool)
+        new_run[1:] = run[1:] != run[:-1]
+        start = np.flatnonzero(new_run)
+        stop = np.append(start[1:], len(rows))
+        first = rows[start]
+        return Q[rows], rows, table.point[first], table.ref[first], start, stop
 
     def _position_index(self, position: int) -> int:
         for i, ref in enumerate(self._refs):
@@ -939,62 +941,6 @@ class PointClassifier:
                     return len(lines)
         return len(lines)
 
-    def _endpoint_counts_wave(
-        self,
-        S: np.ndarray,
-        U: np.ndarray,
-        same: np.ndarray,
-        spos: np.ndarray,
-        upos: np.ndarray,
-        wlo: np.ndarray,
-        l0: np.ndarray,
-    ) -> np.ndarray:
-        """Boundary-iteration distinct-line counts for a whole wave.
-
-        Vectorises :meth:`_endpoint_line_count` (and, via ``count > 0``,
-        :meth:`_endpoint_interference`) over every work item's current
-        reuse source ``S`` (body position ``spos``) and use ``U``
-        (position ``upos``; ``same`` flags ``S == U``): both endpoint
-        address rows come from two matrix products, position masks
-        select the partial bodies, and the per-item distinct-line count
-        is one row-sort away.  Counts are capped at ``k`` exactly like
-        the scalar early exit.
-        """
-        L = self._L
-        M = self._M
-        pos = self._positions
-        # Partial bodies: at the source iteration, references after the
-        # source access; at the use iteration, references before the
-        # reused access; same-iteration reuse counts strictly between.
-        src_valid = pos[None, :] > spos[:, None]
-        use_valid = pos[None, :] < upos[:, None]
-        src_valid = np.where(
-            same[:, None], src_valid & use_valid, src_valid
-        )
-        use_valid &= ~same[:, None]
-
-        sent = np.iinfo(np.int64).min
-        l0_div = l0 // L
-        A_src = S @ self._Cmat.T + self._c0vec
-        A_use = U @ self._Cmat.T + self._c0vec
-        lines = np.empty((len(S), 2 * len(pos)), dtype=np.int64)
-        for A, valid, half in (
-            (A_src, src_valid, lines[:, : len(pos)]),
-            (A_use, use_valid, lines[:, len(pos):]),
-        ):
-            al = A // L
-            hit = (
-                valid
-                & ((A % M) - (A - al * L) == wlo[:, None])
-                & (al != l0_div[:, None])
-            )
-            np.copyto(half, np.where(hit, al, sent))
-        lines.sort(axis=1)
-        distinct = np.ones(lines.shape, dtype=bool)
-        distinct[:, 1:] = lines[:, 1:] != lines[:, :-1]
-        counts = (distinct & (lines != sent)).sum(axis=1)
-        return np.minimum(counts, max(self._k, 1))
-
     def _run_count_jobs(
         self,
         S: np.ndarray,
@@ -1063,7 +1009,154 @@ class PointClassifier:
         return self.stats
 
 
-#: Most classifiers :func:`classify_many` keeps in flight (memory guard).
+class SourceTable:
+    """The tiling-invariant part of one sample's reuse sources.
+
+    A tiled reference at tiled point ``Q`` has the address of the
+    original reference at ``to_original(Q)``.  So whether a source lies
+    inside the original bounds, whether it is on the use's line, whether
+    it is the use's own iteration, and which lines the boundary
+    iterations touch are facts about original iterations, true for
+    every tiling of the nest.  :func:`classify_codes` builds one table
+    per pass and key (:meth:`PointClassifier._source_key`) and shares
+    it with every tiling; each program adds only what its tiling
+    decides, execution order (:meth:`PointClassifier._batch_reuse_sources`).
+
+    Row ``r`` is sample point ``point[r]``, use reference ``ref[r]``,
+    source reference ``sref[r]`` and source iteration ``src[r]``, in
+    original coordinates; ``same[r]`` flags a source at the use's own
+    iteration.  The offsets are distinct, so the rows are too.  ``l0``
+    and ``wlo`` are each (point, reference)'s line and cache-set window.
+    """
+
+    #: Cap on (offset, point) rows per stacked offset pass (memory guard).
+    _SOURCE_CHUNK_ROWS = 1 << 14
+
+    def __init__(self, clf: PointClassifier, O: np.ndarray):
+        n, d = O.shape
+        L = clf._L
+        self._ocoef, self._oc0 = clf._ocoef, clf._oc0
+        self._pos = clf._positions
+        self._L, self._M, self._cap = L, clf._M, max(clf._k, 1)
+        addrs = O @ clf._ocoef.T + clf._oc0  # (n, nrefs)
+        lines = addrs // L
+        self.l0 = lines * L
+        self.wlo = self.l0 % clf._M
+        off, ref, sref = clf._src_off, clf._src_ref, clf._src_sref
+        lo, hi = clf._orig_lo_arr, clf._orig_hi_arr
+        # A source's address is its reference's address at the use's
+        # point minus the offset's share of it.
+        shift = (clf._ocoef[sref] * off).sum(axis=1)
+        # The table lives through the waves: narrowest dtypes (memory).
+        coord_t = _narrow(int(lo.min()), int(hi.max()))
+        point_t, offset_t = _narrow(n), _narrow(len(off))
+        step = max(1, self._SOURCE_CHUNK_ROWS // n)
+        srcs = [np.empty((0, d), coord_t)]
+        pts, offs = [np.empty(0, point_t)], [np.empty(0, offset_t)]
+        for first in range(0, len(off), step):
+            sl = slice(first, first + step)
+            Qo = O - off[sl, None, :]  # (c, n, d)
+            inb = ((Qo >= lo) & (Qo <= hi)).all(axis=2)
+            src_line = (addrs[:, sref[sl]].T - shift[sl, None]) // L
+            ci, pi = np.nonzero(inb & (src_line == lines[:, ref[sl]].T))
+            srcs.append(Qo[ci, pi].astype(coord_t))
+            pts.append(pi.astype(point_t))
+            offs.append((first + ci).astype(offset_t))
+        rows = np.concatenate(offs)
+        self.src = np.concatenate(srcs)
+        self.point = np.concatenate(pts)
+        self.ref = ref[rows].astype(_narrow(len(clf._refs)))
+        self.sref = sref[rows].astype(self.ref.dtype)
+        self.same = ~off.any(axis=1)[rows]
+        self._addrs = addrs
+        self._pre = np.full(len(rows), -1, dtype=_narrow(-1, self._cap))
+
+    def endpoint_counts(self, rows: np.ndarray) -> np.ndarray:
+        """Boundary-iteration line counts of table ``rows``, capped at k.
+
+        A row's count is computed the first time a wave asks for it and
+        kept for the pass, so each row costs one count however many
+        tilings try it.
+        """
+        new = rows[self._pre[rows] < 0]
+        if len(new):
+            self._pre[new] = self._endpoint_counts(new)
+        return self._pre[rows]
+
+    def _endpoint_counts(self, rows: np.ndarray) -> np.ndarray:
+        """Vectorises :meth:`PointClassifier._endpoint_line_count` (and,
+        via ``count > 0``, ``_endpoint_interference``) over table rows:
+        both endpoint address rows come from the table, position masks
+        select the partial bodies, and the distinct-line count is one
+        row-sort away."""
+        L, M, pos = self._L, self._M, self._pos
+        pt, ref = self.point[rows], self.ref[rows]
+        spos, upos = pos[self.sref[rows]], pos[ref]
+        same = self.same[rows]
+        wlo, l0 = self.wlo[pt, ref], self.l0[pt, ref]
+        # Partial bodies: at the source iteration, references after the
+        # source access; at the use iteration, references before the
+        # reused access; same-iteration reuse counts strictly between.
+        src_valid = pos[None, :] > spos[:, None]
+        use_valid = pos[None, :] < upos[:, None]
+        src_valid = np.where(same[:, None], src_valid & use_valid, src_valid)
+        use_valid &= ~same[:, None]
+
+        sent = np.iinfo(np.int64).min
+        l0_div = l0 // L
+        A_src = self.src[rows] @ self._ocoef.T + self._oc0
+        A_use = self._addrs[pt]
+        lines = np.empty((len(rows), 2 * len(pos)), dtype=np.int64)
+        for A, valid, half in (
+            (A_src, src_valid, lines[:, : len(pos)]),
+            (A_use, use_valid, lines[:, len(pos):]),
+        ):
+            al = A // L
+            hit = (
+                valid
+                & ((A % M) - (A - al * L) == wlo[:, None])
+                & (al != l0_div[:, None])
+            )
+            np.copyto(half, np.where(hit, al, sent))
+        lines.sort(axis=1)
+        distinct = np.ones(lines.shape, dtype=bool)
+        distinct[:, 1:] = lines[:, 1:] != lines[:, :-1]
+        counts = (distinct & (lines != sent)).sum(axis=1)
+        return np.minimum(counts, self._cap)
+
+
+def _narrow(*values: int) -> np.dtype:
+    """The narrowest integer dtype that holds every one of ``values``."""
+    return np.result_type(*map(np.min_scalar_type, values))
+
+
+def _word_strides(radices: list[int]) -> np.ndarray:
+    """Mixed-radix packing of fields into the fewest int64 words.
+
+    Field ``f`` takes values in ``[0, radices[f])``; consecutive fields
+    share a word while the product of their radices stays within
+    2**63, so every word is exact.  Returns the ``(fields, words)``
+    stride matrix: ``values @ strides`` gives the words, and comparing
+    word tuples lexicographically compares the field tuples.
+    """
+    words: list[list[int]] = [[]]
+    span = 1
+    for f, r in enumerate(radices):
+        if span * r > 1 << 63:
+            words.append([])
+            span = 1
+        words[-1].append(f)
+        span *= r
+    strides = np.zeros((len(radices), len(words)), dtype=np.int64)
+    for w, fields in enumerate(words):
+        step = 1
+        for f in reversed(fields):
+            strides[f, w] = step
+            step *= radices[f]
+    return strides
+
+
+#: Most classifiers :func:`classify_codes` keeps in flight (memory guard).
 _IN_FLIGHT = 4
 #: Point-volume cap per kernel call (memory guard).
 _JOB_CHUNK_ROWS = 1 << 20
@@ -1072,22 +1165,45 @@ _JOB_CHUNK_ROWS = 1 << 20
 def classify_many(
     classifiers: list[PointClassifier], batches
 ) -> list[list[list[Outcome]]]:
-    """:meth:`PointClassifier.classify_batch` of many classifiers at once.
+    """:meth:`PointClassifier.classify_batch` of many classifiers at once:
+    :func:`classify_codes` as :class:`Outcome` tables."""
+    return [
+        [[OUTCOMES[c] for c in r] for r in codes.tolist()]
+        for codes in classify_codes(classifiers, batches)
+    ]
 
-    ``batches[i]`` is classifier ``i``'s sample in its own coordinates.
-    Each classifier keeps its own waves, rounds, cascades and stats, but
-    every turn of this loop answers the interval-round kernel queries of
-    all classifiers in flight with one :func:`boxes_interfere` call per
-    reference group (and memory chunk), so a call's fixed cost is paid
-    once per round for all of them.  The kernel decides each box on its
-    own, so outcomes and stats equal separate calls.  Memory guard: at
+
+def classify_codes(classifiers: list[PointClassifier], batches) -> list[np.ndarray]:
+    """Outcome codes of many classifiers' samples, in one pass.
+
+    ``batches[i]`` is classifier ``i``'s sample in its own coordinates;
+    its result is an int8 (point, reference) table whose codes index
+    :data:`OUTCOMES`.  Each classifier keeps its own waves, rounds,
+    cascades and stats, but every turn of this loop answers the
+    interval-round kernel queries of all classifiers in flight with one
+    :func:`boxes_interfere` call per reference group (and memory chunk),
+    so a call's fixed cost is paid once per round for all of them.  The
+    kernel decides each box on its own, so outcomes and stats equal
+    separate calls.  Classifiers whose samples map to the same original
+    points under the same nest, layout, candidates and cache share one
+    :class:`SourceTable`, which lives for this pass.  Memory guard: at
     most :data:`_IN_FLIGHT` classifiers are in flight, and each drops
     its cached cascade tables whenever it suspends or finishes.
     """
     out: list = [None] * len(classifiers)
     todo = iter(enumerate(zip(classifiers, batches)))
     live: dict[int, tuple] = {}  # index -> (generator, its queries)
+    tables: dict[tuple, SourceTable] = {}
     calls = 0
+
+    def source_table(classifier, P):
+        if not len(P):
+            return None
+        O = classifier._pm.to_original_batch(P)
+        key = classifier._source_key(O)
+        if key not in tables:
+            tables[key] = SourceTable(classifier, O)
+        return tables[key]
 
     def resume(i, gen, answer):
         try:
@@ -1102,7 +1218,9 @@ def classify_many(
     while True:
         while len(live) < _IN_FLIGHT and (nxt := next(todo, None)):
             i, (classifier, points) = nxt
-            resume(i, classifier._classify_waves(points), None)
+            P = np.asarray(points, dtype=np.int64)
+            gen = classifier._classify_waves(P, source_table(classifier, P))
+            resume(i, gen, None)
         if not live:
             break
         merged: dict = {}
@@ -1128,8 +1246,9 @@ def classify_many(
     rec.count("cme.classify_passes")
     rec.count("cme.classify_candidates", len(classifiers))
     rec.count("cme.kernel_calls", calls)
-    # Outcome tables only now: while solving, finished ones stay compact.
-    return [[[_OUTCOMES[c] for c in r] for r in codes.tolist()] for codes in out]
+    rec.count("cme.source_tables", len(tables))
+    rec.count("cme.source_rows", sum(len(t.src) for t in tables.values()))
+    return out
 
 
 def _chunks(vols: np.ndarray) -> list[slice]:

@@ -106,10 +106,8 @@ class TileMap(PointMap):
         pts = np.asarray(points, dtype=np.int64)
         lowers = np.array(self.lowers, dtype=np.int64)
         sizes = np.array(self.tile_sizes, dtype=np.int64)
-        off = pts - lowers
-        t = off // sizes
-        u = off - t * sizes + 1
-        return np.concatenate([t, u], axis=1)
+        t, r = np.divmod(pts - lowers, sizes)
+        return np.concatenate([t, r + 1], axis=1)
 
 
 @dataclass(frozen=True)

@@ -11,8 +11,12 @@ from repro.cache.config import CacheConfig
 from repro.cme import solver
 from repro.cme.sampling import estimate_at_points, sample_original_points
 from repro.cme.solver import PointClassifier, classify_many
+from repro.ir.affine import AffineExpr
+from repro.ir.arrays import Array, read, write
+from repro.ir.loops import Loop, LoopNest
 from repro.ir.program import program_from_nest
-from repro.layout.memory import MemoryLayout
+from repro.kernels.registry import KERNELS
+from repro.layout.memory import MemoryLayout, PaddingSpec
 from repro.polyhedra import kernels
 from repro.polyhedra.kernels import box_line_counts, boxes_interfere
 from repro.polyhedra.lexinterval import lex_between_boxes
@@ -108,15 +112,24 @@ def test_classify_batch_matches_classify_point_on_kway_line_counts(monkeypatch):
 
 
 def _wave():
-    """Seven tilings each of MM_24 and T2D_32, plus both untiled programs."""
+    """Seven tilings each of MM_24 and T2D_32, four of the JACOBI3D_20
+    stencil (cold outcomes, many reuse candidates) and three of MM_24 on
+    a padded layout, each nest with its untiled program too."""
     mm = make_small_mm(24)
     t2d = make_small_transpose(32)
-    for nest, tilings in (
-        (mm, [(5, 7, 24), (3, 24, 8), (24, 2, 9), (12, 12, 12), (1, 5, 17),
-              (7, 7, 1), (24, 24, 24)]),
-        (t2d, [(6, 11), (32, 1), (1, 32), (4, 4), (9, 3), (16, 32), (5, 27)]),
+    jacobi = KERNELS["JACOBI3D"].build(min(KERNELS["JACOBI3D"].sizes))
+    padded = MemoryLayout(
+        mm.arrays(), PaddingSpec(inter={"b": 5}, intra={"c": (3, 0)})
+    )
+    for nest, layout, tilings in (
+        (mm, None, [(5, 7, 24), (3, 24, 8), (24, 2, 9), (12, 12, 12),
+                    (1, 5, 17), (7, 7, 1), (24, 24, 24)]),
+        (t2d, None, [(6, 11), (32, 1), (1, 32), (4, 4), (9, 3), (16, 32),
+                     (5, 27)]),
+        (jacobi, None, [(5, 3, 18), (18, 1, 7), (2, 18, 18), (9, 9, 4)]),
+        (mm, padded, [(5, 7, 24), (24, 2, 9), (1, 5, 17)]),
     ):
-        layout = MemoryLayout(nest.arrays())
+        layout = layout or MemoryLayout(nest.arrays())
         pts = np.asarray(sample_original_points(nest, 40, 11), dtype=np.int64)
         for prog in [program_from_nest(nest)] + [
             tile_program(nest, t) for t in tilings
@@ -281,3 +294,113 @@ def test_merged_pass_memory_stays_near_one_candidates():
     single = max(peak(lambda: analyzer.estimate(tile_sizes=t)) for t in tilings)
     merged = peak(lambda: analyzer.estimate_many(tilings))
     assert merged < 4 * single
+
+
+def test_pass_builds_one_source_table_per_nest_layout_and_sample(monkeypatch):
+    """`classify_many` shares a `SourceTable` among the classifiers whose
+    samples map to the same original points under one nest, layout and
+    cache: the merged wave's four (nest, layout) pairs build four tables,
+    and a second sample of MM_24 a fifth."""
+    built = []
+
+    class Spy(solver.SourceTable):
+        def __init__(self, clf, O):
+            super().__init__(clf, O)
+            built.append((id(clf.program.original), id(clf.layout), O.tobytes()))
+
+    monkeypatch.setattr(solver, "SourceTable", Spy)
+    wave = list(_wave())
+    mm, layout = wave[0][0].original, wave[0][1]
+    other = np.asarray(sample_original_points(mm, 40, 12), dtype=np.int64)
+    for tiles in ((5, 7, 24), (3, 24, 8)):
+        prog = tile_program(mm, tiles)
+        wave.append((prog, layout, prog.point_map.from_original_batch(other)))
+    classify_many(
+        [PointClassifier(p, lay, CACHE_8K) for p, lay, _ in wave],
+        [pts for *_, pts in wave],
+    )
+    assert len(built) == len(set(built)) == 5
+
+
+def _deep_nest(n=100_000):
+    """A 4-deep nest with bounds near 1e5: its tiled boxes span far more
+    than 2**63 points, so their packed sort keys need several words."""
+    a, b, c = Array("a", (n, n)), Array("b", (n, n)), Array("c", (n,))
+    i, j, k, l = (AffineExpr.var(v) for v in "ijkl")
+    return LoopNest(
+        name="deep4",
+        loops=tuple(Loop(v, 1, n) for v in "ijkl"),
+        refs=(
+            read(a, i, l, position=0),
+            read(b, k, j, position=1),
+            read(c, l, position=2),
+            write(a, i, l, position=3),
+        ),
+    )
+
+
+@pytest.mark.parametrize(
+    "nest, tilings, npoints",
+    [
+        (make_small_mm(24), [None, (5, 7, 24), (24, 2, 9), (1, 1, 1)], 60),
+        (make_small_transpose(32), [None, (6, 11), (1, 32)], 60),
+        (KERNELS["JACOBI3D"].build(20), [None, (5, 3, 18), (18, 1, 7)], 40),
+        (_deep_nest(), [None, (7, 300, 99_999, 1000), (100_000, 1, 13, 2)], 30),
+    ],
+    ids=["mm24", "t2d32", "jacobi3d20", "deep4-1e5"],
+)
+def test_source_runs_follow_the_scalar_order(monkeypatch, nest, tilings, npoints):
+    """For every (point, reference), the run `_batch_reuse_sources` lays
+    out from the pass's `SourceTable` holds the scalar `_reuse_sources`
+    in the order `_classify_ref` tries them: descending (q, position),
+    without duplicates.  Runs come in (point, reference) order."""
+    words = []
+    strides = solver._word_strides
+
+    def spy(radices):
+        out = strides(radices)
+        words.append(out.shape[1])
+        return out
+
+    monkeypatch.setattr(solver, "_word_strides", spy)
+    layout = MemoryLayout(nest.arrays())
+    cache = CacheConfig(1024, 32, 2)
+    O = np.asarray(sample_original_points(nest, npoints, 3), dtype=np.int64)
+    for tiles in tilings:
+        prog = program_from_nest(nest) if tiles is None else tile_program(nest, tiles)
+        clf = PointClassifier(prog, layout, cache)
+        P = prog.point_map.from_original_batch(O)
+        table = solver.SourceTable(clf, O)
+        src, rows, point, ref, start, stop = clf._batch_reuse_sources(P, table)
+        runs = point.astype(np.int64) * len(clf._refs) + ref
+        assert (np.diff(runs) > 0).all()
+        spos = clf._positions[table.sref[rows]].tolist()
+        got = {
+            (int(p), int(r)): list(zip(map(tuple, src[a:b].tolist()), spos[a:b]))
+            for p, r, a, b in zip(point, ref, start, stop)
+        }
+        for i, p in enumerate(map(tuple, P.tolist())):
+            for r in range(len(clf._refs)):
+                want = clf._reuse_sources(r, p, clf._addr(r, p) // cache.line_size)
+                want.sort(key=lambda sp: (sp[0], sp[1]), reverse=True)
+                assert got.get((i, r), []) == want, (tiles, i, r)
+        assert got, tiles
+    if nest.name == "deep4":
+        assert max(words) > 1
+    else:
+        assert max(words) == 1
+
+
+def test_kernel_groups_keep_one_row_per_address_form():
+    """MM's `a(i,j)` read and write have one address form, so their
+    reference group's kernel spec and merge key hold it once."""
+    nest = make_small_mm(24)
+    clf = PointClassifier(
+        tile_program(nest, (5, 7, 24)), MemoryLayout(nest.arrays()), CACHE_8K
+    )
+    assert [len(ridx) for _, ridx, _, _ in clf._groups] == [2, 1, 1]
+    for (_, ridx, _, _), (_, key, (coeffs, consts, *_)) in zip(
+        clf._groups, clf._kernel_groups
+    ):
+        assert len(coeffs) == len(consts) == 1
+        assert key[1:3] == (coeffs.tobytes(), consts.tobytes())

@@ -1,5 +1,6 @@
 """Sampling estimator tests (§2.3)."""
 
+import numpy as np
 import pytest
 
 from repro.cache.config import CacheConfig
@@ -103,6 +104,42 @@ def test_estimate_at_points_empty_sample():
     )
     assert est.sampled_accesses == 0
     assert est.miss_ratio == 0.0
+
+
+@pytest.mark.parametrize("batch", [True, False], ids=["batched", "scalar"])
+def test_estimate_at_points_accepts_lists_tuples_and_arrays(batch):
+    """A sample given as a list, a tuple or an ``(n, depth)`` array gives
+    one estimate; an empty one, in any form, the zero estimate."""
+    from repro.cme.analyzer import LocalityAnalyzer
+    from repro.transform.tiling import tile_program
+
+    nest = make_small_mm(48)
+    layout = MemoryLayout(nest.arrays())
+    cache = CacheConfig(1024, 32, 1)
+    program = tile_program(nest, (16, 5, 48))
+    pts = sample_original_points(nest, 30, 4)
+
+    def estimate(sample):
+        est = estimate_at_points(program, layout, cache, sample, batch=batch)
+        return (est.sampled_points, est.hits, est.cold, est.replacement,
+                list(est.per_ref.items()))
+
+    want = estimate(pts)
+    assert want[0] == 30 and want[2] + want[3] > 0
+    assert estimate(tuple(pts)) == want
+    assert estimate(np.asarray(pts)) == want
+    for empty in ([], (), np.empty((0, 3), dtype=np.int64)):
+        est = estimate_at_points(program, layout, cache, empty, batch=batch)
+        assert (est.sampled_points, est.sampled_accesses) == (0, 0)
+        assert (est.hits, est.cold, est.replacement) == (0, 0, 0)
+        assert est.per_ref == {
+            ref.position: {"hit": 0, "cold": 0, "replacement": 0}
+            for ref in nest.refs
+        }
+    if batch:
+        analyzer = LocalityAnalyzer(nest, cache, seed=0)
+        a = analyzer.estimate(tile_sizes=(16, 5, 48), points=np.asarray(pts))
+        assert (a.hits, a.cold, a.replacement) == tuple(want[1:4])
 
 
 def test_sample_points_in_bounds_and_deterministic():

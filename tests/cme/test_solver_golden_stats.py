@@ -18,7 +18,7 @@ import dataclasses
 import pytest
 
 from repro.cache.config import CacheConfig
-from repro.cme import solver
+from repro.cme import sampling, solver
 from repro.cme.analyzer import LocalityAnalyzer
 from repro.kernels.registry import KERNELS
 from repro.search.tiling import search_tiling
@@ -136,18 +136,23 @@ def test_mm500_solver_stats_are_pinned(monkeypatch, rung, assoc):
         analyzer.close()
 
 
-# assoc -> summed STAT_FIELDS, summed TIERS, (kernel calls, kernel boxes)
-# over the 62 estimates of one GA search (answer (485, 31, 22)).
+# assoc -> summed STAT_FIELDS, summed TIERS, (kernel calls, kernel boxes),
+# summed (hits, cold, replacement) over the 62 estimates of one GA search
+# (answer (485, 31, 22)), and its classify passes.
 SEARCH_GOLDEN = {
     1: (
         (10168, 40672, 43028, 0, 32613, 41086, 18),
         (20, 0, 28, 222, 33, 0, 21),
         (139, 40970),
+        (34961, 0, 5711),
+        5,
     ),
     2: (
         (10168, 40672, 43239, 0, 33071, 42477, 0),
         (84772, 0, 1175, 0, 1246, 0, 0),
         (0, 0),
+        (34616, 0, 6056),
+        5,
     ),
 }
 
@@ -156,7 +161,8 @@ SEARCH_GOLDEN = {
 def test_mm500_ga_search_work_is_pinned(monkeypatch, assoc):
     """Solver work of ``search_tiling(MM_500, "ga", budget=60, seed=0)``
     on the batched rung: every field and tier summed over the search's
-    estimates, and the direct-mapped kernel's calls and boxes."""
+    estimates, the direct-mapped kernel's calls and boxes, the summed
+    outcome split and the number of classify passes."""
     monkeypatch.setenv("REPRO_BATCH_CASCADE", "1")
     sums: collections.Counter = collections.Counter()
     finalize = solver.PointClassifier.finalize_stats
@@ -176,8 +182,23 @@ def test_mm500_ga_search_work_is_pinned(monkeypatch, assoc):
         sums["kernel_boxes"] += len(lo)
         return kernel(lo, *args)
 
+    estimate = sampling._estimate
+
+    def splitting(*args):
+        est = estimate(*args)
+        sums.update(hits=est.hits, cold=est.cold, replacement=est.replacement)
+        return est
+
+    classify = sampling.classify_codes
+
+    def passing(*args):
+        sums["passes"] += 1
+        return classify(*args)
+
     monkeypatch.setattr(solver.PointClassifier, "finalize_stats", summing)
     monkeypatch.setattr(solver, "boxes_interfere", counting)
+    monkeypatch.setattr(sampling, "_estimate", splitting)
+    monkeypatch.setattr(sampling, "classify_codes", passing)
     out = search_tiling(
         KERNELS["MM"].build(500), CacheConfig(8 * 1024, 32, assoc),
         strategy="ga", budget=60, seed=0,
@@ -188,6 +209,8 @@ def test_mm500_ga_search_work_is_pinned(monkeypatch, assoc):
         tuple(sums.pop(f) for f in STAT_FIELDS),
         tuple(sums.pop(t) for t in TIERS),
         (sums.pop("kernel_calls", 0), sums.pop("kernel_boxes", 0)),
+        tuple(sums.pop(o, 0) for o in ("hits", "cold", "replacement")),
+        sums.pop("passes"),
     )
     assert not sums, sums  # no field escapes the pin
     assert got == SEARCH_GOLDEN[assoc]

@@ -80,6 +80,25 @@ def test_boxes_interfere_matches_bruteforce(case):
     assert got.tolist() == brute(lo, exts, coeffs, consts, line0)
 
 
+@given(batches(), st.data())
+@settings(max_examples=100, deadline=None)
+def test_repeated_address_forms_do_not_change_verdicts(case, data):
+    """The solver keeps one row per distinct (coefficients, constant)
+    form: repeating a row, in any order, leaves every verdict as it is."""
+    lo, exts, coeffs, consts, line0 = case
+    picks = data.draw(
+        st.lists(st.integers(0, len(coeffs) - 1), min_size=1, max_size=4)
+    )
+    order = data.draw(st.permutations(list(range(len(coeffs))) + picks))
+    repeated = kernels.boxes_interfere(
+        lo, exts, coeffs[order], consts[order], line0, MOD, LINE
+    )
+    got = kernels.boxes_interfere(lo, exts, coeffs, consts, line0, MOD, LINE)
+    assert repeated.tolist() == got.tolist() == brute(
+        lo, exts, coeffs, consts, line0
+    )
+
+
 def test_own_line_hits_alone_do_not_interfere():
     """A window that wraps past ``MOD``: the box's only same-set points
     sit on the reused line itself (W == O > 0) until one more point

@@ -154,35 +154,67 @@ def test_memory_sink_bounds_and_counts_drops():
     assert sink.dropped == 6
 
 
+def _cme_counts(sink) -> dict:
+    totals: dict = {}
+    for e in sink.drain():
+        if e["kind"] == "count" and e["name"].startswith("cme."):
+            totals[e["name"]] = totals.get(e["name"], 0) + e["value"]
+    return totals
+
+
 def test_classify_pass_counts_candidates_and_merged_kernel_calls(monkeypatch):
-    """`classify_many` records per pass how many candidates it classified
-    and how many split-sum kernel calls their merged rounds took."""
+    """`classify_many` records per pass how many candidates it classified,
+    how many split-sum kernel calls their merged rounds took, and the
+    reuse-source tables (and their rows) the pass built: one for four
+    tilings of one nest and sample."""
     from repro.cache.config import CacheConfig
     from repro.cme import solver
     from repro.cme.analyzer import LocalityAnalyzer
     from tests.conftest import make_small_mm
 
-    calls = []
+    calls, rows = [], []
 
     def spy(*args):
         calls.append(len(args[0]))
         return kernel(*args)
 
+    class Table(solver.SourceTable):
+        def __init__(self, *args):
+            super().__init__(*args)
+            rows.append(len(self.src))
+
     kernel = solver.boxes_interfere
     monkeypatch.setattr(solver, "boxes_interfere", spy)
+    monkeypatch.setattr(solver, "SourceTable", Table)
     sink = MemorySink()
     telemetry.configure(sink=sink, default=True)
     analyzer = LocalityAnalyzer(
         make_small_mm(24), CacheConfig(8192, 32, 1), n_samples=40
     )
     analyzer.estimate_many([(5, 7, 24), (3, 24, 8), (12, 12, 12), None])
-    totals: dict = {}
-    for e in sink.drain():
-        if e["kind"] == "count" and e["name"].startswith("cme."):
-            totals[e["name"]] = totals.get(e["name"], 0) + e["value"]
-    assert totals == {
+    assert _cme_counts(sink) == {
         "cme.classify_passes": 1,
         "cme.classify_candidates": 4,
         "cme.kernel_calls": len(calls),
+        "cme.source_tables": 1,
+        "cme.source_rows": rows[0],
     }
-    assert calls
+    assert calls and len(rows) == 1 and rows[0] > 0
+
+
+def test_ga_search_builds_one_source_table_per_classify_pass():
+    """A GA seed-0 search of MM_500 (budget 60, 8KB DM) classifies its
+    62 estimates in 5 passes, each of one nest and sample: 5 tables."""
+    from repro.cache.config import CacheConfig
+    from repro.kernels.registry import KERNELS
+    from repro.search.tiling import search_tiling
+
+    sink = MemorySink()
+    telemetry.configure(sink=sink, default=True)
+    search_tiling(
+        KERNELS["MM"].build(500), CacheConfig(8 * 1024, 32, 1),
+        strategy="ga", budget=60, seed=0,
+    )
+    totals = _cme_counts(sink)
+    assert totals["cme.classify_candidates"] == 62
+    assert totals["cme.classify_passes"] == totals["cme.source_tables"] == 5
