@@ -36,8 +36,15 @@ from repro.layout.memory import MemoryLayout
 from repro.polyhedra.box import Box
 from repro.polyhedra.cascade import TRUE, UNKNOWN, BatchCascade
 from repro.polyhedra.congruence import CongruenceTester
-from repro.polyhedra.kernels import boxes_interfere
-from repro.polyhedra.lexinterval import lex_between_boxes
+from repro.polyhedra.kernels import (
+    box_line_counts,
+    boxes_interfere,
+    entries_listed,
+)
+from repro.polyhedra.lexinterval import (
+    lex_between_boxes,
+    lex_between_boxes_many,
+)
 from repro.reuse.vectors import ReuseCandidate, compute_reuse_candidates
 
 
@@ -65,13 +72,6 @@ class SolverStats:
     boxes_tested: int = 0
     unknown_conservative: int = 0
     congruence: dict = field(default_factory=dict)
-
-
-def _prefix_all(mask: np.ndarray) -> np.ndarray:
-    """``out[..., l] = mask[..., :l].all(axis=-1)`` (True at ``l = 0``)."""
-    out = np.ones_like(mask)
-    np.logical_and.accumulate(mask[..., :-1], axis=-1, out=out[..., 1:])
-    return out
 
 
 class PointClassifier:
@@ -111,10 +111,6 @@ class PointClassifier:
             expr = layout.address_expr(ref)
             self._coeffs.append(expr.coeff_vector(vars_))
             self._consts.append(expr.const)
-        # Coefficient matrix / constant vector for whole-batch address
-        # computation: addresses = points @ C.T + c0.
-        self._Cmat = np.array(self._coeffs, dtype=np.int64)
-        self._c0vec = np.array(self._consts, dtype=np.int64)
         self._positions = np.array(
             [r.position for r in self._refs], dtype=np.int64
         )
@@ -137,29 +133,21 @@ class PointClassifier:
         self._L = cache.line_size
         self._M = cache.way_bytes
         self._k = cache.associativity
-        # Positive/negative coefficient parts for vectorised f-range
-        # (min/max address over a box) computation in the batch path.
-        self._Cpos = np.maximum(self._Cmat, 0)
-        self._Cneg = np.minimum(self._Cmat, 0)
         # References grouped by coefficient support: refs depending on
-        # the same dimensions enumerate together over the box projected
+        # the same dimensions are tested together over the box projected
         # to those dimensions — the cascade's degenerate-dimension
-        # dropping, vectorised.  Each entry: (dims, refs, Cg, c0g).
+        # dropping, vectorised.  Each entry: the group's reference indices.
         supports: dict[tuple[int, ...], list[int]] = {}
         for i, coeffs in enumerate(self._coeffs):
             supp = tuple(d for d, c in enumerate(coeffs) if c != 0)
             supports.setdefault(supp, []).append(i)
-        self._groups: list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = []
-        for supp, refs in supports.items():
-            dims = np.array(supp, dtype=np.intp)
-            ridx = np.array(refs, dtype=np.intp)
-            self._groups.append(
-                (dims, ridx, self._Cmat[np.ix_(ridx, dims)], self._c0vec[ridx])
-            )
+        self._groups = [
+            np.array(refs, dtype=np.intp) for refs in supports.values()
+        ]
         # The groups in the original nest's coordinates, where all its
-        # tilings share one coefficient matrix: the kernel queries of
-        # _run_interval_jobs are built there, keyed by content so that
-        # classify_many can merge them across classifiers.
+        # tilings share one coefficient matrix: the interval rounds'
+        # kernel queries are built there, so one call serves every
+        # tiling of a lockstep batch.
         orefs = sorted(orig.refs, key=lambda r: r.position)
         exprs = [layout.address_expr(r) for r in orefs]
         ocoef = np.array(
@@ -175,13 +163,14 @@ class PointClassifier:
             first.setdefault(tuple(form), i)
         distinct = np.zeros(len(orefs), dtype=bool)
         distinct[list(first.values())] = True
+        # Each entry: (original support, coefficients, constants).
         self._kernel_groups = []
-        for _, ridx, _, _ in self._groups:
+        for ridx in self._groups:
             odims = np.flatnonzero(ocoef[ridx].any(axis=0))
             ridx = ridx[distinct[ridx]]
-            spec = (ocoef[np.ix_(ridx, odims)], oc0[ridx], self._M, self._L)
-            key = (len(odims), spec[0].tobytes(), spec[1].tobytes(), *spec[2:])
-            self._kernel_groups.append((odims, key, spec))
+            self._kernel_groups.append(
+                (odims, ocoef[np.ix_(ridx, odims)], oc0[ridx])
+            )
         # Reuse-source offsets in original coordinates, one per distinct
         # (reference, source reference, candidate vector · sign); the
         # SourceTable of a sample applies them to every point.
@@ -207,6 +196,12 @@ class PointClassifier:
         # decompositions, dimension orderings), built lazily once per
         # candidate and reused across every wave of this classifier.
         self._ref_cascades: list[BatchCascade | None] = [None] * len(self._refs)
+
+    def _release_tables(self) -> None:
+        """Drop the cascades' cached per-shape tables (memory guard)."""
+        for cascade in self._ref_cascades:
+            if cascade is not None:
+                cascade.release_tables()
 
     def _ref_cascade(self, idx: int) -> BatchCascade:
         cascade = self._ref_cascades[idx]
@@ -250,104 +245,26 @@ class PointClassifier:
         ``points`` is an ``(n, depth)`` integer array or a sequence of
         point tuples.  Agrees outcome-for-outcome with
         :meth:`classify_point` on every point (the batched-vs-scalar
-        equivalence contract of :mod:`repro.evaluation`).  The reuse
-        sources come from the pass's :class:`SourceTable`, built once
-        for every tiling of the sample and ordered per program;
-        per-source interference is then resolved in *waves*: every
-        still-undecided (point, ref) pair submits its next reuse
-        source, all small source→use intervals of the wave are
-        enumerated in one concatenated numpy pass (exact wherever the
-        serial cascade would enumerate exactly as well), and oversized
-        intervals go through the *batched* congruence cascade
-        (:mod:`repro.polyhedra.cascade`), which is verdict-identical to
-        the scalar tester.  For associative caches the distinct-line
-        counting is likewise batched per wave.  The waves examine
-        exactly the sources the scalar early-exit loop would examine,
-        in the same order, so outcomes are identical by construction.
-
-        Work items are index arrays: item ``t`` is point ``ai[t]``,
-        reference ``aidx[t]`` and its current source ``cur[t]`` in the
-        run ``[cur, stop)`` of :meth:`_batch_reuse_sources`; a wave
-        gathers everything else by index.
-
-        This is the one-classifier case of :func:`classify_many`.
+        equivalence contract of :mod:`repro.evaluation`): the waves try
+        each (point, ref)'s reuse sources in the scalar order, small
+        source→use intervals go to one kernel pass per round, oversized
+        ones to the batched congruence cascade
+        (:mod:`repro.polyhedra.cascade`), verdict-identical to the
+        scalar tester.  This is the one-classifier case of
+        :func:`classify_many`.
         """
         return classify_many([self], [points])[0]
 
-    def _classify_waves(self, P: np.ndarray, table: SourceTable | None):
-        """:meth:`classify_batch`'s waves over the points ``P`` (in this
-        program's coordinates) and their :class:`SourceTable`: a
-        generator that yields each interval round's kernel queries and
-        returns the outcome codes."""
-        n = len(P)
-        nrefs = len(self._refs)
-        if n == 0:
-            return np.empty((0, nrefs), dtype=np.int8)
-        self.stats.points += n
-        self.stats.ref_tests += n * nrefs
-        k = self._k
-        # Every (point, ref) without a source stays COLD.
-        codes = np.zeros((n, nrefs), dtype=np.int8)
-        SRC, rows, ai, aidx, cur, stop = self._batch_reuse_sources(P, table)
-        while len(cur):
-            S = SRC[cur]
-            U = P[ai]
-            row = rows[cur]
-            wlo = table.wlo[ai, aidx]
-            l0 = table.l0[ai, aidx]
-            self.stats.sources_checked += len(cur)
-            same = table.same[row]
-            pre = None
-            if self._use_batch_cascade:
-                # Boundary-iteration line counts, each table row's once
-                # per pass; a count at the cap decides.
-                pre = table.endpoint_counts(row)
-                killed = pre >= max(k, 1)
-                job = ~(killed | same)
-            else:
-                # Scalar rung: the per-item reference implementations.
-                items = zip(
-                    map(tuple, S.tolist()),
-                    self._positions[table.sref[row]].tolist(),
-                    map(tuple, U.tolist()),
-                    aidx.tolist(),
-                    l0.tolist(),
-                    wlo.tolist(),
-                )
-                if k != 1:
-                    # Serial associative counting: the per-box
-                    # distinct-line overcount is documented
-                    # conservative behaviour batch mode reproduces.
-                    killed = np.array(
-                        [self._reuse_killed(*item) for item in items], dtype=bool
-                    )
-                    job = np.zeros(len(cur), dtype=bool)
-                else:
-                    killed = np.array(
-                        [self._endpoint_interference(*item) for item in items],
-                        dtype=bool,
-                    )
-                    job = ~(killed | same)
-            jobs = np.flatnonzero(job)
-            if len(jobs):
-                args = (S[jobs], U[jobs], wlo[jobs], l0[jobs])
-                killed[jobs] = (
-                    self._run_count_jobs(*args, pre[jobs])
-                    if k != 1
-                    else (yield from self._run_interval_jobs(*args))
-                )
-            hit = ~killed
-            codes[ai[hit], aidx[hit]] = _HIT
-            more = killed & (cur + 1 < stop)
-            done = killed & ~more
-            codes[ai[done], aidx[done]] = _REPLACEMENT
-            # Survivors keep the wave's order: directly decided items
-            # first, then interval jobs, each in active order.
-            nxt = np.concatenate(
-                (np.flatnonzero(more & ~job), np.flatnonzero(more & job))
-            )
-            ai, aidx, cur, stop = ai[nxt], aidx[nxt], cur[nxt] + 1, stop[nxt]
-        return codes
+    def _lockstep_key(self) -> tuple:
+        """What a :class:`_Lockstep` batch shares beyond its
+        :class:`SourceTable`: the cascade rung, the budgets, the
+        coordinate rank and the reference-group partition."""
+        return (
+            self._use_batch_cascade,
+            tuple(self._tester.budgets().values()),
+            self._region_lo.shape[1],
+            tuple(tuple(ridx.tolist()) for ridx in self._groups),
+        )
 
     # -- core ------------------------------------------------------------------
     def _classify_ref(self, idx: int, p: tuple[int, ...]) -> Outcome:
@@ -590,209 +507,6 @@ class PointClassifier:
                         return True
         return False
 
-    def _between_boxes_wave(
-        self, S: np.ndarray, U: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """`lex_between_boxes` over every region for a wave of pairs.
-
-        Returns ``(Blo, Bhi, jid)``: the boxes of job ``j`` are the rows
-        with ``jid == j``, in the order the per-job decomposition emits
-        them (region, then src level, then use level).  The frontier
-        queues built on top of this order drive early exits, so it is
-        part of the equivalence contract.  Two masked passes do the
-        whole wave, and ``np.nonzero`` walks each mask in exactly that
-        order:
-
-        1. src-side pieces ``{q ∈ region : q ≻ src}`` over jobs ×
-           regions × levels: at level ``l`` the prefix is pinned to
-           ``src``, level ``l`` starts past it and the suffix is the
-           region's.  Levels above the pair's first src/use difference
-           ``f`` are skipped, since there the pinned prefix equals the
-           use's and the piece lies wholly after the use; a pair with
-           ``src ⊀ use`` has no boxes at all;
-        2. use-side cuts ``{q ∈ piece : q ≺ use}`` over pieces ×
-           levels, the same peeling against ``use``.
-
-        Empty regions contribute nothing, so every piece and box that
-        passes its level test is non-empty.
-        """
-        n, d = S.shape
-        rlo, rhi = self._region_lo, self._region_hi
-        lvl = np.arange(d)
-        neq = S != U
-        f = neq.argmax(axis=1)
-        rows = np.arange(n)
-        before = neq[rows, f] & (S[rows, f] < U[rows, f])
-        Sx = S[:, None, :]
-        start1 = np.maximum(Sx + 1, rlo)
-        has = (
-            _prefix_all((Sx >= rlo) & (Sx <= rhi))
-            & (start1 <= rhi)
-            & (before[:, None] & (lvl >= f[:, None]))[:, None, :]
-        )
-        pj, pr, pl = np.nonzero(has)
-        Sp = S[pj]
-        pin = lvl < pl[:, None]
-        glo = np.where(
-            pin,
-            Sp,
-            np.where(lvl == pl[:, None], start1[pj, pr], rlo[pr]),
-        )
-        ghi = np.where(pin, Sp, rhi[pr])
-        Up = U[pj]
-        cut = np.minimum(ghi, Up - 1)
-        bp, bl = np.nonzero(
-            _prefix_all((Up >= glo) & (Up <= ghi)) & (cut >= glo)
-        )
-        pin = lvl < bl[:, None]
-        Ub = Up[bp]
-        Blo = np.where(pin, Ub, glo[bp])
-        Bhi = np.where(
-            pin, Ub, np.where(lvl == bl[:, None], cut[bp], ghi[bp])
-        )
-        return Blo, Bhi, pj[bp]
-
-    #: Per-job enumeration budget per round (early-exit granularity).
-    _ROUND_ROWS = 1 << 12
-
-    def _run_interval_jobs(
-        self, S: np.ndarray, U: np.ndarray, wlo: np.ndarray, l0: np.ndarray
-    ):
-        """Resolve a wave of interval-interference queries at once.
-
-        Job ``j`` asks whether the iterations strictly between source
-        ``S[j]`` and use ``U[j]`` touch the window ``wlo[j]`` on a line
-        other than the one starting at ``l0[j]``; the interval
-        decomposes into the same boxes the serial cascade would visit.
-        The cascade's O(1) address-band rejection is applied to *all*
-        boxes of the wave in a handful of array operations; surviving
-        small boxes are decided exactly by the split-sum kernel
-        :func:`repro.polyhedra.kernels.boxes_interfere` (the regime
-        where the cascade would enumerate exactly as well), and
-        surviving big boxes fall back to the per-box congruence
-        cascade.  Outcomes therefore match the scalar path on every job
-        by construction.  Each round yields its kernel queries, one
-        ``(key, (coeffs, consts, mod, line), lo, exts, line0)`` per
-        reference group, and :func:`classify_many` sends the verdicts
-        back.  Returns the killed flag per job.
-        """
-        njobs = len(S)
-        self.stats.intervals_vectorized += njobs
-        L = self._L
-        M = self._M
-        enum_limit = self._tester.enum_limit
-        Blo, Bhi, jid_arr = self._between_boxes_wave(S, U)
-        nb = len(jid_arr)
-        if nb == 0:
-            return np.zeros(njobs, dtype=bool)
-        self.stats.boxes_tested += nb
-        wlo_box = wlo[jid_arr]
-        l0_box = l0[jid_arr]
-        # Tier-1 rejection, vectorised over every (box, ref) pair: the
-        # reachable address band [fmin, fmax] misses the set window.
-        fmin = Blo @ self._Cpos.T + Bhi @ self._Cneg.T + self._c0vec
-        fmax = Bhi @ self._Cpos.T + Blo @ self._Cneg.T + self._c0vec
-        spans = fmax - fmin
-        aa = fmin % M
-        wl = wlo_box[:, None]
-        alive = (
-            (spans >= M)
-            | (((wl - aa) % M) <= spans)
-            | (((aa - wl) % M) <= L - 1)
-        )
-        # Per-group projected volumes and liveness.  The projected
-        # volume equals the cascade's post-normalisation volume, so the
-        # enumerate-vs-cascade split below matches the scalar path's
-        # exactness regime per (box, reference) pair.
-        exts_all = Bhi - Blo + 1
-        ngroups = len(self._groups)
-        pvol = np.empty((nb, ngroups), dtype=np.int64)
-        galive = np.empty((nb, ngroups), dtype=bool)
-        for gi, (dims, ridx, _, _) in enumerate(self._groups):
-            pvol[:, gi] = exts_all[:, dims].prod(axis=1)
-            galive[:, gi] = alive[:, ridx].any(axis=1)
-        # Only what the rounds need stays alive while they suspend.
-        del fmin, fmax, spans, aa, exts_all
-        # Box-mapping property: in each dimension of a between-box of a
-        # tiled space either the tile index is pinned or the element
-        # offset spans its region's whole tile, so the box holds exactly
-        # the points of the original-space box between its corners'
-        # images.  The kernel queries are those boxes, projected to each
-        # group's support: every address form keeps its value set.
-        olo = self._pm.to_original_batch(Blo)
-        oext = self._pm.to_original_batch(Bhi) - olo + 1
-        # Surviving boxes, queued per job in decomposition order.  The
-        # rounds below preserve the scalar path's early exit where it
-        # pays: each job submits boxes only up to a per-round row
-        # budget, so cheap boxes batch together in one round while a
-        # huge box runs alone and, if it shows interference, spares the
-        # job's remaining work — without serialising the whole wave.
-        # A job's box joins the round while the rows its earlier boxes
-        # of the round charged stay under the budget; an oversized box
-        # charges all of it.
-        live = np.flatnonzero(galive.any(axis=1))
-        lj = jid_arr[live]
-        small = galive & (pvol <= enum_limit)
-        big = galive & ~small
-        cost = np.where(
-            big[live].any(axis=1),
-            self._ROUND_ROWS,
-            (pvol * small)[live].sum(axis=1),
-        )
-        charged = np.zeros(len(live) + 1, dtype=np.int64)
-        np.cumsum(cost, out=charged[1:])
-        bounds = np.searchsorted(lj, np.arange(njobs + 1))
-        cursor = bounds[:-1].copy()
-        stop = bounds[1:]
-        pos = np.arange(len(live))
-        killed = np.zeros(njobs, dtype=bool)
-        pending = cursor < stop
-        while pending.any():
-            first = cursor[lj]
-            take = (
-                pending[lj]
-                & (pos >= first)
-                & (charged[:-1] - charged[first] < self._ROUND_ROWS)
-            )
-            cursor += np.bincount(lj[take], minlength=njobs)
-            tb = live[take]
-            tj = lj[take]
-            queries, masks = [], []
-            for (odims, key, spec), m in zip(self._kernel_groups, small[tb].T):
-                if m.any():
-                    b = tb[m]
-                    queries.append((key, spec, olo[np.ix_(b, odims)],
-                                    oext[np.ix_(b, odims)], l0_box[b]))
-                    masks.append(m)
-            if queries:
-                for m, hits in zip(masks, (yield queries)):
-                    killed[tj[m][hits]] = True
-            # Oversized projections: per-ref congruence cascade, as the
-            # scalar path runs it, in (job, box, group) order.
-            rows, groups = np.nonzero(big[tb])
-            cascades = list(
-                zip(tj[rows].tolist(), tb[rows].tolist(), groups.tolist())
-            )
-            if cascades and self._use_batch_cascade:
-                self._run_cascades_batched(
-                    cascades, Blo, Bhi, alive, wlo_box, l0_box, killed
-                )
-            else:
-                for j, b, gi in cascades:
-                    if killed[j]:
-                        continue  # another box already decided this job
-                    if self._cascade_box_group(
-                        tuple(Blo[b].tolist()),
-                        tuple(Bhi[b].tolist()),
-                        gi,
-                        alive[b],
-                        int(wlo_box[b]),
-                        int(l0_box[b]),
-                    ):
-                        killed[j] = True
-            pending = ~killed & (cursor < stop)
-        return killed
-
     def _run_cascades_batched(
         self,
         cascades: list[tuple[int, int, int]],
@@ -803,7 +517,7 @@ class PointClassifier:
         l0_box: np.ndarray,
         killed: np.ndarray,
     ) -> None:
-        """All of a round's oversized-projection boxes, one batched call.
+        """A round's oversized-projection boxes of this tiling, one call.
 
         Replaces the per-(box, reference) scalar cascade loop: boxes are
         grouped by reference group and decided by the vectorised cascade
@@ -818,7 +532,7 @@ class PointClassifier:
             by_group.setdefault(gi, []).append((j, b))
         for gi, pairs in by_group.items():
             pending = [(j, b) for j, b in pairs if not killed[j]]
-            for i in self._groups[gi][1]:
+            for i in self._groups[gi]:
                 if not pending:
                     break
                 todo = [(j, b) for j, b in pending if not killed[j]]
@@ -853,7 +567,7 @@ class PointClassifier:
     ) -> bool:
         """Congruence-cascade test of one box for one reference group."""
         box = Box(lo, hi)
-        for i in self._groups[gi][1]:
+        for i in self._groups[gi]:
             if not ref_alive[i]:
                 continue
             res = self._tester.exists_interference(
@@ -940,69 +654,6 @@ class PointClassifier:
                 if len(lines) >= cap:
                     return len(lines)
         return len(lines)
-
-    def _run_count_jobs(
-        self,
-        S: np.ndarray,
-        U: np.ndarray,
-        wlo: np.ndarray,
-        l0: np.ndarray,
-        pre: np.ndarray,
-    ) -> np.ndarray:
-        """Associative interval counting for a whole wave at once.
-
-        Job ``j`` is a reuse source ``S[j]`` and use ``U[j]`` with the
-        window and line of :meth:`_run_interval_jobs` and the endpoint
-        line count ``pre[j]``; the strictly-between boxes decompose
-        exactly as in the scalar path and every (box, reference) pair
-        contributes the same capped distinct-line count the scalar
-        :meth:`_count_interfering_lines` would have accumulated —
-        ``None`` collapsing to the cap, so verdicts are identical.  A
-        first-boxes-then-the-rest frontier keeps the scalar verdict at
-        the cap: a job whose running total reached ``k`` submits no
-        further boxes.  Returns the killed flag per job.
-        """
-        njobs = len(S)
-        self.stats.intervals_vectorized += njobs
-        k = self._k
-        nrefs = len(self._refs)
-        tot = pre.astype(np.int64)
-        Blo, Bhi, jid = self._between_boxes_wave(S, U)
-        nb = len(jid)
-        self.stats.boxes_tested += nb
-        if nb == 0:
-            return tot >= k
-        wlo_b = wlo[jid]
-        l0_b = l0[jid]
-        # A two-phase frontier.  Phase one tests only each job's first
-        # box — where nearly every early exit happens in an associative
-        # cache.  Phase two sends every surviving job's remaining boxes
-        # through each cascade in one maximal batch: a surviving job
-        # rarely exits at all (an interference-free source never
-        # reaches the cap), so the batch does the work the scalar loop
-        # would have done anyway, minus the per-box dispatch.  Counts
-        # are non-negative and a per-box ``None`` collapses to the cap,
-        # so the summed total crosses ``k`` exactly when the scalar
-        # early-exit prefix would have; verdicts are identical by
-        # construction.
-        first = np.ones(nb, dtype=bool)
-        first[1:] = jid[1:] != jid[:-1]
-        for rows_all in (np.flatnonzero(first), np.flatnonzero(~first)):
-            for i in range(nrefs):
-                rows = rows_all[tot[jid[rows_all]] < k]
-                if not len(rows):
-                    break
-                counts = self._ref_cascade(i).count_interfering_lines_many(
-                    Blo[rows], Bhi[rows], wlo_b[rows], l0_b[rows], cap=k
-                )
-                unknown = counts < 0
-                self.stats.unknown_conservative += int(unknown.sum())
-                tot += np.bincount(
-                    jid[rows],
-                    weights=np.where(unknown, k, counts),
-                    minlength=njobs,
-                ).astype(np.int64)
-        return tot >= k
 
     def finalize_stats(self) -> SolverStats:
         self.stats.congruence = self._tester.stats.as_dict()
@@ -1156,10 +807,8 @@ def _word_strides(radices: list[int]) -> np.ndarray:
     return strides
 
 
-#: Most classifiers :func:`classify_codes` keeps in flight (memory guard).
+#: Most tilings one :class:`_Lockstep` batch carries (memory guard).
 _IN_FLIGHT = 4
-#: Point-volume cap per kernel call (memory guard).
-_JOB_CHUNK_ROWS = 1 << 20
 
 
 def classify_many(
@@ -1178,90 +827,428 @@ def classify_codes(classifiers: list[PointClassifier], batches) -> list[np.ndarr
 
     ``batches[i]`` is classifier ``i``'s sample in its own coordinates;
     its result is an int8 (point, reference) table whose codes index
-    :data:`OUTCOMES`.  Each classifier keeps its own waves, rounds,
-    cascades and stats, but every turn of this loop answers the
-    interval-round kernel queries of all classifiers in flight with one
-    :func:`boxes_interfere` call per reference group (and memory chunk),
-    so a call's fixed cost is paid once per round for all of them.  The
-    kernel decides each box on its own, so outcomes and stats equal
-    separate calls.  Classifiers whose samples map to the same original
-    points under the same nest, layout, candidates and cache share one
-    :class:`SourceTable`, which lives for this pass.  Memory guard: at
-    most :data:`_IN_FLIGHT` classifiers are in flight, and each drops
-    its cached cascade tables whenever it suspends or finishes.
+    :data:`OUTCOMES`.  Classifiers of one nest, layout, candidates,
+    cache and original sample share a :class:`SourceTable`; those that
+    also share a :meth:`PointClassifier._lockstep_key` run through one
+    :class:`_Lockstep` loop in batches of :data:`_IN_FLIGHT`, in input
+    order.  Outcomes and stats equal separate calls.  Raises
+    ``ValueError`` before any work when the lengths differ.
     """
+    classifiers, batches = list(classifiers), list(batches)
+    if len(classifiers) != len(batches):
+        raise ValueError(
+            "one point batch per classifier: "
+            f"got {len(batches)} for {len(classifiers)}"
+        )
     out: list = [None] * len(classifiers)
-    todo = iter(enumerate(zip(classifiers, batches)))
-    live: dict[int, tuple] = {}  # index -> (generator, its queries)
     tables: dict[tuple, SourceTable] = {}
-    calls = 0
-
-    def source_table(classifier, P):
+    groups: dict[tuple, list[tuple[int, np.ndarray]]] = {}
+    for i, (classifier, points) in enumerate(zip(classifiers, batches)):
+        P = np.asarray(points, dtype=np.int64)
         if not len(P):
-            return None
+            out[i] = np.empty((0, len(classifier._refs)), dtype=np.int8)
+            continue
         O = classifier._pm.to_original_batch(P)
         key = classifier._source_key(O)
         if key not in tables:
             tables[key] = SourceTable(classifier, O)
-        return tables[key]
-
-    def resume(i, gen, answer):
-        try:
-            live[i] = (gen, gen.send(answer))
-        except StopIteration as done:
-            live.pop(i, None)
-            out[i] = done.value
-        for cascade in classifiers[i]._ref_cascades:
-            if cascade is not None:
-                cascade.release_tables()
-
-    while True:
-        while len(live) < _IN_FLIGHT and (nxt := next(todo, None)):
-            i, (classifier, points) = nxt
-            P = np.asarray(points, dtype=np.int64)
-            gen = classifier._classify_waves(P, source_table(classifier, P))
-            resume(i, gen, None)
-        if not live:
-            break
-        merged: dict = {}
-        for i, (_, queries) in live.items():
-            for q, (key, spec, *args) in enumerate(queries):
-                merged.setdefault(key, (spec, []))[1].append(((i, q), args))
-        verdicts = {}
-        for (coeffs, consts, mod, line), parts in merged.values():
-            lo, exts, line0 = map(np.concatenate, zip(*(a for _, a in parts)))
-            hits = [
-                boxes_interfere(
-                    lo[sel], exts[sel], coeffs, consts, line0[sel], mod, line
-                )
-                for sel in _chunks(exts.prod(axis=1))
-            ]
-            calls += len(hits)
-            ends = np.cumsum([len(a[0]) for _, a in parts])[:-1]
-            hits = np.split(np.concatenate(hits), ends)
-            verdicts.update(zip((iq for iq, _ in parts), hits))
-        for i, (gen, queries) in list(live.items()):
-            resume(i, gen, [verdicts[i, q] for q in range(len(queries))])
+        group = (key, classifier._lockstep_key())
+        groups.setdefault(group, []).append((i, P))
+    calls = boxes = 0
+    entries = entries_listed()
+    for (key, _), members in groups.items():
+        for first in range(0, len(members), _IN_FLIGHT):
+            batch = members[first : first + _IN_FLIGHT]
+            step = _Lockstep([classifiers[i] for i, _ in batch])
+            codes = step.run([P for _, P in batch], tables[key])
+            for (i, _), c in zip(batch, codes):
+                out[i] = c
+            calls += step.calls
+            boxes += step.boxes
     rec = telemetry.recorder()
     rec.count("cme.classify_passes")
     rec.count("cme.classify_candidates", len(classifiers))
     rec.count("cme.kernel_calls", calls)
+    rec.count("cme.kernel_boxes", boxes)
+    rec.count("cme.kernel_entries", entries_listed() - entries)
     rec.count("cme.source_tables", len(tables))
     rec.count("cme.source_rows", sum(len(t.src) for t in tables.values()))
     return out
 
 
-def _chunks(vols: np.ndarray) -> list[slice]:
-    """Runs of boxes of at most :data:`_JOB_CHUNK_ROWS` points (or one box)."""
-    if vols.sum() <= _JOB_CHUNK_ROWS:
-        return [slice(None)]
-    chunks: list[slice] = []
-    first = rows = 0
-    for t, n in enumerate(vols.tolist()):
-        if t > first and rows + n > _JOB_CHUNK_ROWS:
-            chunks.append(slice(first, t))
-            first = t
-            rows = 0
-        rows += n
-    chunks.append(slice(first, len(vols)))
-    return chunks
+class _Lockstep:
+    """One wave loop for a batch of tilings that share what it uses.
+
+    The tilings share a :class:`SourceTable`, a cascade rung, budgets, a
+    coordinate rank and a reference-group partition
+    (:meth:`PointClassifier._lockstep_key`).  Every work item, job and
+    box carries its tiling's index (``tt``, ``jt``, ``bt``), and each
+    wave, interval round and count step runs over every job of the
+    batch.  A tiling's verdicts and stats depend only on its own jobs:
+    jobs, rounds and count steps stay per job, kernel verdicts per box,
+    cascade calls per tiling (its jobs in their relative order) and
+    every charge lands on its tiling.  Small boxes go to the kernel in
+    original coordinates, exact by the box-mapping property
+    (docs/ARCHITECTURE.md §3).  Memory guard: each tiling drops its
+    cascades' cached tables after every call.
+    """
+
+    #: Per-job enumeration budget per round (early-exit granularity).
+    _ROUND_ROWS = 1 << 12
+
+    def __init__(self, clfs: list[PointClassifier]):
+        self.clfs = clfs
+        #: Kernel calls made and boxes they answered (telemetry).
+        self.calls = self.boxes = 0
+        lead = clfs[0]
+        self.lead = lead
+        self.k, self.L, self.M = lead._k, lead._L, lead._M
+        self.enum_limit = lead._tester.enum_limit
+        self.ocpos = np.maximum(lead._ocoef, 0)
+        self.ocneg = np.minimum(lead._ocoef, 0)
+        self.osupp = [np.flatnonzero(row) for row in lead._ocoef]
+        # Each tiling's non-empty regions, padded to the batch's count
+        # with empty boxes (lo = 1 > hi = 0), in the narrowest dtype: a
+        # wave gathers them per job.
+        nreg = max(len(c._region_lo) for c in clfs)
+        shape = (len(clfs), nreg, lead._region_lo.shape[1])
+        bound_t = _narrow(0, 1, *(
+            int(x) for c in clfs
+            for x in (c._region_lo.min(initial=0), c._region_hi.max(initial=0))
+        ))
+        self.rlo = np.ones(shape, dtype=bound_t)
+        self.rhi = np.zeros(shape, dtype=bound_t)
+        for t, c in enumerate(clfs):
+            self.rlo[t, : len(c._region_lo)] = c._region_lo
+            self.rhi[t, : len(c._region_hi)] = c._region_hi
+
+    def charge(self, field: str, owner: np.ndarray, tier: bool = False) -> None:
+        """Add each tiling's share of a :class:`SolverStats` field (or,
+        with ``tier``, a ``TesterStats`` tier): one per entry of
+        ``owner``, the tiling index of what is charged."""
+        shares = np.bincount(owner, minlength=len(self.clfs))
+        for clf, n in zip(self.clfs, shares.tolist()):
+            stats = clf._tester.stats if tier else clf.stats
+            setattr(stats, field, getattr(stats, field) + n)
+
+    def kernel(self, fn, *args) -> np.ndarray:
+        """``fn(*args)``, a kernel call on ``len(args[0])`` boxes, tallied."""
+        self.calls += 1
+        self.boxes += len(args[0])
+        return fn(*args)
+
+    def between_boxes(self, S, U, jt):
+        """Each job's between-boxes over its tiling's regions."""
+        return lex_between_boxes_many(S, U, self.rlo[jt], self.rhi[jt])
+
+    def to_original(self, Blo, Bhi, bt):
+        """Each box's original corner and extents, by its tiling's map."""
+        olo = np.empty((len(Blo), self.lead._ocoef.shape[1]), dtype=np.int64)
+        ohi = np.empty_like(olo)
+        for t, clf in enumerate(self.clfs):
+            sel = bt == t
+            if sel.any():
+                olo[sel] = clf._pm.to_original_batch(Blo[sel])
+                ohi[sel] = clf._pm.to_original_batch(Bhi[sel])
+        return olo, ohi - olo + 1
+
+    def run(self, Ps: list[np.ndarray], table: SourceTable) -> list[np.ndarray]:
+        """The tilings' outcome codes for their samples ``Ps``, whose
+        reuse sources ``table`` holds.
+
+        Work items are index arrays: item ``x`` is tiling ``tt[x]``,
+        point ``ai[x]``, reference ``aidx[x]`` and its current source
+        ``cur[x]`` in the run ``[cur, stop)`` of the concatenated
+        :meth:`PointClassifier._batch_reuse_sources`; a wave gathers
+        everything else by index.
+        """
+        clfs, k = self.clfs, self.k
+        n, nrefs = len(Ps[0]), len(self.lead._refs)
+        for clf in clfs:
+            clf.stats.points += n
+            clf.stats.ref_tests += n * nrefs
+        # Every (point, ref) without a source stays COLD.
+        codes = np.zeros((len(clfs), n, nrefs), dtype=np.int8)
+        runs = [c._batch_reuse_sources(P, table) for c, P in zip(clfs, Ps)]
+        base = np.cumsum([0] + [len(r[0]) for r in runs])
+        tt = np.repeat(
+            np.arange(len(clfs), dtype=_narrow(len(clfs))),
+            [len(r[2]) for r in runs],
+        )
+        SRC, rows, ai, aidx, cur, stop = (
+            parts[0] if len(parts) == 1 else np.concatenate(parts)
+            for parts in zip(*runs)
+        )
+        del runs
+        cur, stop = cur + base[tt], stop + base[tt]
+        P = np.stack(Ps)
+        while len(cur):
+            S = SRC[cur]
+            U = P[tt, ai]
+            row = rows[cur]
+            wlo = table.wlo[ai, aidx]
+            l0 = table.l0[ai, aidx]
+            self.charge("sources_checked", tt)
+            same = table.same[row]
+            pre = None
+            if self.lead._use_batch_cascade:
+                # Boundary-iteration line counts, each table row's once
+                # per pass; a count at the cap decides.
+                pre = table.endpoint_counts(row)
+                killed = pre >= max(k, 1)
+                job = ~(killed | same)
+            else:
+                # Scalar rung: the per-item reference implementations.
+                owners = [clfs[t] for t in tt.tolist()]
+                items = zip(
+                    map(tuple, S.tolist()),
+                    self.lead._positions[table.sref[row]].tolist(),
+                    map(tuple, U.tolist()),
+                    aidx.tolist(),
+                    l0.tolist(),
+                    wlo.tolist(),
+                )
+                if k != 1:
+                    # Serial associative counting: the per-box
+                    # distinct-line overcount is documented
+                    # conservative behaviour batch mode reproduces.
+                    killed = np.array(
+                        [c._reuse_killed(*it) for c, it in zip(owners, items)],
+                        dtype=bool,
+                    )
+                    job = np.zeros(len(cur), dtype=bool)
+                else:
+                    killed = np.array(
+                        [c._endpoint_interference(*it)
+                         for c, it in zip(owners, items)],
+                        dtype=bool,
+                    )
+                    job = ~(killed | same)
+            jobs = np.flatnonzero(job)
+            if len(jobs):
+                args = (S[jobs], U[jobs], wlo[jobs], l0[jobs], tt[jobs])
+                killed[jobs] = (
+                    self.count_jobs(*args, pre[jobs])
+                    if k != 1
+                    else self.interval_jobs(*args)
+                )
+            hit = ~killed
+            codes[tt[hit], ai[hit], aidx[hit]] = _HIT
+            more = killed & (cur + 1 < stop)
+            done = killed & ~more
+            codes[tt[done], ai[done], aidx[done]] = _REPLACEMENT
+            # Survivors keep the wave's order: directly decided items
+            # first, then interval jobs, each in active order.
+            nxt = np.concatenate(
+                (np.flatnonzero(more & ~job), np.flatnonzero(more & job))
+            )
+            tt, ai, aidx = tt[nxt], ai[nxt], aidx[nxt]
+            cur, stop = cur[nxt] + 1, stop[nxt]
+        return list(codes)
+
+    def interval_jobs(self, S, U, wlo, l0, jt) -> np.ndarray:
+        """Resolve a wave of interval-interference queries at once.
+
+        Job ``j`` (of tiling ``jt[j]``) asks whether the iterations
+        strictly between source ``S[j]`` and use ``U[j]`` touch the
+        window ``wlo[j]`` on a line other than the one starting at
+        ``l0[j]``, over the boxes the serial cascade would visit.  The
+        address-band test rejects most boxes; surviving small ones go
+        to :func:`repro.polyhedra.kernels.boxes_interfere`, big ones to
+        their tiling's congruence cascade, so outcomes match the scalar
+        path by construction.  Returns the killed flag per job.
+        """
+        njobs = len(S)
+        self.charge("intervals_vectorized", jt)
+        L, M = self.L, self.M
+        Blo, Bhi, jid = self.between_boxes(S, U, jt)
+        nb = len(jid)
+        if nb == 0:
+            return np.zeros(njobs, dtype=bool)
+        bt = jt[jid]
+        self.charge("boxes_tested", bt)
+        wlo_box = wlo[jid]
+        l0_box = l0[jid]
+        olo, oext = self.to_original(Blo, Bhi, bt)
+        # Tier-1 rejection, vectorised over every (box, ref) pair: the
+        # reachable address band [fmin, fmax] misses the set window.
+        ohi = olo + oext - 1
+        fmin = olo @ self.ocpos.T + ohi @ self.ocneg.T + self.lead._oc0
+        spans = (ohi - olo) @ np.abs(self.lead._ocoef).T
+        aa = fmin % M
+        wl = wlo_box[:, None]
+        alive = (
+            (spans >= M)
+            | (((wl - aa) % M) <= spans)
+            | (((aa - wl) % M) <= L - 1)
+        )
+        del fmin, spans, aa, ohi
+        # Per-group projected volumes and liveness.  The projected
+        # volume equals the cascade's post-normalisation volume, so the
+        # enumerate-vs-cascade split below matches the scalar path's
+        # exactness regime per (box, reference) pair.
+        ngroups = len(self.lead._groups)
+        pvol = np.empty((nb, ngroups), dtype=np.float64)
+        galive = np.empty((nb, ngroups), dtype=bool)
+        for gi, ((odims, _, _), ridx) in enumerate(
+            zip(self.lead._kernel_groups, self.lead._groups)
+        ):
+            pvol[:, gi] = oext[:, odims].prod(axis=1, dtype=np.float64)
+            galive[:, gi] = alive[:, ridx].any(axis=1)
+        # Surviving boxes, queued per job in decomposition order.  The
+        # rounds below preserve the scalar path's early exit where it
+        # pays: each job submits boxes only up to a per-round row
+        # budget, so cheap boxes batch together in one round while a
+        # huge box runs alone and, if it shows interference, spares the
+        # job's remaining work — without serialising the whole wave.
+        # A job's box joins the round while the rows its earlier boxes
+        # of the round charged stay under the budget; an oversized box
+        # charges all of it.
+        live = np.flatnonzero(galive.any(axis=1))
+        lj = jid[live]
+        small = galive & (pvol <= self.enum_limit)
+        big = galive & ~small
+        cost = np.where(
+            big[live].any(axis=1),
+            self._ROUND_ROWS,
+            np.where(small, pvol, 0)[live].sum(axis=1).astype(np.int64),
+        )
+        charged = np.zeros(len(live) + 1, dtype=np.int64)
+        np.cumsum(cost, out=charged[1:])
+        bounds = np.searchsorted(lj, np.arange(njobs + 1))
+        cursor = bounds[:-1].copy()
+        stop = bounds[1:]
+        pos = np.arange(len(live))
+        killed = np.zeros(njobs, dtype=bool)
+        pending = cursor < stop
+        while pending.any():
+            first = cursor[lj]
+            take = (
+                pending[lj]
+                & (pos >= first)
+                & (charged[:-1] - charged[first] < self._ROUND_ROWS)
+            )
+            cursor += np.bincount(lj[take], minlength=njobs)
+            tb = live[take]
+            tj = lj[take]
+            for (odims, coeffs, consts), m in zip(
+                self.lead._kernel_groups, small[tb].T
+            ):
+                if m.any():
+                    b = tb[m]
+                    hits = self.kernel(
+                        boxes_interfere, olo[np.ix_(b, odims)],
+                        oext[np.ix_(b, odims)], coeffs, consts, l0_box[b], M, L,
+                    )
+                    killed[tj[m][hits]] = True
+            # Oversized projections: the congruence cascade of each
+            # box's tiling, as the scalar path runs it, in (job, box,
+            # group) order.
+            rows, groups = np.nonzero(big[tb])
+            if len(rows):
+                j, b = tj[rows], tb[rows]
+                if self.lead._use_batch_cascade:
+                    owner = bt[b]
+                    for t in np.unique(owner).tolist():
+                        sel = owner == t
+                        clf = self.clfs[t]
+                        clf._run_cascades_batched(
+                            list(zip(j[sel].tolist(), b[sel].tolist(),
+                                     groups[sel].tolist())),
+                            Blo, Bhi, alive, wlo_box, l0_box, killed,
+                        )
+                        clf._release_tables()
+                else:
+                    for j1, b1, gi in zip(j.tolist(), b.tolist(), groups.tolist()):
+                        if killed[j1]:
+                            continue  # another box already decided this job
+                        if self.clfs[bt[b1]]._cascade_box_group(
+                            tuple(Blo[b1].tolist()),
+                            tuple(Bhi[b1].tolist()),
+                            gi,
+                            alive[b1],
+                            int(wlo_box[b1]),
+                            int(l0_box[b1]),
+                        ):
+                            killed[j1] = True
+            pending = ~killed & (cursor < stop)
+        return killed
+
+    def count_jobs(self, S, U, wlo, l0, jt, pre) -> np.ndarray:
+        """Associative interval counting for a whole wave at once.
+
+        Job ``j`` (of tiling ``jt[j]``) is a reuse source ``S[j]`` and
+        use ``U[j]`` with the window and line of :meth:`interval_jobs`
+        and the endpoint line count ``pre[j]``; every (box, reference)
+        pair adds the capped distinct-line count the scalar
+        :meth:`PointClassifier._count_interfering_lines` would, ``None``
+        collapsing to the cap.  Pairs within ``enum_limit`` are the
+        cascade's enumeration tier: the kernel counts them and charges
+        their tiling one ``enumerated`` each; each tiling's cascade sees
+        only the larger ones.  Returns the killed flag per job.
+        """
+        njobs = len(S)
+        self.charge("intervals_vectorized", jt)
+        k = self.k
+        tot = pre.astype(np.int64)
+        Blo, Bhi, jid = self.between_boxes(S, U, jt)
+        bt = jt[jid]
+        self.charge("boxes_tested", bt)
+        if len(jid) == 0:
+            return tot >= k
+        wlo_b = wlo[jid]
+        l0_b = l0[jid]
+        olo, oext = self.to_original(Blo, Bhi, bt)
+        # Per (box, reference): the first address, and whether the
+        # projected volume is within the cascade's enumeration tier.
+        ocoef = self.lead._ocoef
+        c0 = olo @ ocoef.T + self.lead._oc0
+        enum = np.column_stack([
+            oext[:, supp].prod(axis=1, dtype=np.float64) for supp in self.osupp
+        ]) <= self.enum_limit
+        # A two-phase frontier.  Phase one tests only each job's first
+        # box — where nearly every early exit happens in an associative
+        # cache.  Phase two sends every surviving job's remaining boxes
+        # through each reference in one maximal batch: a surviving job
+        # rarely exits at all (an interference-free source never
+        # reaches the cap), so the batch does the work the scalar loop
+        # would have done anyway, minus the per-box dispatch.  Counts
+        # are non-negative and a per-box ``None`` collapses to the cap,
+        # so the summed total crosses ``k`` exactly when the scalar
+        # early-exit prefix would have; verdicts are identical by
+        # construction.
+        first = np.ones(len(jid), dtype=bool)
+        first[1:] = jid[1:] != jid[:-1]
+        for rows_all in (np.flatnonzero(first), np.flatnonzero(~first)):
+            for i in range(len(ocoef)):
+                rows = rows_all[tot[jid[rows_all]] < k]
+                if not len(rows):
+                    break
+                counts = np.zeros(len(rows), dtype=np.int64)
+                small = enum[rows, i]
+                s = rows[small]
+                if len(s):
+                    self.charge("enumerated", bt[s], tier=True)
+                    counts[small] = self.kernel(
+                        box_line_counts, c0[s, i], oext[s], ocoef[i],
+                        wlo_b[s], l0_b[s], self.M, self.L, k,
+                    )
+                big = np.flatnonzero(~small)
+                owner = bt[rows[big]]
+                for t in np.unique(owner).tolist():
+                    sel = big[owner == t]
+                    r = rows[sel]
+                    cascade = self.clfs[t]._ref_cascade(i)
+                    counts[sel] = cascade.count_interfering_lines_many(
+                        Blo[r], Bhi[r], wlo_b[r], l0_b[r], cap=k
+                    )
+                    cascade.release_tables()
+                unknown = counts < 0
+                self.charge("unknown_conservative", bt[rows[unknown]])
+                tot += np.bincount(
+                    jid[rows],
+                    weights=np.where(unknown, k, counts),
+                    minlength=njobs,
+                ).astype(np.int64)
+        return tot >= k
+

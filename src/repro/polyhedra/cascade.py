@@ -49,7 +49,9 @@ import numpy as np
 from repro.polyhedra import kernels
 from repro.polyhedra.box import Box
 from repro.polyhedra.congruence import CongruenceTester, exists_absolute_interval
-from repro.polyhedra.kernels import _ROW_CAP
+
+#: Most rows one enumeration or search-tree pass holds (memory guard).
+_ROW_CAP = 1 << 20
 
 #: A query whose full frontier expansion exceeds this many times the
 #: scalar node budget falls back to the scalar recursion (the frontier

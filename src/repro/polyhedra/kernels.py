@@ -1,15 +1,35 @@
 """Single-pass inner kernels of the cascade and the solver.
 
-:func:`boxes_interfere` decides the solver's direct-mapped interval
-enumeration, where every box has its own shape: it splits each box's
-dimensions in two and sums binary-search counts over one half against
-the sorted values of the other.
+:func:`box_line_counts` counts, per integer box of a batch, the
+distinct lines other than the reused one that the box's addresses put
+in the reused line's cache set, capped.  It answers every small box of
+the solver on both geometries: the k-way distinct-line count directly,
+and the direct-mapped interference verdict through
+:func:`boxes_interfere`, an OR over references of counts capped at one.
 
-:func:`box_line_counts` serves the cascade's k-way distinct-line
-count, where nearly every box has a shape of its own too: it lists
-every point of a whole batch of ragged boxes in one pass per
-dimension, keeps the points in the reused line's cache set and counts
-their distinct lines per box.
+The kernel lists only the box's points inside the cache set.  It picks
+one dimension of each box as the *progression* (coefficient ``c``,
+extent ``n``) and lists the other moving dimensions' points as *rows*
+with first address ``x``, measured from the window's start.  Along the
+progression a row's addresses ``x + c·u`` repeat their residue mod
+``M`` with period ``P = M / g``, ``g = gcd(c mod M, M)``, so they can
+only take the residues of ``x``'s coset mod ``g``.  The row's points in the window are therefore exactly
+the ``u ≡ u_j (mod P)``, one class per residue ``r_j`` of that coset in
+``[0, L)``:
+
+    ``u_j = ((r_j − x) / g mod P) · (c / g)⁻¹ mod P``.
+
+Hits of one class are at least ``M ≥ L`` bytes apart, so each is its
+own line, and at most one of them is the reused line: the first
+``cap + 1`` hits of each class decide a count capped at ``cap``.  The
+kernel emits those hits as (box, line) pairs, drops the reused line and
+counts distinct lines per box.  A box's progression minimises its rows
+times its residues per row, ``⌈L / g⌉``; a dimension the address does
+not move along is a progression of one point, whose rows are the box's
+points, so short boxes may be listed point by point.  Memory guard: a
+pass holds
+whole boxes up to :data:`_ENTRY_CAP` (row, residue) *entries*; a box
+above that runs alone.
 
 Every kernel is exact set arithmetic — no approximation anywhere — so
 the verdict contract of the cascade (bit-identical to the scalar
@@ -19,10 +39,22 @@ suite and the kernel property tests pin it mechanically.
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 
-#: Most rows one decoding pass holds (memory guard).
-_ROW_CAP = 1 << 20
+#: Most (row, residue) entries one kernel pass holds (memory guard).
+_ENTRY_CAP = 1 << 14
+
+#: Per thread: the (row, residue) entries :func:`box_line_counts` has
+#: listed so far (telemetry; see :func:`entries_listed`).
+_tally = threading.local()
+
+
+def entries_listed() -> int:
+    """(row, residue) entries :func:`box_line_counts` listed in this thread."""
+    return getattr(_tally, "entries", 0)
+
 
 # -- distinct counts -----------------------------------------------------------
 
@@ -40,7 +72,14 @@ def distinct_counts(
     return np.bincount(ql[first], minlength=nq)
 
 
-# -- k-way distinct-line counting ----------------------------------------------
+def _ragged(counts: np.ndarray) -> np.ndarray:
+    """Each ``i``'s ``counts[i]`` rows, numbered from 0, one after another."""
+    ends = np.cumsum(counts)
+    total = ends[-1] if len(ends) else 0
+    return np.arange(total) - np.repeat(ends - counts, counts)
+
+
+# -- cache-set hit counting ----------------------------------------------------
 
 def box_line_counts(
     c0: np.ndarray,
@@ -59,51 +98,84 @@ def box_line_counts(
     ``a // line`` among the points with ``(a − wlo[b]) mod mod < line``
     (the cache set whose window starts at ``wlo[b]``), ``line0[b]``'s
     line excluded, capped at ``cap`` — what listing and deduplicating
-    the box's addresses gives.  The batch is decoded in chunks of whole
-    boxes holding at most :data:`_ROW_CAP` points (a larger box makes a
-    chunk alone), each chunk in one pass per dimension, skipping the
-    dimensions that cannot move the address (coefficient 0, or extent 1
-    in every box).
+    the box's addresses gives.  ``line`` divides ``mod``.  Only the
+    window's points are listed (module docstring).  Any progression
+    gives the same counts, so the choice, made in int64 arithmetic,
+    affects only the work.
     """
     nb = len(c0)
+    coeffs = np.asarray(coeffs, dtype=np.int64)
+    if coeffs.size == 0:  # constant addresses: one dimension that stays
+        coeffs, exts = np.zeros(1, dtype=np.int64), np.ones((nb, 1), np.int64)
+    ext = np.where(coeffs != 0, exts, 1)
+    # Per dimension as a progression: gcd, period, the inverse of c / g
+    # mod the period and the residues per row (g = mod where c ≡ 0).
+    res = coeffs % mod
+    g = np.gcd(res, mod)
+    period = mod // g
+    inv = np.array(
+        [pow(r // q % p, -1, p)
+         for r, q, p in zip(res.tolist(), g.tolist(), period.tolist())],
+        dtype=np.int64,
+    )
+    cost = ext.prod(axis=1)[:, None] // ext * (-(-line // g))
+    prog = cost.argmin(axis=1)
+    box = np.arange(nb)
+    ends = np.cumsum(cost[box, prog])
+    n = ext[box, prog]
+    ext[box, prog] = 1  # the rows: every other moving dimension
+    args = (coeffs[prog], n, g[prog], period[prog], inv[prog])
     counts = np.zeros(nb, dtype=np.int64)
-    dims = np.flatnonzero((coeffs != 0) & (exts > 1).any(axis=0))
-    exts = exts[:, dims]
-    coeffs = coeffs[dims]
-    ends = np.cumsum(exts.prod(axis=1))
     start = 0
     while start < nb:
-        done = int(ends[start - 1]) if start else 0
+        done = ends[start - 1] if start else 0
         stop = max(
-            int(np.searchsorted(ends, done + _ROW_CAP, side="right")), start + 1
+            int(np.searchsorted(ends, done + _ENTRY_CAP, side="right")), start + 1
         )
-        # rel = a - wlo for every point, the points grouped by box;
-        # ``per`` counts each box's points decoded so far.
-        rel = c0[start:stop] - wlo[start:stop]
-        per = np.ones(stop - start, dtype=np.int64)
-        for j in range(len(dims)):
-            cnt = np.repeat(exts[start:stop, j], per)
-            per *= exts[start:stop, j]
-            cum = np.cumsum(cnt)
-            u = np.arange(int(cum[-1]), dtype=np.int64) - np.repeat(cum - cnt, cnt)
-            rel = np.repeat(rel, cnt) + u * coeffs[j]
-        # A power-of-two modulus (every cache geometry) is a bit mask.
-        low = rel & (mod - 1) if mod & (mod - 1) == 0 else rel % mod
-        hit = np.flatnonzero(low < line)
-        box = np.searchsorted(ends[start:stop] - done, hit, side="right")
-        lines = (rel[hit] + wlo[start:stop][box]) // line
-        other = lines != line0[start:stop][box] // line
-        counts[start:stop] = distinct_counts(
-            box[other], lines[other], stop - start
+        sl = slice(start, stop)
+        counts[sl] = _count_pass(
+            c0[sl], ext[sl], coeffs, wlo[sl], line0[sl], mod, line, cap,
+            *(a[sl] for a in args),
         )
         start = stop
-    return np.minimum(counts, cap)
+    return counts
 
 
-# -- split-sum box interference -----------------------------------------------
-
-#: Segment keys ``shape · stride + value`` stay below this bound (int64).
-_KEY_LIMIT = 1 << 62
+def _count_pass(
+    c0, row_ext, coeffs, wlo, line0, mod, line, cap, c, n, g, period, inv
+) -> np.ndarray:
+    """:func:`box_line_counts` over one pass of whole boxes, each with its
+    progression's coefficient ``c``, extent ``n``, gcd ``g``, period and
+    inverse of ``c / g``."""
+    nb = len(c0)
+    # rel = x − wlo for every row, the rows grouped by box.
+    rel = c0 - wlo
+    rbox = np.arange(nb)
+    for j in np.flatnonzero((row_ext > 1).any(axis=0)):
+        cnt = row_ext[rbox, j]
+        rbox = np.repeat(rbox, cnt)
+        rel = np.repeat(rel, cnt) + _ragged(cnt) * coeffs[j]
+    # rel mod M = q·g + s: the row's residues in the window are
+    # s + i·g < line, reached at u ≡ (i − q) · inv (mod P).
+    gr = g[rbox]
+    q, s = np.divmod(rel % mod, gr)
+    per = (line - 1 - s) // gr + 1
+    e = np.repeat(np.arange(len(rel)), per)
+    _tally.entries = entries_listed() + len(e)
+    eb = rbox[e]
+    pe = period[eb]
+    u0 = (_ragged(per) - q[e]) * inv[eb] % pe
+    # Each class's first cap + 1 hits: u0, u0 + P, ... below n.
+    hits = np.minimum((n[eb] - u0 - 1) // pe + 1, cap + 1)
+    h = np.repeat(np.arange(len(e)), hits)
+    hb = eb[h]
+    u = u0[h] + _ragged(hits) * pe[h]
+    lines = (rel[e[h]] + wlo[hb] + c[hb] * u) // line
+    other = lines != line0[hb] // line
+    if cap == 1:
+        # A count capped at one needs no deduplication.
+        return np.minimum(np.bincount(hb[other], minlength=nb), 1)
+    return np.minimum(distinct_counts(hb[other], lines[other], nb), cap)
 
 
 def boxes_interfere(
@@ -120,104 +192,20 @@ def boxes_interfere(
     Box ``b`` is ``{lo[b] + u : 0 ≤ u < exts[b]}``; reference ``r``
     accesses address ``a(x) = coeffs[r] · x + consts[r]``; ``line0[b]``
     is the first byte of the reused line (a multiple of ``line``, which
-    divides the way size ``mod``).  For one reference let
-
-    * ``W`` = #points with ``(a − line0) mod mod < line`` (same set),
-    * ``O`` = #points with ``line0 ≤ a < line0 + line`` (the line itself).
-
-    Every point counted by ``O`` is counted by ``W``, so the box
-    interferes iff ``W > O`` for some reference — exactly the dense
-    enumeration's verdict.  Both counts split: with the dimensions
-    divided into a query half ``Q`` and a sorted half ``S``,
-    ``a = base + v_Q + v_S``, so each count is a sum over the values
-    ``v_Q`` of a binary-search count among the box's sorted ``v_S``
-    (raw values for ``O``; residues mod ``mod`` for ``W``, where the
-    window wraps into at most two runs).  Ragged boxes share one sort
-    through segment keys, one segment per distinct ``S`` shape, so a box
-    costs O((|Q| + |S|) · log) instead of |Q| · |S| enumerated points.
+    divides the way size ``mod``).  The box interferes iff some
+    reference's :func:`box_line_counts`, with the window at ``line0``,
+    is at least one; each reference is counted, capped at one, only on
+    the boxes the earlier ones left undecided.
     """
     nb = len(lo)
     hit = np.zeros(nb, dtype=bool)
-    if nb == 0:
-        return hit
-    q_dims, s_dims = _split_dims(exts)
-    shapes, shape_of = np.unique(exts[:, s_dims], axis=0, return_inverse=True)
-    shape_of = shape_of.reshape(-1)
-    s_coeffs = coeffs[:, s_dims]
-    s_min = (shapes - 1) @ np.minimum(s_coeffs, 0).T  # (shapes, refs)
-    stride = max(int(((shapes - 1) @ np.abs(s_coeffs).T).max()) + 1, mod)
-    if nb > 1 and (len(shapes) + 1) * stride >= _KEY_LIMIT:
-        half = nb // 2
-        return np.concatenate([
-            boxes_interfere(lo[sl], exts[sl], coeffs, consts, line0[sl], mod, line)
-            for sl in (slice(0, half), slice(half, nb))
-        ])
-    q_box, q_vals = _box_values(exts[:, q_dims], coeffs[:, q_dims])
-    s_shape, s_vals = _box_values(shapes, s_coeffs)
-    seg = np.arange(len(shapes), dtype=np.int64) * stride
-    s_seg = seg[s_shape]
-    # A point hits where v_Q + v_S lies in rel + [0, line) (own line) or
-    # in it modulo ``mod`` (same set).
-    rel = line0[:, None] - (lo @ coeffs.T + consts)
+    wlo = line0 % mod
     for r in range(len(coeffs)):
-        rows = ~hit[q_box]
-        if not rows.any():
+        b = np.flatnonzero(~hit)
+        if len(b) == 0:
             break
-        b = q_box[rows]
-        x = rel[b, r] - q_vals[rows, r]
-        sid = shape_of[b]
-        base = seg[sid]
-        own = np.sort(s_seg + (s_vals[:, r] - s_min[s_shape, r]))
-        shifted = x - s_min[sid, r]
-        own_hits = np.searchsorted(
-            own, base + np.clip(shifted + line, 0, stride)
-        ) - np.searchsorted(own, base + np.clip(shifted, 0, stride))
-        res = np.sort(s_seg + s_vals[:, r] % mod)
-        t = x % mod
-        window_hits = (
-            np.searchsorted(res, base + np.minimum(t + line, mod))
-            - np.searchsorted(res, base + t)
-            + np.searchsorted(res, base + np.maximum(t + line - mod, 0))
-            - np.searchsorted(res, base)
-        )
-        hit[b[window_hits > own_hits]] = True
+        hit[b] = box_line_counts(
+            lo[b] @ coeffs[r] + consts[r], exts[b], coeffs[r], wlo[b],
+            line0[b], mod, line, 1,
+        ) > 0
     return hit
-
-
-def _split_dims(exts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``(Q, S)`` dimension split minimising Σ_boxes 3·|Q| + |S|.
-
-    A query row costs five binary searches, a sorted row a share of two
-    sorts.  The choice only affects speed, so float products are fine.
-    """
-    dg = exts.shape[1]
-    masks = (np.arange(1 << dg)[:, None] >> np.arange(dg)) & 1
-    logs = np.log(exts.astype(np.float64)).T
-    cost = (
-        3.0 * np.exp(masks @ logs).sum(axis=1)
-        + np.exp((1 - masks) @ logs).sum(axis=1)
-    )
-    q = masks[int(np.argmin(cost))].astype(bool)
-    return np.flatnonzero(q), np.flatnonzero(~q)
-
-
-def _box_values(
-    exts: np.ndarray, coeffs: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """``Σ_j coeffs[:, j] · u_j`` over every ``0 ≤ u < exts[b]`` of every box.
-
-    Returns ``(box, vals)``: the owning box per row (rows grouped by
-    box) and the (rows × refs) values, decoded one dimension at a time
-    by repeating the rows so far and adding a ragged ``arange``.
-    """
-    box = np.arange(len(exts), dtype=np.int64)
-    vals = np.zeros((len(exts), len(coeffs)), dtype=np.int64)
-    for j in range(exts.shape[1]):
-        cnt = exts[box, j]
-        ends = np.cumsum(cnt)
-        local = np.arange(int(ends[-1]), dtype=np.int64) - np.repeat(
-            ends - cnt, cnt
-        )
-        box = np.repeat(box, cnt)
-        vals = np.repeat(vals, cnt, axis=0) + local[:, None] * coeffs[:, j]
-    return box, vals

@@ -11,9 +11,13 @@ which is what these helpers produce.
 The comparison points ``s``/``p`` need not lie inside the box: after
 tiling the source and the use frequently sit in *different* convex
 regions, and the decomposition remains exact in that case.
+:func:`lex_between_boxes_many` is the batched twin the solver's waves
+use: every pair of a wave over its own regions, in array passes.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 from repro.polyhedra.box import Box
 
@@ -87,3 +91,77 @@ def lex_between_boxes(
             if not between.is_empty:
                 out.append(between)
     return out
+
+
+def _prefix_all(mask: np.ndarray) -> np.ndarray:
+    """``out[..., l] = mask[..., :l].all(axis=-1)`` (True at ``l = 0``)."""
+    out = np.ones_like(mask)
+    np.logical_and.accumulate(mask[..., :-1], axis=-1, out=out[..., 1:])
+    return out
+
+
+def lex_between_boxes_many(
+    S: np.ndarray, U: np.ndarray, rlo: np.ndarray, rhi: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`lex_between_boxes` over each pair's regions, for many pairs.
+
+    Pair ``j`` is ``(S[j], U[j])`` and its regions are the boxes
+    ``rlo[j, r] .. rhi[j, r]``; a padding region with ``lo > hi`` in
+    every dimension holds no boxes.  Returns ``(Blo, Bhi, jid)``: the
+    boxes of pair ``j`` are the rows with ``jid == j``, in the order the
+    per-pair decomposition emits them (region, then src level, then use
+    level).  The solver's frontier queues drive early exits in this
+    order, so it is part of their equivalence contract.  Two masked
+    passes do all pairs, and ``np.nonzero`` walks each mask in exactly
+    that order:
+
+    1. src-side pieces ``{q ∈ region : q ≻ src}`` over pairs × regions ×
+       levels: at level ``l`` the prefix is pinned to ``src``, level
+       ``l`` starts past it and the suffix is the region's.  Levels
+       above the pair's first src/use difference ``f`` are skipped,
+       since there the pinned prefix equals the use's and the piece
+       lies wholly after the use; a pair with ``src ⊀ use`` has no
+       boxes at all;
+    2. use-side cuts ``{q ∈ piece : q ≺ use}`` over pieces × levels,
+       the same peeling against ``use``.
+
+    Padding and empty regions contribute nothing, so every piece and
+    box that passes its level test is non-empty.
+    """
+    n, d = S.shape
+    lvl = np.arange(d)
+    neq = S != U
+    f = neq.argmax(axis=1)
+    rows = np.arange(n)
+    before = neq[rows, f] & (S[rows, f] < U[rows, f])
+    Sx = S[:, None, :]
+    # Level l starts at max(src_l + 1, lo_l), which is <= hi_l iff both
+    # are; lo <= hi fails on a padding region.
+    has = (
+        _prefix_all((Sx >= rlo) & (Sx <= rhi))
+        & (Sx < rhi)
+        & (rlo <= rhi)
+        & (before[:, None] & (lvl >= f[:, None]))[:, None, :]
+    )
+    pj, pr, pl = np.nonzero(has)
+    Sp = S[pj]
+    plo, phi = rlo[pj, pr], rhi[pj, pr]
+    pin = lvl < pl[:, None]
+    glo = np.where(
+        pin,
+        Sp,
+        np.where(lvl == pl[:, None], np.maximum(Sp + 1, plo), plo),
+    )
+    ghi = np.where(pin, Sp, phi)
+    Up = U[pj]
+    cut = np.minimum(ghi, Up - 1)
+    bp, bl = np.nonzero(
+        _prefix_all((Up >= glo) & (Up <= ghi)) & (cut >= glo)
+    )
+    pin = lvl < bl[:, None]
+    Ub = Up[bp]
+    Blo = np.where(pin, Ub, glo[bp])
+    Bhi = np.where(
+        pin, Ub, np.where(lvl == bl[:, None], cut[bp], ghi[bp])
+    )
+    return Blo, Bhi, pj[bp]

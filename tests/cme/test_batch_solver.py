@@ -3,6 +3,7 @@ path — the equivalence contract documented in :mod:`repro.evaluation`.
 """
 
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
@@ -17,7 +18,6 @@ from repro.ir.loops import Loop, LoopNest
 from repro.ir.program import program_from_nest
 from repro.kernels.registry import KERNELS
 from repro.layout.memory import MemoryLayout, PaddingSpec
-from repro.polyhedra import kernels
 from repro.polyhedra.kernels import box_line_counts, boxes_interfere
 from repro.polyhedra.lexinterval import lex_between_boxes
 from repro.transform.tiling import tile_program
@@ -84,10 +84,10 @@ def test_classify_batch_matches_classify_point_on_big_shared_boxes(
 
 def test_classify_batch_matches_classify_point_on_kway_line_counts(monkeypatch):
     """The same program and sample at 8KB 2-way: on the batched
-    cascade rung the distinct-line counts reach `box_line_counts` as
-    ragged batches of single points, 1-D boxes, boxes that move along
-    two or more dimensions, and boxes with extent along a dimension the
-    address does not move along."""
+    cascade rung the distinct-line counts reach `box_line_counts`, in
+    original coordinates, as ragged batches of single points, 1-D boxes,
+    boxes that move along two or more dimensions, and boxes with extent
+    along a dimension the address does not move along."""
     moving, idle = [], []
 
     def spy(c0, exts, coeffs, *rest):
@@ -95,7 +95,7 @@ def test_classify_batch_matches_classify_point_on_kway_line_counts(monkeypatch):
         idle.extend(((coeffs == 0) & (exts > 1)).any(axis=1).tolist())
         return box_line_counts(c0, exts, coeffs, *rest)
 
-    monkeypatch.setattr(kernels, "box_line_counts", spy)
+    monkeypatch.setattr(solver, "box_line_counts", spy)
     nest = make_small_mm(128)
     layout = MemoryLayout(nest.arrays())
     prog = tile_program(nest, (128, 64, 128))
@@ -114,27 +114,38 @@ def test_classify_batch_matches_classify_point_on_kway_line_counts(monkeypatch):
 def _wave():
     """Seven tilings each of MM_24 and T2D_32, four of the JACOBI3D_20
     stencil (cold outcomes, many reuse candidates) and three of MM_24 on
-    a padded layout, each nest with its untiled program too."""
+    a padded layout, each nest with its untiled program too, the four
+    (nest, layout) pairs interleaved: each lockstep group is formed from
+    classifiers that are not adjacent in the pass."""
+    per_nest = [list(_nest_wave(*spec)) for spec in _wave_specs()]
+    for members in itertools.zip_longest(*per_nest):
+        yield from (m for m in members if m is not None)
+
+
+def _wave_specs():
     mm = make_small_mm(24)
     t2d = make_small_transpose(32)
     jacobi = KERNELS["JACOBI3D"].build(min(KERNELS["JACOBI3D"].sizes))
     padded = MemoryLayout(
         mm.arrays(), PaddingSpec(inter={"b": 5}, intra={"c": (3, 0)})
     )
-    for nest, layout, tilings in (
+    return (
         (mm, None, [(5, 7, 24), (3, 24, 8), (24, 2, 9), (12, 12, 12),
                     (1, 5, 17), (7, 7, 1), (24, 24, 24)]),
         (t2d, None, [(6, 11), (32, 1), (1, 32), (4, 4), (9, 3), (16, 32),
                      (5, 27)]),
         (jacobi, None, [(5, 3, 18), (18, 1, 7), (2, 18, 18), (9, 9, 4)]),
         (mm, padded, [(5, 7, 24), (24, 2, 9), (1, 5, 17)]),
-    ):
-        layout = layout or MemoryLayout(nest.arrays())
-        pts = np.asarray(sample_original_points(nest, 40, 11), dtype=np.int64)
-        for prog in [program_from_nest(nest)] + [
-            tile_program(nest, t) for t in tilings
-        ]:
-            yield prog, layout, prog.point_map.from_original_batch(pts)
+    )
+
+
+def _nest_wave(nest, layout, tilings):
+    layout = layout or MemoryLayout(nest.arrays())
+    pts = np.asarray(sample_original_points(nest, 40, 11), dtype=np.int64)
+    for prog in [program_from_nest(nest)] + [
+        tile_program(nest, t) for t in tilings
+    ]:
+        yield prog, layout, prog.point_map.from_original_batch(pts)
 
 
 @pytest.mark.parametrize("cache", [CACHE_8K, CACHE_2W, CACHE_4W],
@@ -150,20 +161,26 @@ def _wave():
 def test_classify_many_equals_separate_classify_batch(
     monkeypatch, cache, rung, budgets
 ):
-    """One merged pass over a wave of two nests' tilings gives every
-    candidate the outcomes and every `SolverStats`/`TesterStats` field of
-    its own `classify_batch` call.  The rung is passed explicitly, so
-    the comparison holds whatever the cascade knobs say; a small
-    `enum_limit` sends boxes of the direct-mapped rounds to the cascade
-    between merged kernel calls too, and tight budgets send k-way line
-    counts down the candidate-line frontier to `unknown` verdicts."""
+    """One pass over an interleaved wave of four (nest, layout) pairs'
+    tilings gives every candidate the outcomes and every
+    `SolverStats`/`TesterStats` field of its own `classify_batch` call,
+    and sends the kernels the same boxes in fewer calls.  The rung is
+    passed explicitly, so the comparison holds whatever the cascade
+    knobs say; a small `enum_limit` sends boxes of the direct-mapped
+    rounds and k-way count steps to the cascades between shared kernel
+    calls too, and tight budgets send k-way line counts down the
+    candidate-line frontier to `unknown` verdicts."""
     kernel_calls = []
 
-    def spy(lo, *args):
-        kernel_calls.append(len(lo))
-        return boxes_interfere(lo, *args)
+    def spying(kernel):
+        def spy(first, *args):
+            kernel_calls.append(len(first))
+            return kernel(first, *args)
 
-    monkeypatch.setattr(solver, "boxes_interfere", spy)
+        return spy
+
+    monkeypatch.setattr(solver, "boxes_interfere", spying(boxes_interfere))
+    monkeypatch.setattr(solver, "box_line_counts", spying(box_line_counts))
     flags = dict(
         batch_cascade=rung == "batched",
         cascade_budgets=budgets,
@@ -184,10 +201,11 @@ def test_classify_many_equals_separate_classify_batch(
             a.finalize_stats()
         )
     assert sum(kernel_calls) == boxes_alone
-    if cache.associativity == 1:
-        assert 0 < len(kernel_calls) < calls_alone
-    else:
+    if rung == "scalar" and cache.associativity > 1:
+        # The scalar rung counts k-way lines item by item.
         assert calls_alone == 0 and not kernel_calls
+    else:
+        assert 0 < len(kernel_calls) < calls_alone
 
 
 def test_estimate_batch_flag_equivalence():
@@ -226,53 +244,80 @@ def test_point_map_batch_roundtrip():
     assert [tuple(int(x) for x in row) for row in back] == list(pts)
 
 
+def _random_pairs(cls, rng, count=40):
+    """Source/use pairs around ``cls``'s regions that share a prefix of
+    every length, both ways round."""
+    lo = np.min([r.lo for r in cls._regions], axis=0)
+    hi = np.max([r.hi for r in cls._regions], axis=0)
+    pairs = []
+    for _ in range(count):
+        src = tuple(int(x) for x in rng.integers(lo - 1, hi + 2))
+        use = tuple(int(x) for x in rng.integers(lo - 1, hi + 2))
+        for shared in range(len(lo) + 1):
+            near = src[:shared] + use[shared:]
+            pairs += [(src, near), (near, src)]
+    return pairs
+
+
+def _check_between_boxes(group, pairs, jt, label):
+    """The lockstep decomposition of ``pairs`` (job ``j`` of tiling
+    ``jt[j]``) against `lex_between_boxes` over each tiling's regions."""
+    Blo, Bhi, jid = solver._Lockstep(group).between_boxes(
+        np.array([s for s, _ in pairs], dtype=np.int64),
+        np.array([u for _, u in pairs], dtype=np.int64),
+        np.asarray(jt),
+    )
+    got = [[] for _ in pairs]
+    for b, j in enumerate(jid):
+        got[int(j)].append((tuple(Blo[b].tolist()), tuple(Bhi[b].tolist())))
+    for j, (src, use) in enumerate(pairs):
+        want = [
+            (box.lo, box.hi)
+            for region in group[jt[j]]._regions
+            for box in lex_between_boxes(src, use, region)
+        ]
+        assert got[j] == want, (label, j, src, use)
+        if not src < use:
+            assert not want
+    assert len(jid) > 0, label
+
+
 def test_between_boxes_wave_matches_raw_decomposition():
     """The vectorised between-box decomposition emits the same boxes as
     `lex_between_boxes` over the program's regions, job by job, in the
     same order — the frontier queues built on it charge budgets in
     that order.  Pairs share a prefix of every length (the levels the
-    wave skips), and reversed pairs (src ≻ use) have no boxes."""
+    wave skips), and reversed pairs (src ≻ use) have no boxes.  A
+    lockstep group pads each tiling's regions to the group's count:
+    tilings of MM_24 with 1, 2 and 8 regions, their jobs interleaved,
+    decompose as each would alone."""
     rng = np.random.default_rng(7)
     for label, nest, prog in _programs():
-        layout = MemoryLayout(nest.arrays())
-        cls = PointClassifier(prog, layout, CACHE_DM)
-        lo = np.min([r.lo for r in cls._regions], axis=0)
-        hi = np.max([r.hi for r in cls._regions], axis=0)
-        d = len(lo)
-        pairs = []
-        for _ in range(40):
-            src = tuple(int(x) for x in rng.integers(lo - 1, hi + 2))
-            use = tuple(int(x) for x in rng.integers(lo - 1, hi + 2))
-            for shared in range(d + 1):
-                near = src[:shared] + use[shared:]
-                pairs += [(src, near), (near, src)]
-        Blo, Bhi, jid = cls._between_boxes_wave(
-            np.array([s for s, _ in pairs], dtype=np.int64),
-            np.array([u for _, u in pairs], dtype=np.int64),
-        )
-        got = [[] for _ in pairs]
-        for b, j in enumerate(jid):
-            got[int(j)].append((tuple(Blo[b].tolist()), tuple(Bhi[b].tolist())))
-        for j, (src, use) in enumerate(pairs):
-            want = [
-                (box.lo, box.hi)
-                for region in cls._regions
-                for box in lex_between_boxes(src, use, region)
-            ]
-            assert got[j] == want, (label, j, src, use)
-            if not src < use:
-                assert not want
-        assert len(jid) > 0, label
+        cls = PointClassifier(prog, MemoryLayout(nest.arrays()), CACHE_DM)
+        pairs = _random_pairs(cls, rng)
+        _check_between_boxes([cls], pairs, [0] * len(pairs), label)
+    nest = make_small_mm(24)
+    group = [
+        PointClassifier(tile_program(nest, t), MemoryLayout(nest.arrays()), CACHE_DM)
+        for t in ((24, 24, 24), (5, 24, 24), (5, 7, 9))
+    ]
+    assert [len(c._region_lo) for c in group] == [1, 2, 8]
+    jobs = [(t, pair) for t, c in enumerate(group) for pair in _random_pairs(c, rng)]
+    order = rng.permutation(len(jobs))
+    _check_between_boxes(
+        group,
+        [jobs[i][1] for i in order],
+        [jobs[i][0] for i in order],
+        "mm24-group",
+    )
 
 
 def test_merged_pass_memory_stays_near_one_candidates():
     """Memory guard of `classify_many`, by traced allocations (no wall
-    clock): a 30-candidate direct-mapped pass of MM_500 keeps at most
-    `_IN_FLIGHT` candidates in flight, each releasing its cached cascade
-    tables while suspended and when done, so its peak stays within a
-    small multiple of the costliest single candidate's (about twice).
-    With all 30 in flight, or with the tables kept, the pass peaks near
-    seven times that."""
+    clock): a 30-candidate direct-mapped pass of MM_500 runs at most
+    `_IN_FLIGHT` candidates in one lockstep batch, each releasing its
+    cascades' cached tables after every call, so its peak stays within a
+    small multiple of the costliest single candidate's."""
     import tracemalloc
 
     from repro.cme.analyzer import LocalityAnalyzer
@@ -393,14 +438,38 @@ def test_source_runs_follow_the_scalar_order(monkeypatch, nest, tilings, npoints
 
 def test_kernel_groups_keep_one_row_per_address_form():
     """MM's `a(i,j)` read and write have one address form, so their
-    reference group's kernel spec and merge key hold it once."""
+    reference group's kernel spec holds it once."""
     nest = make_small_mm(24)
     clf = PointClassifier(
         tile_program(nest, (5, 7, 24)), MemoryLayout(nest.arrays()), CACHE_8K
     )
-    assert [len(ridx) for _, ridx, _, _ in clf._groups] == [2, 1, 1]
-    for (_, ridx, _, _), (_, key, (coeffs, consts, *_)) in zip(
-        clf._groups, clf._kernel_groups
-    ):
+    assert [len(ridx) for ridx in clf._groups] == [2, 1, 1]
+    for ridx, (odims, coeffs, consts) in zip(clf._groups, clf._kernel_groups):
         assert len(coeffs) == len(consts) == 1
-        assert key[1:3] == (coeffs.tobytes(), consts.tobytes())
+        assert coeffs.shape[1] == len(odims) == 2
+
+
+def test_classify_codes_rejects_mismatched_lengths(monkeypatch):
+    """A pass takes one point batch per classifier: fewer or more
+    batches raise `ValueError` naming both lengths before any work, and
+    an empty pass returns no tables."""
+    built = []
+
+    class Spy(solver.SourceTable):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(solver, "SourceTable", Spy)
+    nest = make_small_mm(8)
+    prog = program_from_nest(nest)
+    layout = MemoryLayout(nest.arrays())
+    clfs = [PointClassifier(prog, layout, CACHE_DM) for _ in range(2)]
+    pts = [(1, 1, 1), (2, 3, 4)]
+    with pytest.raises(ValueError, match="got 1 for 2"):
+        classify_many(clfs, [pts])
+    with pytest.raises(ValueError, match="got 3 for 2"):
+        solver.classify_codes(clfs, iter([pts] * 3))
+    assert not built and all(c.stats.points == 0 for c in clfs)
+    assert classify_many([], []) == [] and solver.classify_codes([], []) == []
+    assert len(classify_many(clfs, [pts, pts[:1]])[1]) == 1

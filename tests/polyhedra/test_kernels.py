@@ -1,14 +1,16 @@
 """The solver's box kernels against brute-force enumeration.
 
-``boxes_interfere`` decides, per integer box, whether some reference
-address lands in the reused line's cache set on a different line — the
-verdict the solver's direct-mapped interval enumeration needs.
 ``box_line_counts`` counts, per box, the distinct lines other than the
-reused one in that cache set, capped — the k-way cascade's count.  The
-brute force lists every point of every box.
+reused one in that cache set, capped — the k-way count — listing only
+the box's points in the set.  ``boxes_interfere`` decides, per integer
+box, whether some reference address lands in the reused line's cache
+set on a different line — the direct-mapped verdict, an OR over
+references of counts capped at one.  The brute force lists every point
+of every box.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.polyhedra import kernels
@@ -113,18 +115,11 @@ def test_own_line_hits_alone_do_not_interfere():
     assert got.tolist() == brute(lo, exts, coeffs, consts, line0)
 
 
-def test_wide_address_spans_split_the_batch(monkeypatch):
-    """Segment keys would leave int64: the batch is decided in parts,
-    down to single boxes."""
-    calls = []
-
-    def spy(lo, *args):
-        calls.append(len(lo))
-        return real(lo, *args)
-
-    real = kernels.boxes_interfere
-    monkeypatch.setattr(kernels, "boxes_interfere", spy)
-    coeffs = np.array([[8, 1 << 58]], dtype=np.int64)
+def test_wide_coefficients_stay_exact():
+    """A coefficient of 2**58 (≡ 0 mod the way size, so its progression
+    has period one) gives both entry points brute force's answers."""
+    wide = 1 << 58
+    coeffs = np.array([[8, wide]], dtype=np.int64)
     consts = np.zeros(1, dtype=np.int64)
     exts = np.array([[3, e] for e in range(1, 9)], dtype=np.int64)
     lo = np.zeros_like(exts)
@@ -132,7 +127,11 @@ def test_wide_address_spans_split_the_batch(monkeypatch):
     got = kernels.boxes_interfere(lo, exts, coeffs, consts, line0, MOD, LINE)
     assert got.tolist() == [False, False, True, False, True, False, True, False]
     assert got.tolist() == brute(lo, exts, coeffs, consts, line0)
-    assert max(calls) == 8 and min(calls) == 1
+    c0 = lo @ coeffs[0] + consts[0]
+    wlo = line0 % MOD
+    for cap in (1, 2, 8):
+        case = (c0, exts, coeffs[0], wlo, line0, MOD, LINE, cap)
+        assert kernels.box_line_counts(*case).tolist() == brute_counts(*case)
 
 
 def test_empty_batch():
@@ -249,15 +248,136 @@ def test_zero_coefficient_dimensions_do_not_change_counts(case, data):
     assert got.tolist() == brute_counts(c0, exts, coeffs, *rest)
 
 
-def test_box_line_counts_row_cap(monkeypatch):
-    """Passes hold whole boxes up to the row cap; a box above it alone."""
+# -- box_line_counts: the cache-set hit listing's own branches ------------------
+
+@st.composite
+def hit_batches(draw):
+    """Batches aimed at the hit listing's branches: coefficients with
+    several residues per row (gcd with the way size below the line),
+    coefficients ≡ 0 mod the way size (period one), short periods whose
+    classes hold more than cap + 1 hits, a way of one line (adjacent
+    windows share a line), and ragged shapes that pick different
+    progressions within one call."""
+    mod = draw(st.sampled_from([MOD, 96, LINE]))
+    dg = draw(st.integers(1, 3))
+    coeff = st.sampled_from(
+        [1, -3, 8, 24, -40, 384, mod // 2, mod, -2 * mod, 0]
+    )
+    coeffs = np.array([draw(coeff) for _ in range(dg)], dtype=np.int64)
+    extent = st.integers(1, {1: 40, 2: 12, 3: 6}[dg])
+    nb = draw(st.integers(1, 8))
+    exts = np.array(
+        [[draw(extent) for _ in range(dg)] for _ in range(nb)], dtype=np.int64
+    )
+    c0 = np.array(
+        [draw(st.integers(-4 * mod, 4 * mod)) for _ in range(nb)], dtype=np.int64
+    )
+    wlo = np.array(
+        [draw(st.integers(-2 * mod, 2 * mod)) for _ in range(nb)], dtype=np.int64
+    )
+    line0 = np.array(
+        [(int(a) + draw(st.integers(-mod, 3 * mod))) // LINE * LINE for a in c0],
+        dtype=np.int64,
+    )
+    cap = draw(st.sampled_from([1, 2, 3, 8]))
+    return c0, exts, coeffs, wlo, line0, mod, LINE, cap
+
+
+@given(hit_batches())
+@settings(max_examples=300, deadline=None)
+def test_hit_listing_matches_bruteforce(case):
+    assert kernels.box_line_counts(*case).tolist() == brute_counts(*case)
+
+
+def _progressions(monkeypatch, case):
+    """The kernel's counts for ``case`` and, per box, its progression's
+    coefficient, extent, gcd and period."""
+    seen = []
+    real = kernels._count_pass
+
+    def spy(*args):
+        seen.append(args[-5:-1])
+        return real(*args)
+
+    monkeypatch.setattr(kernels, "_count_pass", spy)
+    got = kernels.box_line_counts(*case)
+    c, n, g, period = (np.concatenate(a) for a in zip(*seen))
+    return got, c, n, g, period
+
+
+def _hit_case(c0, exts, coeffs, wlo, line0, mod=MOD, cap=8):
+    as64 = lambda v: np.array(v, dtype=np.int64)  # noqa: E731
+    return (as64(c0), as64(exts), as64(coeffs), as64(wlo), as64(line0), mod,
+            LINE, cap)
+
+
+HIT_BRANCHES = {
+    # c = 8: g = 8 < LINE, so each row has four residues in the window.
+    "several-residues-per-row": (
+        _hit_case([5, 1000], [[40], [200]], [8], [0, 992], [96, 0]),
+        lambda c, n, g, period, mod, cap: (g < LINE).all(),
+    ),
+    # c = 2·MOD: every step returns to the same residue (period one).
+    "coefficient-0-mod-M": (
+        _hit_case([7, 40], [[5, 1], [3, 2]], [2 * MOD, 1], [0, 32], [0, 0]),
+        lambda c, n, g, period, mod, cap: ((c % mod == 0) & (period == 1)).all(),
+    ),
+    # A class of ten hits, capped at two: its first three decide.
+    "class-beyond-cap-plus-one": (
+        _hit_case([64, 3], [[10], [12]], [MOD], [64, 0], [64, 1024], cap=2),
+        lambda c, n, g, period, mod, cap: (n > (cap + 1) * period).all(),
+    ),
+    # A way of one line: an unaligned window straddles two lines, and
+    # every address is in the set.
+    "way-below-two-lines": (
+        _hit_case([0, 17, 5], [[9, 2], [4, 4], [16, 1]], [4, 9], [17, 3, 30],
+                  [0, 32, 64], mod=LINE, cap=3),
+        lambda c, n, g, period, mod, cap: mod < 2 * LINE,
+    ),
+    # One call, two progressions: along 8 for the box that moves only
+    # along it, along 4000 (g = 32, one residue a row) for the others.
+    "progressions-differ": (
+        _hit_case([0, 8, 16, 24], [[40, 1, 1], [1, 40, 1], [40, 40, 1],
+                                   [1, 1, 3]],
+                  [8, 4000, 0], [0, 0, 0, 0], [4096, 0, 0, 0]),
+        lambda c, n, g, period, mod, cap: len(set(c.tolist())) == 2,
+    ),
+}
+
+
+@pytest.mark.parametrize("branch", sorted(HIT_BRANCHES))
+def test_hit_listing_branches(monkeypatch, branch):
+    """Each branch the hit listing takes, shown taken on its boxes and
+    counted as brute force counts."""
+    case, taken = HIT_BRANCHES[branch]
+    got, c, n, g, period = _progressions(monkeypatch, case)
+    assert taken(c, n, g, period, case[5], case[7])
+    assert got.tolist() == brute_counts(*case)
+
+
+def test_constant_addresses_count_one_point():
+    """A box no dimension spans (no coefficients) is its one address."""
+    c0 = np.array([5, 40, 1030, 1060], dtype=np.int64)
+    case = (
+        c0, np.empty((4, 0), dtype=np.int64), np.empty(0, dtype=np.int64),
+        np.zeros(4, dtype=np.int64), np.zeros(4, dtype=np.int64), MOD, LINE, 2,
+    )
+    # 5 is the reused line itself, 40 and 1060 lie outside the set.
+    assert kernels.box_line_counts(*case).tolist() == [0, 0, 1, 0]
+
+
+def test_box_line_counts_entry_cap(monkeypatch):
+    """Passes hold whole boxes up to the (row, residue) entry cap; a
+    box above it runs alone."""
     passes = []
-    real = kernels.distinct_counts
+    real = kernels._count_pass
 
-    def spy(qrow, lines, nq):
-        passes.append(nq)
-        return real(qrow, lines, nq)
+    def spy(c0, *args):
+        passes.append(len(c0))
+        return real(c0, *args)
 
+    # Along c = 8 or c = -40 a row has 4 residues (g = 8); along the
+    # idle third dimension (g = MOD) every point is its own row with one.
     coeffs = np.array([8, -40, 0], dtype=np.int64)
     exts = np.array(
         [[3, 1, 1], [2, 1, 4], [7, 1, 1], [1, 1, 1], [1, 1, 2], [3, 3, 1],
@@ -268,14 +388,15 @@ def test_box_line_counts_row_cap(monkeypatch):
     c0 = np.arange(n, dtype=np.int64) * 100
     wlo = np.zeros(n, dtype=np.int64)
     line0 = np.full(n, LINE, dtype=np.int64)
-    whole = kernels.box_line_counts(c0, exts, coeffs, wlo, line0, LINE, LINE, 8)
-    monkeypatch.setattr(kernels, "_ROW_CAP", 5)
-    monkeypatch.setattr(kernels, "distinct_counts", spy)
-    got = kernels.box_line_counts(c0, exts, coeffs, wlo, line0, LINE, LINE, 8)
-    assert got.tolist() == whole.tolist()
-    assert got.tolist() == brute_counts(c0, exts, coeffs, wlo, line0, LINE, LINE, 8)
-    # Volumes along the moving dimensions: 3, 2, 7, 1, 1, 9, 2.
-    assert passes == [2, 1, 2, 1, 1]
+    case = (c0, exts, coeffs, wlo, line0, MOD, LINE, 8)
+    whole = kernels.box_line_counts(*case)
+    monkeypatch.setattr(kernels, "_ENTRY_CAP", 8)
+    monkeypatch.setattr(kernels, "_count_pass", spy)
+    got = kernels.box_line_counts(*case)
+    assert got.tolist() == whole.tolist() == brute_counts(*case)
+    # Cheapest rows x residues: 3, 2, 4 (one row along c = 8), 1, 1, 9
+    # (above the cap: alone), 2.
+    assert passes == [2, 3, 1, 1]
 
 
 def test_box_line_counts_empty_batch():

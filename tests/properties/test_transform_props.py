@@ -75,16 +75,17 @@ def test_tiled_trace_is_permutation(t1, t2):
 @given(extents_and_tiles(max_extent=7), st.data())
 @settings(max_examples=60, deadline=None)
 def test_between_boxes_of_a_tiled_space_are_original_boxes(data, draw):
-    """The box-mapping property the merged kernel queries rest on.
+    """The box-mapping property the original-coordinate kernel queries,
+    address bands and projected volumes rest on.
 
-    In every dimension of every box `_between_boxes_wave` emits, either
+    In every dimension of every box `lex_between_boxes_many` emits, either
     the tile index is pinned or the element offset spans the whole tile
     of the box's region; so the box holds exactly the iteration points
     of the original-space box between the images of its corners."""
     from itertools import product
 
     from repro.cache.config import CacheConfig
-    from repro.cme.solver import PointClassifier
+    from repro.cme.solver import PointClassifier, _Lockstep
     from repro.ir.affine import AffineExpr
     from repro.ir.arrays import Array, read
     from repro.ir.loops import Loop, LoopNest
@@ -108,7 +109,9 @@ def test_between_boxes_of_a_tiled_space_are_original_boxes(data, draw):
         pm.from_original_batch(np.array(side, dtype=np.int64))
         for side in zip(*pairs)
     )
-    Blo, Bhi, _ = cls._between_boxes_wave(S, U)
+    Blo, Bhi, _ = _Lockstep([cls]).between_boxes(
+        S, U, np.zeros(len(S), dtype=np.intp)
+    )
     for lo, hi in zip(Blo.tolist(), Bhi.tolist()):
         (region,) = [
             r for r in cls._regions

@@ -164,42 +164,55 @@ def _cme_counts(sink) -> dict:
 
 def test_classify_pass_counts_candidates_and_merged_kernel_calls(monkeypatch):
     """`classify_many` records per pass how many candidates it classified,
-    how many split-sum kernel calls their merged rounds took, and the
-    reuse-source tables (and their rows) the pass built: one for four
-    tilings of one nest and sample."""
+    how many kernel calls their lockstep rounds took on either geometry,
+    the boxes those calls answered and the (row, residue) entries the
+    kernel listed, and the reuse-source tables (and their rows) the pass
+    built: one for four tilings of one nest and sample."""
     from repro.cache.config import CacheConfig
     from repro.cme import solver
     from repro.cme.analyzer import LocalityAnalyzer
+    from repro.polyhedra import kernels
     from tests.conftest import make_small_mm
 
-    calls, rows = [], []
+    calls, entries, rows = [], [], []
 
-    def spy(*args):
-        calls.append(len(args[0]))
-        return kernel(*args)
+    def spying(kernel):
+        def spy(first, *args):
+            before = kernels.entries_listed()
+            out = kernel(first, *args)
+            calls.append(len(first))
+            entries.append(kernels.entries_listed() - before)
+            return out
+
+        return spy
 
     class Table(solver.SourceTable):
         def __init__(self, *args):
             super().__init__(*args)
             rows.append(len(self.src))
 
-    kernel = solver.boxes_interfere
-    monkeypatch.setattr(solver, "boxes_interfere", spy)
+    for name in ("boxes_interfere", "box_line_counts"):
+        monkeypatch.setattr(solver, name, spying(getattr(solver, name)))
     monkeypatch.setattr(solver, "SourceTable", Table)
-    sink = MemorySink()
-    telemetry.configure(sink=sink, default=True)
-    analyzer = LocalityAnalyzer(
-        make_small_mm(24), CacheConfig(8192, 32, 1), n_samples=40
-    )
-    analyzer.estimate_many([(5, 7, 24), (3, 24, 8), (12, 12, 12), None])
-    assert _cme_counts(sink) == {
-        "cme.classify_passes": 1,
-        "cme.classify_candidates": 4,
-        "cme.kernel_calls": len(calls),
-        "cme.source_tables": 1,
-        "cme.source_rows": rows[0],
-    }
-    assert calls and len(rows) == 1 and rows[0] > 0
+    for assoc in (1, 2):
+        for acc in (calls, entries, rows):
+            acc.clear()
+        sink = MemorySink()
+        telemetry.configure(sink=sink, default=True)
+        analyzer = LocalityAnalyzer(
+            make_small_mm(24), CacheConfig(8192, 32, assoc), n_samples=40
+        )
+        analyzer.estimate_many([(5, 7, 24), (3, 24, 8), (12, 12, 12), None])
+        assert _cme_counts(sink) == {
+            "cme.classify_passes": 1,
+            "cme.classify_candidates": 4,
+            "cme.kernel_calls": len(calls),
+            "cme.kernel_boxes": sum(calls),
+            "cme.kernel_entries": sum(entries),
+            "cme.source_tables": 1,
+            "cme.source_rows": rows[0],
+        }, assoc
+        assert calls and sum(entries) > 0 and len(rows) == 1 and rows[0] > 0
 
 
 def test_ga_search_builds_one_source_table_per_classify_pass():
