@@ -27,6 +27,7 @@ import numpy as np
 from repro.cache.config import CacheConfig
 from repro.cme.solver import (
     OUTCOMES,
+    NestRows,
     Outcome,
     PointClassifier,
     SolverStats,
@@ -191,11 +192,23 @@ def estimate_many_at_points(
     cascade_budgets: dict[str, int] | None = None,
 ) -> list[CMEEstimate]:
     """:func:`estimate_at_points` under several programs of one nest, in
-    one :func:`repro.cme.solver.classify_codes` pass that merges their
-    kernel calls and shares their reuse-source table; each estimate
-    equals its one-program call."""
+    one :func:`repro.cme.solver.classify_codes` pass that builds the
+    nest's :class:`~repro.cme.solver.NestRows` once, merges their kernel
+    calls and shares their reuse-source table; each estimate equals its
+    one-program call.  Programs of another nest raise ``ValueError``
+    before any work."""
+    if not programs:
+        return []
+    nest = programs[0].original
+    for p in programs:
+        if p.original is not nest and p.original != nest:
+            raise ValueError(
+                f"programs of one nest: {programs[0].name} is a tiling of "
+                f"{nest.name}, {p.name} of {p.original.name}"
+            )
+    rows = NestRows(nest, layout, cache, candidates)
     classifiers = [
-        PointClassifier(p, layout, cache, candidates, cascade_budgets=cascade_budgets)
+        PointClassifier.for_rows(p, rows, cascade_budgets=cascade_budgets)
         for p in programs
     ]
     P = np.asarray(original_points, dtype=np.int64)

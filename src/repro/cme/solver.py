@@ -74,6 +74,82 @@ class SolverStats:
     congruence: dict = field(default_factory=dict)
 
 
+class NestRows:
+    """The classifiers' shared half, in original coordinates: address
+    rows, positions, reference groups (one coefficient support each),
+    kernel rows, reuse-source offsets and bounds of one nest, layout,
+    cache and candidates, built once per pass.  A program's point map is
+    affine, ``to_original(Q) = A·Q + b``, so its rows are ``ocoef·A``
+    and ``oc0 + ocoef·b``, those of its substituted subscripts.  Groups
+    hold for every tiling: with ``A = [diag(T) | I]``, ``T ≥ 1``, a
+    tiled support has ``t_d`` and ``u_d`` where the original has ``d``.
+    """
+
+    def __init__(self, nest, layout, cache, candidates=None):
+        if candidates is None:
+            candidates = compute_reuse_candidates(nest, layout, cache.line_size)
+        self.nest, self.layout, self.cache = nest, layout, cache
+        self.candidates = candidates
+        self.L, self.M, self.k = cache.line_size, cache.way_bytes, cache.associativity
+        refs = sorted(nest.refs, key=lambda r: r.position)
+        exprs = [layout.address_expr(r) for r in refs]
+        ocoef = np.array(
+            [e.coeff_vector(nest.vars) for e in exprs], np.int64
+        ).reshape(len(exprs), nest.depth)
+        oc0 = np.array([e.const for e in exprs], dtype=np.int64)
+        self.ocoef, self.oc0 = ocoef, oc0
+        self.positions = np.array([r.position for r in refs], dtype=np.int64)
+        supports: dict[tuple[int, ...], list[int]] = {}
+        for i, row in enumerate(ocoef.tolist()):
+            supp = tuple(d for d, c in enumerate(row) if c != 0)
+            supports.setdefault(supp, []).append(i)
+        self.groups = [np.array(g, dtype=np.intp) for g in supports.values()]
+        # One kernel row per distinct address form: the kernel's verdict
+        # is an OR over rows, so a repeated row can never add a hit.
+        # Equal forms have equal supports, so they share a group.
+        first: dict[tuple, int] = {}
+        for i, form in enumerate(np.column_stack((ocoef, oc0)).tolist()):
+            first.setdefault(tuple(form), i)
+        distinct = np.zeros(len(refs), dtype=bool)
+        distinct[list(first.values())] = True
+        # Each entry: (original support, coefficients, constants).
+        self.kernel_groups = []
+        for ridx in self.groups:
+            odims = np.flatnonzero(ocoef[ridx].any(axis=0))
+            ridx = ridx[distinct[ridx]]
+            self.kernel_groups.append((odims, ocoef[np.ix_(ridx, odims)], oc0[ridx]))
+        # Reuse-source offsets, one per distinct (reference, source
+        # reference, candidate vector · sign); the SourceTable of a
+        # sample applies them to every point.
+        index = {ref.position: i for i, ref in enumerate(refs)}
+        offsets: dict[tuple, None] = {}
+        for idx, ref in enumerate(refs):
+            for cand in candidates.get(ref.position, ()):
+                vec = tuple(cand.vector)
+                row = (idx, index[cand.source_position])
+                if any(vec):
+                    offsets[row + vec] = None
+                    offsets[row + tuple(-r for r in vec)] = None
+                elif cand.source_position < ref.position:
+                    # Intra-iteration: q == p, the source precedes in body.
+                    offsets[row + vec] = None
+        offs = np.array(list(offsets), dtype=np.int64).reshape(
+            len(offsets), 2 + nest.depth
+        )
+        self.src_ref, self.src_sref, self.src_off = offs[:, 0], offs[:, 1], offs[:, 2:]
+        self.lo = tuple(l.lower for l in nest.loops)
+        self.hi = tuple(l.upper for l in nest.loops)
+        self.lo_arr = np.array(self.lo, np.int64)
+        self.hi_arr = np.array(self.hi, np.int64)
+        arrays = (
+            ocoef, oc0, self.positions, self.lo_arr, self.hi_arr,
+            self.src_ref, self.src_sref, self.src_off,
+        )
+        self.key = (self.L, self.M, self.k) + tuple(
+            (a.shape, a.tobytes()) for a in arrays
+        )
+
+
 class PointClassifier:
     """Classify individual iteration points of one program/layout/cache."""
 
@@ -87,14 +163,21 @@ class PointClassifier:
         cascade_budgets: dict[str, int] | None = None,
         batch_cascade: bool | None = None,
     ):
+        rows = NestRows(program.original, layout, cache, candidates)
+        self._setup(program, rows, cascade_budgets, batch_cascade)
+
+    @classmethod
+    def for_rows(cls, program: AccessProgram, rows: NestRows, **flags):
+        """The classifier of ``program``, a tiling of ``rows.nest``, on
+        rows built once for a pass; ``flags`` as the constructor's."""
+        clf = cls.__new__(cls)
+        clf._setup(program, rows, **flags)
+        return clf
+
+    def _setup(self, program, rows, cascade_budgets=None, batch_cascade=None):
         self.program = program
-        self.layout = layout
-        self.cache = cache
-        if candidates is None:
-            candidates = compute_reuse_candidates(
-                program.original, layout, cache.line_size
-            )
-        self.candidates = candidates
+        self.layout, self.cache = rows.layout, rows.cache
+        self.candidates = rows.candidates
         self.stats = SolverStats()
         self._tester = CongruenceTester(**(cascade_budgets or {}))
         if batch_cascade is None:
@@ -102,96 +185,24 @@ class PointClassifier:
         # Dispatch ladder: batched-numpy → scalar reference.
         self._use_batch_cascade = bool(batch_cascade)
         self.cascade_tier = "batched" if self._use_batch_cascade else "scalar"
+        self._rows = rows
+        self._L, self._M, self._k = rows.L, rows.M, rows.k
+        self._orig_lo, self._orig_hi = rows.lo, rows.hi
+        self._positions, self._groups = rows.positions, rows.groups
 
-        vars_ = program.space.vars
         self._refs = sorted(program.refs, key=lambda r: r.position)
-        self._coeffs: list[tuple[int, ...]] = []
-        self._consts: list[int] = []
-        for ref in self._refs:
-            expr = layout.address_expr(ref)
-            self._coeffs.append(expr.coeff_vector(vars_))
-            self._consts.append(expr.const)
-        self._positions = np.array(
-            [r.position for r in self._refs], dtype=np.int64
-        )
+        self._pm = program.point_map
+        # This program's address rows: the nest's, composed with its map.
+        self._A, self._b = self._pm.affine()
+        self._coeffs = list(map(tuple, (rows.ocoef @ self._A).tolist()))
+        self._consts = (rows.oc0 + rows.ocoef @ self._b).tolist()
         self._regions: tuple[Box, ...] = program.space.regions
-        # Non-empty regions as (R, depth) bound arrays for the wave
+        # Non-empty regions as (R, rank) bound arrays for the wave
         # decomposition (an empty region holds no between-boxes).
         solid = [r for r in self._regions if not r.is_empty]
-        self._region_lo = np.array(
-            [r.lo for r in solid], dtype=np.int64
-        ).reshape(len(solid), len(vars_))
-        self._region_hi = np.array(
-            [r.hi for r in solid], dtype=np.int64
-        ).reshape(len(solid), len(vars_))
-        self._pm = program.point_map
-        orig = program.original
-        self._orig_lo = tuple(l.lower for l in orig.loops)
-        self._orig_hi = tuple(l.upper for l in orig.loops)
-        self._orig_lo_arr = np.array(self._orig_lo, dtype=np.int64)
-        self._orig_hi_arr = np.array(self._orig_hi, dtype=np.int64)
-        self._L = cache.line_size
-        self._M = cache.way_bytes
-        self._k = cache.associativity
-        # References grouped by coefficient support: refs depending on
-        # the same dimensions are tested together over the box projected
-        # to those dimensions — the cascade's degenerate-dimension
-        # dropping, vectorised.  Each entry: the group's reference indices.
-        supports: dict[tuple[int, ...], list[int]] = {}
-        for i, coeffs in enumerate(self._coeffs):
-            supp = tuple(d for d, c in enumerate(coeffs) if c != 0)
-            supports.setdefault(supp, []).append(i)
-        self._groups = [
-            np.array(refs, dtype=np.intp) for refs in supports.values()
-        ]
-        # The groups in the original nest's coordinates, where all its
-        # tilings share one coefficient matrix: the interval rounds'
-        # kernel queries are built there, so one call serves every
-        # tiling of a lockstep batch.
-        orefs = sorted(orig.refs, key=lambda r: r.position)
-        exprs = [layout.address_expr(r) for r in orefs]
-        ocoef = np.array(
-            [e.coeff_vector(orig.vars) for e in exprs], np.int64
-        ).reshape(len(exprs), orig.depth)
-        oc0 = np.array([e.const for e in exprs], dtype=np.int64)
-        self._ocoef, self._oc0 = ocoef, oc0
-        # One kernel row per distinct address form: the kernel's verdict
-        # is an OR over rows, so a repeated row can never add a hit.
-        # Equal forms have equal supports, so they share a group.
-        first: dict[tuple, int] = {}
-        for i, form in enumerate(np.column_stack((ocoef, oc0)).tolist()):
-            first.setdefault(tuple(form), i)
-        distinct = np.zeros(len(orefs), dtype=bool)
-        distinct[list(first.values())] = True
-        # Each entry: (original support, coefficients, constants).
-        self._kernel_groups = []
-        for ridx in self._groups:
-            odims = np.flatnonzero(ocoef[ridx].any(axis=0))
-            ridx = ridx[distinct[ridx]]
-            self._kernel_groups.append(
-                (odims, ocoef[np.ix_(ridx, odims)], oc0[ridx])
-            )
-        # Reuse-source offsets in original coordinates, one per distinct
-        # (reference, source reference, candidate vector · sign); the
-        # SourceTable of a sample applies them to every point.
-        index = {ref.position: i for i, ref in enumerate(self._refs)}
-        offsets: dict[tuple, None] = {}
-        for idx, ref in enumerate(self._refs):
-            for cand in self.candidates.get(ref.position, ()):
-                vec = tuple(cand.vector)
-                row = (idx, index[cand.source_position])
-                if any(vec):
-                    offsets[row + vec] = None
-                    offsets[row + tuple(-r for r in vec)] = None
-                elif cand.source_position < ref.position:
-                    # Intra-iteration: q == p, the source precedes in body.
-                    offsets[row + vec] = None
-        offs = np.array(list(offsets), dtype=np.int64).reshape(
-            len(offsets), 2 + orig.depth
-        )
-        self._src_ref, self._src_sref, self._src_off = (
-            offs[:, 0], offs[:, 1], offs[:, 2:]
-        )
+        shape = (len(solid), self._A.shape[1])
+        self._region_lo = np.array([r.lo for r in solid], np.int64).reshape(shape)
+        self._region_hi = np.array([r.hi for r in solid], np.int64).reshape(shape)
         # Per-reference batched-cascade invariants (gcd tables, period
         # decompositions, dimension orderings), built lazily once per
         # candidate and reused across every wave of this classifier.
@@ -231,39 +242,31 @@ class PointClassifier:
         return [self._classify_ref(i, point) for i in range(len(self._refs))]
 
     def classify_ref(self, position: int, point: tuple[int, ...]) -> Outcome:
-        for i, ref in enumerate(self._refs):
-            if ref.position == position:
-                self.stats.points += 1
-                return self._classify_ref(i, point)
-        raise KeyError(position)
+        idx = self._position_index(position)
+        self.stats.points += 1
+        return self._classify_ref(idx, point)
 
     def classify_batch(
         self, points: np.ndarray | list[tuple[int, ...]]
     ) -> list[list[Outcome]]:
-        """Outcomes for a whole sample batch; one call per sample.
+        """Outcomes for a whole sample batch (an ``(n, depth)`` integer
+        array or point tuples), the one-classifier :func:`classify_many`.
 
-        ``points`` is an ``(n, depth)`` integer array or a sequence of
-        point tuples.  Agrees outcome-for-outcome with
-        :meth:`classify_point` on every point (the batched-vs-scalar
-        equivalence contract of :mod:`repro.evaluation`): the waves try
-        each (point, ref)'s reuse sources in the scalar order, small
-        source→use intervals go to one kernel pass per round, oversized
-        ones to the batched congruence cascade
-        (:mod:`repro.polyhedra.cascade`), verdict-identical to the
-        scalar tester.  This is the one-classifier case of
-        :func:`classify_many`.
+        Agrees outcome-for-outcome with :meth:`classify_point` (the
+        equivalence contract of :mod:`repro.evaluation`): waves try each
+        (point, ref)'s sources in the scalar order, small intervals go to
+        the kernel, oversized ones to the batched congruence cascade.
         """
         return classify_many([self], [points])[0]
 
     def _lockstep_key(self) -> tuple:
         """What a :class:`_Lockstep` batch shares beyond its
-        :class:`SourceTable`: the cascade rung, the budgets, the
-        coordinate rank and the reference-group partition."""
+        :class:`SourceTable` (hence its nest rows): the cascade rung,
+        the budgets and the coordinate rank."""
         return (
             self._use_batch_cascade,
             tuple(self._tester.budgets().values()),
-            self._region_lo.shape[1],
-            tuple(tuple(ridx.tolist()) for ridx in self._groups),
+            self._A.shape[1],
         )
 
     # -- core ------------------------------------------------------------------
@@ -330,35 +333,24 @@ class PointClassifier:
     def _source_key(self, O: np.ndarray) -> tuple:
         """What the :class:`SourceTable` of original-space sample ``O``
         depends on, by content: classifiers with equal keys share one."""
-        arrays = (
-            self._ocoef, self._oc0, self._positions, self._orig_lo_arr,
-            self._orig_hi_arr, self._src_ref, self._src_sref, self._src_off, O,
-        )
-        return (self._L, self._M, self._k) + tuple(
-            (a.shape, a.tobytes()) for a in arrays
-        )
+        return self._rows.key + ((O.shape, O.tobytes()),)
 
     def _batch_reuse_sources(self, P: np.ndarray, table: SourceTable):
-        """Reuse sources for every (point, reference) of a batch.
-
-        Vectorises :meth:`_reuse_sources` over the whole batch, given
-        the tiling-invariant :class:`SourceTable` of its sample: map the
-        table's sources to this program's coordinates, keep those that
-        run before their use (``q ⪯ p``; ``q == p`` only on the
-        intra-iteration rows, whose source precedes in the body), and
-        lay them out in runs per (point, reference), each in the order
+        """:meth:`_reuse_sources` for every (point, reference) of a
+        batch, from its sample's :class:`SourceTable`: map the table's
+        sources to this program's coordinates, keep those that run before
+        their use (``q ⪯ p``; ``q == p`` only on intra-iteration rows)
+        and lay them out in runs per (point, reference), in the order
         :meth:`_classify_ref` tries them (descending ``(q, position)``).
-        The fields (run, q, position) are packed into as few int64
-        words as their value ranges allow (:func:`_word_strides`), the
-        coordinates reversed so that ascending words mean descending
-        ``q``; the coordinate part of the same words decides execution
-        order, and the words sort the rows.  Table rows are distinct, so
-        no run holds a duplicate.
+        The fields (run, q, position) pack into the fewest int64 words
+        (:func:`_word_strides`), coordinates reversed so that ascending
+        words mean descending ``q``; the words decide execution order
+        and sort the rows.
 
-        Returns ``(src, rows, point, ref, start, stop)``: the sources
-        in this program's coordinates and their table rows, then one
-        entry per run that is not empty, in (point, reference) order,
-        covering ``src[start:stop]``.
+        Returns ``(src, rows, point, ref, start, stop)``: the sources in
+        this program's coordinates and their table rows, then one entry
+        per non-empty run, in (point, reference) order, covering
+        ``src[start:stop]``.
         """
         nrefs = len(self._refs)
         Q = self._pm.from_original_batch(table.src)
@@ -519,13 +511,11 @@ class PointClassifier:
     ) -> None:
         """A round's oversized-projection boxes of this tiling, one call.
 
-        Replaces the per-(box, reference) scalar cascade loop: boxes are
-        grouped by reference group and decided by the vectorised cascade
-        one reference rank at a time, so early exit per box (first
-        reference that proves or cannot refute interference wins) is
-        preserved while the actual congruence work is shared across the
-        whole round.  Verdicts per (box, reference) are identical to the
-        scalar cascade, hence job outcomes are unchanged.
+        Boxes are grouped by reference group and decided by the batched
+        cascade one reference at a time: each box keeps its early exit
+        (the first reference that proves or cannot refute interference
+        wins) while the congruence work is shared across the round.
+        Verdicts per (box, reference) equal the scalar cascade's.
         """
         by_group: dict[int, list[tuple[int, int]]] = {}
         for j, b, gi in cascades:
@@ -680,24 +670,27 @@ class SourceTable:
     and ``wlo`` are each (point, reference)'s line and cache-set window.
     """
 
-    #: Cap on (offset, point) rows per stacked offset pass (memory guard).
+    #: Cap on (offset, point) rows per stacked offset pass, and on rows
+    #: per endpoint count pass (memory guards).
     _SOURCE_CHUNK_ROWS = 1 << 14
+    _COUNT_CHUNK_ROWS = 1 << 12
 
     def __init__(self, clf: PointClassifier, O: np.ndarray):
         n, d = O.shape
-        L = clf._L
-        self._ocoef, self._oc0 = clf._ocoef, clf._oc0
-        self._pos = clf._positions
-        self._L, self._M, self._cap = L, clf._M, max(clf._k, 1)
-        addrs = O @ clf._ocoef.T + clf._oc0  # (n, nrefs)
+        nr = clf._rows
+        L = nr.L
+        self._ocoef, self._oc0 = nr.ocoef, nr.oc0
+        self._pos = nr.positions
+        self._L, self._M, self._cap = L, nr.M, max(nr.k, 1)
+        addrs = O @ nr.ocoef.T + nr.oc0  # (n, nrefs)
         lines = addrs // L
         self.l0 = lines * L
-        self.wlo = self.l0 % clf._M
-        off, ref, sref = clf._src_off, clf._src_ref, clf._src_sref
-        lo, hi = clf._orig_lo_arr, clf._orig_hi_arr
+        self.wlo = self.l0 % nr.M
+        off, ref, sref = nr.src_off, nr.src_ref, nr.src_sref
+        lo, hi = nr.lo_arr, nr.hi_arr
         # A source's address is its reference's address at the use's
         # point minus the offset's share of it.
-        shift = (clf._ocoef[sref] * off).sum(axis=1)
+        shift = (nr.ocoef[sref] * off).sum(axis=1)
         # The table lives through the waves: narrowest dtypes (memory).
         coord_t = _narrow(int(lo.min()), int(hi.max()))
         point_t, offset_t = _narrow(n), _narrow(len(off))
@@ -716,7 +709,7 @@ class SourceTable:
         rows = np.concatenate(offs)
         self.src = np.concatenate(srcs)
         self.point = np.concatenate(pts)
-        self.ref = ref[rows].astype(_narrow(len(clf._refs)))
+        self.ref = ref[rows].astype(_narrow(len(nr.positions)))
         self.sref = sref[rows].astype(self.ref.dtype)
         self.same = ~off.any(axis=1)[rows]
         self._addrs = addrs
@@ -727,11 +720,12 @@ class SourceTable:
 
         A row's count is computed the first time a wave asks for it and
         kept for the pass, so each row costs one count however many
-        tilings try it.
+        tilings try it, in one wave or later ones.
         """
-        new = rows[self._pre[rows] < 0]
-        if len(new):
-            self._pre[new] = self._endpoint_counts(new)
+        new = np.unique(rows[self._pre[rows] < 0])
+        for first in range(0, len(new), self._COUNT_CHUNK_ROWS):
+            part = new[first : first + self._COUNT_CHUNK_ROWS]
+            self._pre[part] = self._endpoint_counts(part)
         return self._pre[rows]
 
     def _endpoint_counts(self, rows: np.ndarray) -> np.ndarray:
@@ -879,9 +873,8 @@ def classify_codes(classifiers: list[PointClassifier], batches) -> list[np.ndarr
 class _Lockstep:
     """One wave loop for a batch of tilings that share what it uses.
 
-    The tilings share a :class:`SourceTable`, a cascade rung, budgets, a
-    coordinate rank and a reference-group partition
-    (:meth:`PointClassifier._lockstep_key`).  Every work item, job and
+    The tilings share a :class:`SourceTable` (so nest rows) and a
+    :meth:`PointClassifier._lockstep_key`.  Every work item, job and
     box carries its tiling's index (``tt``, ``jt``, ``bt``), and each
     wave, interval round and count step runs over every job of the
     batch.  A tiling's verdicts and stats depend only on its own jobs:
@@ -901,12 +894,15 @@ class _Lockstep:
         #: Kernel calls made and boxes they answered (telemetry).
         self.calls = self.boxes = 0
         lead = clfs[0]
-        self.lead = lead
+        self.lead, self.rows = lead, lead._rows
         self.k, self.L, self.M = lead._k, lead._L, lead._M
         self.enum_limit = lead._tester.enum_limit
-        self.ocpos = np.maximum(lead._ocoef, 0)
-        self.ocneg = np.minimum(lead._ocoef, 0)
-        self.osupp = [np.flatnonzero(row) for row in lead._ocoef]
+        self.ocpos = np.maximum(self.rows.ocoef, 0)
+        self.ocneg = np.minimum(self.rows.ocoef, 0)
+        self.osupp = [np.flatnonzero(row) for row in self.rows.ocoef]
+        # The tilings' point maps, stacked: box b maps by A[bt[b]].
+        self.A = np.stack([c._A for c in clfs])
+        self.b = np.stack([c._b for c in clfs])
         # Each tiling's non-empty regions, padded to the batch's count
         # with empty boxes (lo = 1 > hi = 0), in the narrowest dtype: a
         # wave gathers them per job.
@@ -942,15 +938,13 @@ class _Lockstep:
         return lex_between_boxes_many(S, U, self.rlo[jt], self.rhi[jt])
 
     def to_original(self, Blo, Bhi, bt):
-        """Each box's original corner and extents, by its tiling's map."""
-        olo = np.empty((len(Blo), self.lead._ocoef.shape[1]), dtype=np.int64)
-        ohi = np.empty_like(olo)
-        for t, clf in enumerate(self.clfs):
-            sel = bt == t
-            if sel.any():
-                olo[sel] = clf._pm.to_original_batch(Blo[sel])
-                ohi[sel] = clf._pm.to_original_batch(Bhi[sel])
-        return olo, ohi - olo + 1
+        """Each box's original corner ``A·lo + b`` and extents
+        ``A·(hi - lo) + 1``, by its tiling's affine map."""
+        A = self.A[bt]
+        return (
+            (A @ Blo[:, :, None])[:, :, 0] + self.b[bt],
+            (A @ (Bhi - Blo)[:, :, None])[:, :, 0] + 1,
+        )
 
     def run(self, Ps: list[np.ndarray], table: SourceTable) -> list[np.ndarray]:
         """The tilings' outcome codes for their samples ``Ps``, whose
@@ -1002,7 +996,7 @@ class _Lockstep:
                 owners = [clfs[t] for t in tt.tolist()]
                 items = zip(
                     map(tuple, S.tolist()),
-                    self.lead._positions[table.sref[row]].tolist(),
+                    self.rows.positions[table.sref[row]].tolist(),
                     map(tuple, U.tolist()),
                     aidx.tolist(),
                     l0.tolist(),
@@ -1073,8 +1067,8 @@ class _Lockstep:
         # Tier-1 rejection, vectorised over every (box, ref) pair: the
         # reachable address band [fmin, fmax] misses the set window.
         ohi = olo + oext - 1
-        fmin = olo @ self.ocpos.T + ohi @ self.ocneg.T + self.lead._oc0
-        spans = (ohi - olo) @ np.abs(self.lead._ocoef).T
+        fmin = olo @ self.ocpos.T + ohi @ self.ocneg.T + self.rows.oc0
+        spans = (ohi - olo) @ np.abs(self.rows.ocoef).T
         aa = fmin % M
         wl = wlo_box[:, None]
         alive = (
@@ -1087,11 +1081,11 @@ class _Lockstep:
         # volume equals the cascade's post-normalisation volume, so the
         # enumerate-vs-cascade split below matches the scalar path's
         # exactness regime per (box, reference) pair.
-        ngroups = len(self.lead._groups)
+        ngroups = len(self.rows.groups)
         pvol = np.empty((nb, ngroups), dtype=np.float64)
         galive = np.empty((nb, ngroups), dtype=bool)
         for gi, ((odims, _, _), ridx) in enumerate(
-            zip(self.lead._kernel_groups, self.lead._groups)
+            zip(self.rows.kernel_groups, self.rows.groups)
         ):
             pvol[:, gi] = oext[:, odims].prod(axis=1, dtype=np.float64)
             galive[:, gi] = alive[:, ridx].any(axis=1)
@@ -1132,7 +1126,7 @@ class _Lockstep:
             tb = live[take]
             tj = lj[take]
             for (odims, coeffs, consts), m in zip(
-                self.lead._kernel_groups, small[tb].T
+                self.rows.kernel_groups, small[tb].T
             ):
                 if m.any():
                     b = tb[m]
@@ -1201,8 +1195,8 @@ class _Lockstep:
         olo, oext = self.to_original(Blo, Bhi, bt)
         # Per (box, reference): the first address, and whether the
         # projected volume is within the cascade's enumeration tier.
-        ocoef = self.lead._ocoef
-        c0 = olo @ ocoef.T + self.lead._oc0
+        ocoef = self.rows.ocoef
+        c0 = olo @ ocoef.T + self.rows.oc0
         enum = np.column_stack([
             oext[:, supp].prod(axis=1, dtype=np.float64) for supp in self.osupp
         ]) <= self.enum_limit

@@ -104,14 +104,23 @@ class AffineExpr:
         return total
 
     def substitute(self, bindings: Mapping[str, "AffineExpr | int"]) -> "AffineExpr":
-        """Replace variables by affine expressions (or ints)."""
-        out = AffineExpr.constant(self.const)
+        """Replace variables by affine expressions (or ints).
+
+        One pass: every term adds into one coefficient dict, and one
+        expression is built from it.
+        """
+        coeffs: dict[str, int] = {}
+        const = self.const
         for var, c in self.coeffs.items():
             if var in bindings:
-                out = out + AffineExpr.as_expr(bindings[var]) * c
+                sub = AffineExpr.as_expr(bindings[var])
+                const += sub.const * c
+                terms = sub.coeffs.items()
             else:
-                out = out + AffineExpr.var(var, c)
-        return out
+                terms = ((var, 1),)
+            for v, s in terms:
+                coeffs[v] = coeffs.get(v, 0) + s * c
+        return AffineExpr(coeffs, const)
 
     def coeff_vector(self, order: Iterable[str]) -> tuple[int, ...]:
         """Coefficients laid out in the given variable order."""

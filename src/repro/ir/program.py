@@ -22,7 +22,18 @@ from repro.ir.space import IterationSpace
 
 
 class PointMap:
-    """Bijection between original iteration vectors and program coords."""
+    """Bijection between original iteration vectors and program coords.
+
+    Every map is affine: ``to_original(Q) = A·Q + b`` for the integer
+    ``(A, b)`` of :meth:`affine`.  So a reference's address row in
+    program coordinates is its original row composed with the map, with
+    no symbolic work per program (:class:`repro.cme.solver.NestRows`).
+    """
+
+    def affine(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(A, b)``, int64 arrays of shapes ``(depth, rank)`` and
+        ``(depth,)``, with ``to_original(Q) = A·Q + b``."""
+        raise NotImplementedError
 
     def to_original(self, point: tuple[int, ...]) -> tuple[int, ...]:
         raise NotImplementedError
@@ -46,7 +57,19 @@ class PointMap:
 
 
 class IdentityMap(PointMap):
-    """Untransformed nests: coordinates are the original vector."""
+    """Untransformed nests: coordinates are the original vector.
+
+    Only :meth:`affine` needs the nest's ``depth``; the point methods
+    take vectors of any length.
+    """
+
+    def __init__(self, depth: int | None = None):
+        self.depth = depth
+
+    def affine(self) -> tuple[np.ndarray, np.ndarray]:
+        if self.depth is None:
+            raise ValueError("the identity map's affine form needs its depth")
+        return np.eye(self.depth, dtype=np.int64), np.zeros(self.depth, np.int64)
 
     def to_original(self, point: tuple[int, ...]) -> tuple[int, ...]:
         return point
@@ -77,6 +100,14 @@ class TileMap(PointMap):
         self.lowers = tuple(int(x) for x in lowers)
         self.tile_sizes = tuple(int(t) for t in tile_sizes)
         self.depth = len(lowers)
+
+    def affine(self) -> tuple[np.ndarray, np.ndarray]:
+        """``A = [diag(T) | I]``, ``b = lowers - 1``."""
+        d = self.depth
+        A = np.zeros((d, 2 * d), dtype=np.int64)
+        A[:, :d] = np.diag(np.array(self.tile_sizes, dtype=np.int64))
+        A[:, d:] = np.eye(d, dtype=np.int64)
+        return A, np.array(self.lowers, dtype=np.int64) - 1
 
     def to_original(self, point: tuple[int, ...]) -> tuple[int, ...]:
         d = self.depth
@@ -150,6 +181,6 @@ def program_from_nest(nest: LoopNest) -> AccessProgram:
         name=nest.name,
         space=space,
         refs=nest.refs,
-        point_map=IdentityMap(),
+        point_map=IdentityMap(nest.depth),
         original=nest,
     )

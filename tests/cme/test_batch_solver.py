@@ -10,7 +10,11 @@ import pytest
 
 from repro.cache.config import CacheConfig
 from repro.cme import solver
-from repro.cme.sampling import estimate_at_points, sample_original_points
+from repro.cme.sampling import (
+    estimate_at_points,
+    estimate_many_at_points,
+    sample_original_points,
+)
 from repro.cme.solver import PointClassifier, classify_many
 from repro.ir.affine import AffineExpr
 from repro.ir.arrays import Array, read, write
@@ -20,6 +24,7 @@ from repro.kernels.registry import KERNELS
 from repro.layout.memory import MemoryLayout, PaddingSpec
 from repro.polyhedra.kernels import box_line_counts, boxes_interfere
 from repro.polyhedra.lexinterval import lex_between_boxes
+from repro.reuse.vectors import compute_reuse_candidates
 from repro.transform.tiling import tile_program
 from tests.conftest import make_small_mm, make_small_transpose
 
@@ -367,6 +372,71 @@ def test_pass_builds_one_source_table_per_nest_layout_and_sample(monkeypatch):
     assert len(built) == len(set(built)) == 5
 
 
+def test_pass_builds_nest_rows_once(monkeypatch):
+    """A 4-tiling MM_24 `estimate_many_at_points` derives every program's
+    address rows from its nest's: one `address_expr` call per original
+    reference, where building each classifier's rows symbolically made
+    eight per tiling."""
+    calls = []
+    address_expr = MemoryLayout.address_expr
+
+    def spy(self, ref):
+        calls.append(ref)
+        return address_expr(self, ref)
+
+    nest = make_small_mm(24)
+    layout = MemoryLayout(nest.arrays())
+    candidates = compute_reuse_candidates(nest, layout, CACHE_8K.line_size)
+    monkeypatch.setattr(MemoryLayout, "address_expr", spy)
+    tilings = [(5, 7, 24), (3, 24, 8), (24, 2, 9), (12, 12, 12)]
+    estimates = estimate_many_at_points(
+        [tile_program(nest, t) for t in tilings], layout, CACHE_8K,
+        sample_original_points(nest, 20, 3), candidates=candidates,
+    )
+    assert len(estimates) == 4
+    assert sorted(r.position for r in calls) == [0, 1, 2, 3]
+    assert all(r in nest.refs for r in calls)
+
+
+def test_endpoint_counts_come_in_chunks_equal_to_the_scalar_count(monkeypatch):
+    """A request for more rows than one endpoint pass takes is counted
+    in chunks of `_COUNT_CHUNK_ROWS`, each row equal to the scalar
+    `_endpoint_line_count`; a row asked for twice, in one request or a
+    later one, is counted once."""
+    chunks = []
+    counts = solver.SourceTable._endpoint_counts
+
+    def spy(self, rows):
+        chunks.append(len(rows))
+        return counts(self, rows)
+
+    monkeypatch.setattr(solver.SourceTable, "_endpoint_counts", spy)
+    nest = make_small_mm(24)
+    cache = CacheConfig(1024, 32, 4)
+    clf = PointClassifier(program_from_nest(nest), MemoryLayout(nest.arrays()), cache)
+    O = np.asarray(sample_original_points(nest, 1500, 5), dtype=np.int64)
+    table = solver.SourceTable(clf, O)
+    rows = np.arange(len(table.src))
+    cap = solver.SourceTable._COUNT_CHUNK_ROWS
+    assert cap == 1 << 12 and len(rows) > 2 * cap
+    got = table.endpoint_counts(np.concatenate((rows[::-1], rows[:300])))
+    got = got[: len(rows)][::-1]
+    assert len(chunks) == -(-len(rows) // cap) and max(chunks) == cap
+    assert sum(chunks) == len(rows)
+    spos = clf._positions[table.sref].tolist()
+    for r, (src, sp, pt, ref) in enumerate(zip(
+        map(tuple, table.src.tolist()), spos, table.point.tolist(),
+        table.ref.tolist(),
+    )):
+        want = clf._endpoint_line_count(
+            src, sp, tuple(O[pt].tolist()), ref,
+            int(table.l0[pt, ref]), int(table.wlo[pt, ref]), cache.associativity,
+        )
+        assert got[r] == want, r
+    chunks.clear()
+    assert (table.endpoint_counts(rows[:100]) == got[:100]).all() and not chunks
+
+
 def _deep_nest(n=100_000):
     """A 4-deep nest with bounds near 1e5: its tiled boxes span far more
     than 2**63 points, so their packed sort keys need several words."""
@@ -444,7 +514,7 @@ def test_kernel_groups_keep_one_row_per_address_form():
         tile_program(nest, (5, 7, 24)), MemoryLayout(nest.arrays()), CACHE_8K
     )
     assert [len(ridx) for ridx in clf._groups] == [2, 1, 1]
-    for ridx, (odims, coeffs, consts) in zip(clf._groups, clf._kernel_groups):
+    for ridx, (odims, coeffs, consts) in zip(clf._groups, clf._rows.kernel_groups):
         assert len(coeffs) == len(consts) == 1
         assert coeffs.shape[1] == len(odims) == 2
 

@@ -12,6 +12,15 @@ def test_identity_map():
     assert m.from_original((3,)) == (3,)
 
 
+def test_affine_forms():
+    A, b = TileMap(lowers=(1, 3), tile_sizes=(3, 4)).affine()
+    assert A.tolist() == [[3, 0, 1, 0], [0, 4, 0, 1]] and b.tolist() == [0, 2]
+    A, b = program_from_nest(make_small_mm(4)).point_map.affine()
+    assert A.tolist() == [[1, 0, 0], [0, 1, 0], [0, 0, 1]] and b.tolist() == [0] * 3
+    with pytest.raises(ValueError, match="depth"):
+        IdentityMap().affine()
+
+
 def test_tile_map_roundtrip_exhaustive():
     m = TileMap(lowers=(1, 1), tile_sizes=(3, 4))
     for i in range(1, 11):

@@ -56,3 +56,48 @@ def test_range_over_bounds_evaluation(a, env):
 def test_equality_consistent_with_hash(a, b):
     if a == b:
         assert hash(a) == hash(b)
+
+
+def _chained_substitute(expr, bindings):
+    """Substitution through the algebra: one temporary per term."""
+    out = AffineExpr.constant(expr.const)
+    for var, c in expr.coeffs.items():
+        if var in bindings:
+            out = out + AffineExpr.as_expr(bindings[var]) * c
+        else:
+            out = out + AffineExpr.var(var, c)
+    return out
+
+
+#: Small coefficients over the same variables, so substituted terms
+#: often cancel.
+small_exprs = st.builds(
+    lambda cs, c: AffineExpr(dict(zip(VARS, cs)), c),
+    st.tuples(*[st.integers(-2, 2)] * len(VARS)),
+    st.integers(-5, 5),
+)
+
+
+@given(
+    small_exprs,
+    st.dictionaries(
+        st.sampled_from(VARS), st.one_of(small_exprs, st.integers(-3, 3))
+    ),
+)
+def test_one_pass_substitute_equals_chained(expr, bindings):
+    got, want = expr.substitute(bindings), _chained_substitute(expr, bindings)
+    assert got == want
+    assert hash(got) == hash(want) and repr(got) == repr(want)
+    assert 0 not in got.coeffs.values()
+
+
+def test_substitute_cancelling_terms():
+    """A variable that cancels is dropped, also when it comes back."""
+    i, j, k = (AffineExpr.var(v) for v in VARS)
+    e = 2 * i + 4 * j
+    cancelled = e.substitute({"i": -2 * j + 5})
+    assert cancelled == _chained_substitute(e, {"i": -2 * j + 5}) == 10
+    assert cancelled.coeffs == {} and repr(cancelled) == "10"
+    back = (i + j + k).substitute({"i": -1 * j, "k": j})
+    assert back == _chained_substitute(i + j + k, {"i": -1 * j, "k": j}) == j
+    assert back.coeffs == {"j": 1}

@@ -3,7 +3,7 @@
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from repro.ir.program import TileMap, program_from_nest
+from repro.ir.program import IdentityMap, TileMap, program_from_nest
 from repro.layout.memory import MemoryLayout
 from repro.simulator.trace import address_trace
 from repro.transform.tiling import tile_program, tile_regions
@@ -130,3 +130,19 @@ def test_between_boxes_of_a_tiled_space_are_original_boxes(data, draw):
             product(*(range(a, b + 1) for a, b in zip(olo, ohi)))
         )
         assert len(tiled) == int(np.prod(np.array(hi) - lo + 1))
+
+
+@given(extents_and_tiles(), st.integers(-5, 5), st.integers(0, 2**32 - 1))
+def test_point_map_affine_form_agrees_with_to_original(data, low, seed):
+    """``affine()`` gives int64 ``(A, b)`` with ``A·Q + b`` equal to
+    ``to_original_batch(Q)`` on random points, for both maps."""
+    extents, tiles = data
+    d = len(extents)
+    rng = np.random.default_rng(seed)
+    lowers = tuple(low + j for j in range(d))
+    for pm, rank in ((TileMap(lowers, tiles), 2 * d), (IdentityMap(d), d)):
+        A, b = pm.affine()
+        assert A.dtype == b.dtype == np.int64
+        assert A.shape == (d, rank) and b.shape == (d,)
+        Q = rng.integers(-40, 40, size=(25, rank))
+        assert (Q @ A.T + b == pm.to_original_batch(Q)).all()
