@@ -15,10 +15,12 @@ from repro.cache.config import CacheConfig
 from repro.cme.sampling import (
     PAPER_SAMPLE_SIZE,
     CMEEstimate,
+    _offering,
     estimate_at_points,
     estimate_many_at_points,
     sample_original_points,
 )
+from repro.cme.solver import NestRows
 from repro.ir.loops import LoopNest
 from repro.ir.program import AccessProgram, program_from_nest
 from repro.layout.memory import MemoryLayout, PaddingSpec
@@ -62,6 +64,7 @@ class LocalityAnalyzer:
         self._point_pool = None
         self._points = sample_original_points(nest, n_samples, seed)
         self._candidate_cache: dict = {}
+        self._rows_cache: dict = {}
         self._layout_cache: dict = {}
 
     # -- program construction ------------------------------------------------
@@ -94,6 +97,16 @@ class LocalityAnalyzer:
                 self.nest, layout, self.cache.line_size
             )
         return self._candidate_cache[key]
+
+    def _nest_rows(self, layout: MemoryLayout, padding: PaddingSpec | None):
+        """The classifiers' nest half under ``layout``, built once per
+        analyzer and layout and offered to every pass it starts."""
+        key = self._padding_key(padding)
+        if key not in self._rows_cache:
+            self._rows_cache[key] = NestRows(
+                self.nest, layout, self.cache, self._candidates(layout, padding)
+            )
+        return self._rows_cache[key]
 
     # -- estimation -------------------------------------------------------------
     def estimate(
@@ -142,25 +155,28 @@ class LocalityAnalyzer:
                     cascade_budgets=self.cascade_budgets,
                     pool=self._ensure_point_pool().executor,
                 )
-        return estimate_at_points(
-            program,
-            layout,
-            self.cache,
-            use_points,
-            candidates=self._candidates(layout, padding),
-            cascade_budgets=self.cascade_budgets,
-        )
+        with _offering(self._nest_rows(layout, padding)):
+            return estimate_at_points(
+                program,
+                layout,
+                self.cache,
+                use_points,
+                candidates=self._candidates(layout, padding),
+                cascade_budgets=self.cascade_budgets,
+            )
 
     def estimate_many(self, tile_sizes_list) -> list[CMEEstimate]:
         """:meth:`estimate` of each tiling; unless the sample is sharded,
         in one pass that merges their kernel calls (same estimates)."""
         if self.point_workers > 1:
             return [self.estimate(tile_sizes=t) for t in tile_sizes_list]
-        return estimate_many_at_points(
-            [self.program(t) for t in tile_sizes_list], self.layout,
-            self.cache, self._points, candidates=self._candidates(self.layout, None),
-            cascade_budgets=self.cascade_budgets,
-        )
+        with _offering(self._nest_rows(self.layout, None)):
+            return estimate_many_at_points(
+                [self.program(t) for t in tile_sizes_list], self.layout,
+                self.cache, self._points,
+                candidates=self._candidates(self.layout, None),
+                cascade_budgets=self.cascade_budgets,
+            )
 
     def _ensure_point_pool(self):
         if self._point_pool is None:
@@ -182,9 +198,11 @@ class LocalityAnalyzer:
 
     def __getstate__(self):
         # Analyzers shipped into evaluation workers lose the pool and
-        # classify their shard serially (no nested process pools).
+        # classify their shard serially (no nested process pools); they
+        # rebuild their nest rows rather than ship them.
         state = self.__dict__.copy()
         state["_point_pool"] = None
+        state["_rows_cache"] = {}
         state["point_workers"] = 1
         return state
 

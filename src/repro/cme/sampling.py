@@ -19,6 +19,8 @@ comparisons.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, field
 from statistics import NormalDist
 
@@ -40,6 +42,21 @@ from repro.utils.rng import make_rng
 
 #: The paper's sample size (width 0.1, 90% confidence).
 PAPER_SAMPLE_SIZE = 164
+
+#: Nest rows their owner built once, offered to the passes it starts.
+_offered_rows: ContextVar[NestRows | None] = ContextVar("offered_rows", default=None)
+
+
+@contextmanager
+def _offering(rows: NestRows):
+    """Passes started inside take ``rows`` if they were built from equal
+    nest, layout, cache and candidates (a private path: the public
+    signatures stay as they are)."""
+    token = _offered_rows.set(rows)
+    try:
+        yield
+    finally:
+        _offered_rows.reset(token)
 
 
 def required_sample_size(width: float = 0.1, confidence: float = 0.90) -> int:
@@ -193,10 +210,11 @@ def estimate_many_at_points(
 ) -> list[CMEEstimate]:
     """:func:`estimate_at_points` under several programs of one nest, in
     one :func:`repro.cme.solver.classify_codes` pass that builds the
-    nest's :class:`~repro.cme.solver.NestRows` once, merges their kernel
-    calls and shares their reuse-source table; each estimate equals its
-    one-program call.  Programs of another nest raise ``ValueError``
-    before any work."""
+    nest's :class:`~repro.cme.solver.NestRows` once (or takes the rows a
+    :class:`~repro.cme.analyzer.LocalityAnalyzer` offers), merges their
+    kernel and cascade calls and shares their reuse-source table; each
+    estimate equals its one-program call.  Programs of another nest
+    raise ``ValueError`` before any work."""
     if not programs:
         return []
     nest = programs[0].original
@@ -206,7 +224,11 @@ def estimate_many_at_points(
                 f"programs of one nest: {programs[0].name} is a tiling of "
                 f"{nest.name}, {p.name} of {p.original.name}"
             )
-    rows = NestRows(nest, layout, cache, candidates)
+    rows = _offered_rows.get()
+    if rows is None or (rows.nest, rows.layout, rows.cache, rows.candidates) != (
+        nest, layout, cache, candidates
+    ):
+        rows = NestRows(nest, layout, cache, candidates)
     classifiers = [
         PointClassifier.for_rows(p, rows, cascade_budgets=cascade_budgets)
         for p in programs

@@ -34,7 +34,7 @@ from repro.cache.config import CacheConfig
 from repro.ir.program import AccessProgram
 from repro.layout.memory import MemoryLayout
 from repro.polyhedra.box import Box
-from repro.polyhedra.cascade import TRUE, UNKNOWN, BatchCascade
+from repro.polyhedra.cascade import FALSE, UNKNOWN, BatchCascade
 from repro.polyhedra.congruence import CongruenceTester
 from repro.polyhedra.kernels import (
     box_line_counts,
@@ -103,7 +103,11 @@ class NestRows:
         for i, row in enumerate(ocoef.tolist()):
             supp = tuple(d for d, c in enumerate(row) if c != 0)
             supports.setdefault(supp, []).append(i)
-        self.groups = [np.array(g, dtype=np.intp) for g in supports.values()]
+        groups = list(supports.values())
+        self.groups = [np.array(g, dtype=np.intp) for g in groups]
+        # The groups as one (groups × largest) table, padded with -1.
+        width = max(map(len, groups))
+        self.group_refs = np.array([g + [-1] * (width - len(g)) for g in groups])
         # One kernel row per distinct address form: the kernel's verdict
         # is an OR over rows, so a repeated row can never add a hit.
         # Equal forms have equal supports, so they share a group.
@@ -203,29 +207,6 @@ class PointClassifier:
         shape = (len(solid), self._A.shape[1])
         self._region_lo = np.array([r.lo for r in solid], np.int64).reshape(shape)
         self._region_hi = np.array([r.hi for r in solid], np.int64).reshape(shape)
-        # Per-reference batched-cascade invariants (gcd tables, period
-        # decompositions, dimension orderings), built lazily once per
-        # candidate and reused across every wave of this classifier.
-        self._ref_cascades: list[BatchCascade | None] = [None] * len(self._refs)
-
-    def _release_tables(self) -> None:
-        """Drop the cascades' cached per-shape tables (memory guard)."""
-        for cascade in self._ref_cascades:
-            if cascade is not None:
-                cascade.release_tables()
-
-    def _ref_cascade(self, idx: int) -> BatchCascade:
-        cascade = self._ref_cascades[idx]
-        if cascade is None:
-            cascade = BatchCascade(
-                self._coeffs[idx],
-                self._consts[idx],
-                self._M,
-                self._L,
-                self._tester,
-            )
-            self._ref_cascades[idx] = cascade
-        return cascade
 
     # -- address helpers ---------------------------------------------------
     def _addr(self, ref_idx: int, point: tuple[int, ...]) -> int:
@@ -335,9 +316,9 @@ class PointClassifier:
         depends on, by content: classifiers with equal keys share one."""
         return self._rows.key + ((O.shape, O.tobytes()),)
 
-    def _batch_reuse_sources(self, P: np.ndarray, table: SourceTable):
-        """:meth:`_reuse_sources` for every (point, reference) of a
-        batch, from its sample's :class:`SourceTable`: map the table's
+    def _batch_reuse_sources(self, table: SourceTable):
+        """:meth:`_reuse_sources` for every (point, reference) of the
+        sample of a :class:`SourceTable`: map the table's sample and
         sources to this program's coordinates, keep those that run before
         their use (``q ⪯ p``; ``q == p`` only on intra-iteration rows)
         and lay them out in runs per (point, reference), in the order
@@ -347,12 +328,12 @@ class PointClassifier:
         words mean descending ``q``; the words decide execution order
         and sort the rows.
 
-        Returns ``(src, rows, point, ref, start, stop)``: the sources in
-        this program's coordinates and their table rows, then one entry
-        per non-empty run, in (point, reference) order, covering
-        ``src[start:stop]``.
+        Returns ``(rows, point, ref, start, stop)``: the sources' table
+        rows, then one entry per non-empty run, in (point, reference)
+        order, covering ``rows[start:stop]``.
         """
         nrefs = len(self._refs)
+        P = self._pm.from_original_batch(table.O)
         Q = self._pm.from_original_batch(table.src)
         # The program's bounding box holds every source and use.
         hi = self._region_hi.max(axis=0)
@@ -382,7 +363,7 @@ class PointClassifier:
         start = np.flatnonzero(new_run)
         stop = np.append(start[1:], len(rows))
         first = rows[start]
-        return Q[rows], rows, table.point[first], table.ref[first], start, stop
+        return rows, table.point[first], table.ref[first], start, stop
 
     def _position_index(self, position: int) -> int:
         for i, ref in enumerate(self._refs):
@@ -498,53 +479,6 @@ class PointClassifier:
                     if res:
                         return True
         return False
-
-    def _run_cascades_batched(
-        self,
-        cascades: list[tuple[int, int, int]],
-        Blo: np.ndarray,
-        Bhi: np.ndarray,
-        alive: np.ndarray,
-        wlo_box: np.ndarray,
-        l0_box: np.ndarray,
-        killed: np.ndarray,
-    ) -> None:
-        """A round's oversized-projection boxes of this tiling, one call.
-
-        Boxes are grouped by reference group and decided by the batched
-        cascade one reference at a time: each box keeps its early exit
-        (the first reference that proves or cannot refute interference
-        wins) while the congruence work is shared across the round.
-        Verdicts per (box, reference) equal the scalar cascade's.
-        """
-        by_group: dict[int, list[tuple[int, int]]] = {}
-        for j, b, gi in cascades:
-            by_group.setdefault(gi, []).append((j, b))
-        for gi, pairs in by_group.items():
-            pending = [(j, b) for j, b in pairs if not killed[j]]
-            for i in self._groups[gi]:
-                if not pending:
-                    break
-                todo = [(j, b) for j, b in pending if not killed[j]]
-                sel = [(j, b) for j, b in todo if alive[b, i]]
-                rest = [(j, b) for j, b in todo if not alive[b, i]]
-                if not sel:
-                    pending = rest
-                    continue
-                bidx = np.array([b for _, b in sel], dtype=np.int64)
-                verdicts = self._ref_cascade(int(i)).exists_interference_many(
-                    Blo[bidx], Bhi[bidx], wlo_box[bidx], l0_box[bidx]
-                )
-                keep: list[tuple[int, int]] = []
-                for (j, b), v in zip(sel, verdicts):
-                    if v == TRUE:
-                        killed[j] = True
-                    elif v == UNKNOWN:
-                        self.stats.unknown_conservative += 1
-                        killed[j] = True
-                    else:
-                        keep.append((j, b))
-                pending = keep + rest
 
     def _cascade_box_group(
         self,
@@ -663,7 +597,8 @@ class SourceTable:
     it with every tiling; each program adds only what its tiling
     decides, execution order (:meth:`PointClassifier._batch_reuse_sources`).
 
-    Row ``r`` is sample point ``point[r]``, use reference ``ref[r]``,
+    ``O`` is the sample.  Row ``r`` is sample point ``point[r]``, use
+    reference ``ref[r]``,
     source reference ``sref[r]`` and source iteration ``src[r]``, in
     original coordinates; ``same[r]`` flags a source at the use's own
     iteration.  The offsets are distinct, so the rows are too.  ``l0``
@@ -712,7 +647,7 @@ class SourceTable:
         self.ref = ref[rows].astype(_narrow(len(nr.positions)))
         self.sref = sref[rows].astype(self.ref.dtype)
         self.same = ~off.any(axis=1)[rows]
-        self._addrs = addrs
+        self.O = O
         self._pre = np.full(len(rows), -1, dtype=_narrow(-1, self._cap))
 
     def endpoint_counts(self, rows: np.ndarray) -> np.ndarray:
@@ -750,7 +685,7 @@ class SourceTable:
         sent = np.iinfo(np.int64).min
         l0_div = l0 // L
         A_src = self.src[rows] @ self._ocoef.T + self._oc0
-        A_use = self._addrs[pt]
+        A_use = self.O[pt] @ self._ocoef.T + self._oc0
         lines = np.empty((len(rows), 2 * len(pos)), dtype=np.int64)
         for A, valid, half in (
             (A_src, src_valid, lines[:, : len(pos)]),
@@ -801,8 +736,12 @@ def _word_strides(radices: list[int]) -> np.ndarray:
     return strides
 
 
-#: Most tilings one :class:`_Lockstep` batch carries (memory guard).
-_IN_FLIGHT = 4
+#: Most source-table rows the tilings of one :class:`_Lockstep` hold
+#: together, most items one wave chunk takes and most jobs one
+#: between-box decomposition takes (memory guards).
+_LOCKSTEP_ROWS = 1 << 17
+_WAVE_ITEMS = 1 << 12
+_DECOMPOSE_JOBS = 1 << 10
 
 
 def classify_many(
@@ -824,9 +763,10 @@ def classify_codes(classifiers: list[PointClassifier], batches) -> list[np.ndarr
     :data:`OUTCOMES`.  Classifiers of one nest, layout, candidates,
     cache and original sample share a :class:`SourceTable`; those that
     also share a :meth:`PointClassifier._lockstep_key` run through one
-    :class:`_Lockstep` loop in batches of :data:`_IN_FLIGHT`, in input
-    order.  Outcomes and stats equal separate calls.  Raises
-    ``ValueError`` before any work when the lengths differ.
+    :class:`_Lockstep` loop, admitted in input order while their table
+    rows total at most :data:`_LOCKSTEP_ROWS` (always at least one).
+    Outcomes and stats equal separate calls.  Raises ``ValueError``
+    before any work when the lengths differ.
     """
     classifiers, batches = list(classifiers), list(batches)
     if len(classifiers) != len(batches):
@@ -836,9 +776,9 @@ def classify_codes(classifiers: list[PointClassifier], batches) -> list[np.ndarr
         )
     out: list = [None] * len(classifiers)
     tables: dict[tuple, SourceTable] = {}
-    groups: dict[tuple, list[tuple[int, np.ndarray]]] = {}
-    for i, (classifier, points) in enumerate(zip(classifiers, batches)):
-        P = np.asarray(points, dtype=np.int64)
+    groups: dict[tuple, list[int]] = {}
+    for i, classifier in enumerate(classifiers):
+        P = np.asarray(batches[i], dtype=np.int64)
         if not len(P):
             out[i] = np.empty((0, len(classifier._refs)), dtype=np.int8)
             continue
@@ -846,44 +786,45 @@ def classify_codes(classifiers: list[PointClassifier], batches) -> list[np.ndarr
         key = classifier._source_key(O)
         if key not in tables:
             tables[key] = SourceTable(classifier, O)
-        group = (key, classifier._lockstep_key())
-        groups.setdefault(group, []).append((i, P))
-    calls = boxes = 0
+        groups.setdefault((key, classifier._lockstep_key()), []).append(i)
+    # A sample lives on as its table's original points (memory).
+    del batches
+    steps = []
     entries = entries_listed()
     for (key, _), members in groups.items():
-        for first in range(0, len(members), _IN_FLIGHT):
-            batch = members[first : first + _IN_FLIGHT]
-            step = _Lockstep([classifiers[i] for i, _ in batch])
-            codes = step.run([P for _, P in batch], tables[key])
-            for (i, _), c in zip(batch, codes):
+        per = max(1, _LOCKSTEP_ROWS // max(len(tables[key].src), 1))
+        for first in range(0, len(members), per):
+            batch = members[first : first + per]
+            steps.append(_Lockstep([classifiers[i] for i in batch]))
+            for i, c in zip(batch, steps[-1].run(tables[key])):
                 out[i] = c
-            calls += step.calls
-            boxes += step.boxes
     rec = telemetry.recorder()
     rec.count("cme.classify_passes")
     rec.count("cme.classify_candidates", len(classifiers))
-    rec.count("cme.kernel_calls", calls)
-    rec.count("cme.kernel_boxes", boxes)
+    rec.count("cme.locksteps", len(steps))
+    rec.count("cme.kernel_calls", sum(s.calls for s in steps))
+    rec.count("cme.kernel_boxes", sum(s.boxes for s in steps))
     rec.count("cme.kernel_entries", entries_listed() - entries)
+    rec.count("cme.cascade_calls", sum(s.cascade_calls for s in steps))
     rec.count("cme.source_tables", len(tables))
     rec.count("cme.source_rows", sum(len(t.src) for t in tables.values()))
     return out
 
 
 class _Lockstep:
-    """One wave loop for a batch of tilings that share what it uses.
+    """One wave loop for the tilings of a pass that share what it uses.
 
     The tilings share a :class:`SourceTable` (so nest rows) and a
-    :meth:`PointClassifier._lockstep_key`.  Every work item, job and
-    box carries its tiling's index (``tt``, ``jt``, ``bt``), and each
-    wave, interval round and count step runs over every job of the
-    batch.  A tiling's verdicts and stats depend only on its own jobs:
-    jobs, rounds and count steps stay per job, kernel verdicts per box,
-    cascade calls per tiling (its jobs in their relative order) and
-    every charge lands on its tiling.  Small boxes go to the kernel in
-    original coordinates, exact by the box-mapping property
-    (docs/ARCHITECTURE.md §3).  Memory guard: each tiling drops its
-    cascades' cached tables after every call.
+    :meth:`PointClassifier._lockstep_key`.  Every work item, job, box
+    and cascade query carries its tiling's index (``tt``, ``jt``,
+    ``bt``, owner), and each interval round, count step and cascade
+    step runs over every job of a wave chunk.  A tiling's verdicts and
+    stats depend only on its own jobs: jobs, rounds and count steps stay
+    per job, kernel verdicts per box, cascade verdicts and tiers per
+    query, each tiling meets its cascade steps in a lone run's order,
+    and every charge lands on its tiling.  Small boxes go to the kernel
+    in original coordinates, exact by the box-mapping property
+    (docs/ARCHITECTURE.md §3).
     """
 
     #: Per-job enumeration budget per round (early-exit granularity).
@@ -891,18 +832,27 @@ class _Lockstep:
 
     def __init__(self, clfs: list[PointClassifier]):
         self.clfs = clfs
-        #: Kernel calls made and boxes they answered (telemetry).
-        self.calls = self.boxes = 0
+        #: Kernel calls, the boxes they answered, cascade calls (telemetry).
+        self.calls = self.boxes = self.cascade_calls = 0
         lead = clfs[0]
         self.lead, self.rows = lead, lead._rows
         self.k, self.L, self.M = lead._k, lead._L, lead._M
         self.enum_limit = lead._tester.enum_limit
-        self.ocpos = np.maximum(self.rows.ocoef, 0)
-        self.ocneg = np.minimum(self.rows.ocoef, 0)
-        self.osupp = [np.flatnonzero(row) for row in self.rows.ocoef]
-        # The tilings' point maps, stacked: box b maps by A[bt[b]].
+        ocoef = self.rows.ocoef
+        self.ocpos = np.maximum(ocoef, 0)
+        self.ocneg = np.minimum(ocoef, 0)
+        self.osupp = [np.flatnonzero(row) for row in ocoef]
+        # The tilings' point maps, stacked: box b maps by A[bt[b]], and
+        # reference r of tiling t has the address row C[t, r], K[t, r].
         self.A = np.stack([c._A for c in clfs])
         self.b = np.stack([c._b for c in clfs])
+        self.C = ocoef @ self.A
+        self.K = self.rows.oc0 + self.b @ ocoef.T
+        # Strip-mines' tile sizes, the diagonal of A's tile columns (None
+        # for identity maps), for the stacked inverse maps.
+        d = ocoef.shape[1]
+        tiles = self.A[:, :, :d].diagonal(axis1=1, axis2=2)
+        self.T = tiles if self.A.shape[2] > d else None
         # Each tiling's non-empty regions, padded to the batch's count
         # with empty boxes (lo = 1 > hi = 0), in the narrowest dtype: a
         # wave gathers them per job.
@@ -933,9 +883,26 @@ class _Lockstep:
         self.boxes += len(args[0])
         return fn(*args)
 
+    def cascade(self, owner: np.ndarray, ref) -> BatchCascade:
+        """One batched cascade call: query ``x`` tests reference ``ref``
+        (or ``ref[x]``) of tiling ``owner[x]``, charged to its tester."""
+        self.cascade_calls += 1
+        return BatchCascade.of_queries(
+            self.C[owner, ref], self.K[owner, ref], owner,
+            [c._tester for c in self.clfs], self.M, self.L,
+        )
+
     def between_boxes(self, S, U, jt):
-        """Each job's between-boxes over its tiling's regions."""
-        return lex_between_boxes_many(S, U, self.rlo[jt], self.rhi[jt])
+        """Each job's between-boxes over its tiling's regions, at most
+        :data:`_DECOMPOSE_JOBS` jobs at a time (memory guard)."""
+        parts = []
+        for first in range(0, max(len(S), 1), _DECOMPOSE_JOBS):
+            sl = slice(first, first + _DECOMPOSE_JOBS)
+            Blo, Bhi, jid = lex_between_boxes_many(
+                S[sl], U[sl], self.rlo[jt[sl]], self.rhi[jt[sl]]
+            )
+            parts.append((Blo, Bhi, jid + first))
+        return parts[0] if len(parts) == 1 else tuple(map(np.concatenate, zip(*parts)))
 
     def to_original(self, Blo, Bhi, bt):
         """Each box's original corner ``A·lo + b`` and extents
@@ -946,99 +913,117 @@ class _Lockstep:
             (A @ (Bhi - Blo)[:, :, None])[:, :, 0] + 1,
         )
 
-    def run(self, Ps: list[np.ndarray], table: SourceTable) -> list[np.ndarray]:
-        """The tilings' outcome codes for their samples ``Ps``, whose
-        reuse sources ``table`` holds.
+    def from_original(self, X, tt):
+        """Original points ``X`` in their tilings' coordinates: the
+        identity's ``X - b``, a strip-mine's ``(t, u - 1) = divmod(X - b - 1, T)``."""
+        off = X - self.b[tt]
+        if self.T is None:
+            return off
+        t, r = np.divmod(off - 1, self.T[tt])
+        return np.concatenate((t, r + 1), axis=1)
+
+    def wave_chunks(self, tt):
+        """Slices of a wave's items (grouped by tiling) of whole tilings,
+        at most :data:`_WAVE_ITEMS` items unless one tiling has more: a
+        tiling's rounds and cascade steps are those of a lone run."""
+        start = stop = 0
+        for n in np.bincount(tt, minlength=len(self.clfs)).tolist():
+            if stop > start and stop + n - start > _WAVE_ITEMS:
+                yield slice(start, stop)
+                start = stop
+            stop += n
+        if stop > start:
+            yield slice(start, stop)
+
+    def run(self, table: SourceTable) -> list[np.ndarray]:
+        """The tilings' outcome codes for the sample of ``table``.
 
         Work items are index arrays: item ``x`` is tiling ``tt[x]``,
         point ``ai[x]``, reference ``aidx[x]`` and its current source
         ``cur[x]`` in the run ``[cur, stop)`` of the concatenated
-        :meth:`PointClassifier._batch_reuse_sources`; a wave gathers
-        everything else by index.
+        :meth:`PointClassifier._batch_reuse_sources` (table rows); a wave
+        gathers the rest by index.  Items stay grouped by tiling.
         """
-        clfs, k = self.clfs, self.k
-        n, nrefs = len(Ps[0]), len(self.lead._refs)
+        clfs = self.clfs
+        n, nrefs = len(table.O), len(self.lead._refs)
         for clf in clfs:
             clf.stats.points += n
             clf.stats.ref_tests += n * nrefs
         # Every (point, ref) without a source stays COLD.
         codes = np.zeros((len(clfs), n, nrefs), dtype=np.int8)
-        runs = [c._batch_reuse_sources(P, table) for c, P in zip(clfs, Ps)]
+        runs = [c._batch_reuse_sources(table) for c in clfs]
         base = np.cumsum([0] + [len(r[0]) for r in runs])
         tt = np.repeat(
             np.arange(len(clfs), dtype=_narrow(len(clfs))),
-            [len(r[2]) for r in runs],
+            [len(r[1]) for r in runs],
         )
-        SRC, rows, ai, aidx, cur, stop = (
+        rows, ai, aidx, cur, stop = (
             parts[0] if len(parts) == 1 else np.concatenate(parts)
             for parts in zip(*runs)
         )
         del runs
         cur, stop = cur + base[tt], stop + base[tt]
-        P = np.stack(Ps)
         while len(cur):
-            S = SRC[cur]
-            U = P[tt, ai]
-            row = rows[cur]
-            wlo = table.wlo[ai, aidx]
-            l0 = table.l0[ai, aidx]
-            self.charge("sources_checked", tt)
-            same = table.same[row]
-            pre = None
-            if self.lead._use_batch_cascade:
-                # Boundary-iteration line counts, each table row's once
-                # per pass; a count at the cap decides.
-                pre = table.endpoint_counts(row)
-                killed = pre >= max(k, 1)
-                job = ~(killed | same)
-            else:
-                # Scalar rung: the per-item reference implementations.
-                owners = [clfs[t] for t in tt.tolist()]
-                items = zip(
-                    map(tuple, S.tolist()),
-                    self.rows.positions[table.sref[row]].tolist(),
-                    map(tuple, U.tolist()),
-                    aidx.tolist(),
-                    l0.tolist(),
-                    wlo.tolist(),
-                )
-                if k != 1:
-                    # Serial associative counting: the per-box
-                    # distinct-line overcount is documented
-                    # conservative behaviour batch mode reproduces.
-                    killed = np.array(
-                        [c._reuse_killed(*it) for c, it in zip(owners, items)],
-                        dtype=bool,
-                    )
-                    job = np.zeros(len(cur), dtype=bool)
-                else:
-                    killed = np.array(
-                        [c._endpoint_interference(*it)
-                         for c, it in zip(owners, items)],
-                        dtype=bool,
-                    )
-                    job = ~(killed | same)
-            jobs = np.flatnonzero(job)
-            if len(jobs):
-                args = (S[jobs], U[jobs], wlo[jobs], l0[jobs], tt[jobs])
-                killed[jobs] = (
-                    self.count_jobs(*args, pre[jobs])
-                    if k != 1
-                    else self.interval_jobs(*args)
+            killed = np.empty(len(cur), dtype=bool)
+            job = np.empty(len(cur), dtype=bool)
+            for part in self.wave_chunks(tt):
+                killed[part], job[part] = self.wave(
+                    tt[part], ai[part], aidx[part], rows[cur[part]], table
                 )
             hit = ~killed
             codes[tt[hit], ai[hit], aidx[hit]] = _HIT
             more = killed & (cur + 1 < stop)
             done = killed & ~more
             codes[tt[done], ai[done], aidx[done]] = _REPLACEMENT
-            # Survivors keep the wave's order: directly decided items
-            # first, then interval jobs, each in active order.
-            nxt = np.concatenate(
-                (np.flatnonzero(more & ~job), np.flatnonzero(more & job))
-            )
+            # Survivors keep each tiling's wave order: directly decided
+            # items first, then interval jobs, each in active order.
+            nxt = np.flatnonzero(more)
+            nxt = nxt[np.lexsort((job[nxt], tt[nxt]))]
             tt, ai, aidx = tt[nxt], ai[nxt], aidx[nxt]
             cur, stop = cur[nxt] + 1, stop[nxt]
         return list(codes)
+
+    def wave(self, tt, ai, aidx, row, table):
+        """One wave chunk's items (tilings, points, references, source
+        table rows): each item's killed flag and whether it was a job."""
+        k = self.k
+        wlo = table.wlo[ai, aidx]
+        l0 = table.l0[ai, aidx]
+        self.charge("sources_checked", tt)
+        same = table.same[row]
+        pre = None
+        if self.lead._use_batch_cascade:
+            # Boundary-iteration line counts, each table row's once per
+            # pass; a count at the cap decides.
+            pre = table.endpoint_counts(row)
+            killed = pre >= max(k, 1)
+            job = ~(killed | same)
+        else:
+            # Scalar rung: the per-item reference implementations (k-way
+            # counts serially; direct-mapped intervals become jobs).
+            test = (
+                PointClassifier._reuse_killed if k != 1
+                else PointClassifier._endpoint_interference
+            )
+            killed = np.array([
+                test(self.clfs[t], *item) for t, item in zip(tt.tolist(), zip(
+                    map(tuple, self.from_original(table.src[row], tt).tolist()),
+                    self.rows.positions[table.sref[row]].tolist(),
+                    map(tuple, self.from_original(table.O[ai], tt).tolist()),
+                    aidx.tolist(), l0.tolist(), wlo.tolist(),
+                ))
+            ], dtype=bool)
+            job = ~(killed | same) if k == 1 else np.zeros(len(tt), dtype=bool)
+        j = np.flatnonzero(job)
+        if len(j):
+            args = (
+                self.from_original(table.src[row[j]], tt[j]),
+                self.from_original(table.O[ai[j]], tt[j]), wlo[j], l0[j], tt[j],
+            )
+            killed[j] = (
+                self.count_jobs(*args, pre[j]) if k != 1 else self.interval_jobs(*args)
+            )
+        return killed, job
 
     def interval_jobs(self, S, U, wlo, l0, jt) -> np.ndarray:
         """Resolve a wave of interval-interference queries at once.
@@ -1049,8 +1034,9 @@ class _Lockstep:
         ``l0[j]``, over the boxes the serial cascade would visit.  The
         address-band test rejects most boxes; surviving small ones go
         to :func:`repro.polyhedra.kernels.boxes_interfere`, big ones to
-        their tiling's congruence cascade, so outcomes match the scalar
-        path by construction.  Returns the killed flag per job.
+        the congruence cascade (:meth:`cascade_groups`), so outcomes
+        match the scalar path by construction.  Returns the killed flag
+        per job.
         """
         njobs = len(S)
         self.charge("intervals_vectorized", jt)
@@ -1135,23 +1121,15 @@ class _Lockstep:
                         oext[np.ix_(b, odims)], coeffs, consts, l0_box[b], M, L,
                     )
                     killed[tj[m][hits]] = True
-            # Oversized projections: the congruence cascade of each
-            # box's tiling, as the scalar path runs it, in (job, box,
-            # group) order.
+            # Oversized projections: the congruence cascade, as the
+            # scalar path runs it, in (job, box, group) order.
             rows, groups = np.nonzero(big[tb])
             if len(rows):
                 j, b = tj[rows], tb[rows]
                 if self.lead._use_batch_cascade:
-                    owner = bt[b]
-                    for t in np.unique(owner).tolist():
-                        sel = owner == t
-                        clf = self.clfs[t]
-                        clf._run_cascades_batched(
-                            list(zip(j[sel].tolist(), b[sel].tolist(),
-                                     groups[sel].tolist())),
-                            Blo, Bhi, alive, wlo_box, l0_box, killed,
-                        )
-                        clf._release_tables()
+                    self.cascade_groups(
+                        j, b, groups, bt[b], Blo, Bhi, alive, wlo_box, l0_box, killed
+                    )
                 else:
                     for j1, b1, gi in zip(j.tolist(), b.tolist(), groups.tolist()):
                         if killed[j1]:
@@ -1168,6 +1146,38 @@ class _Lockstep:
             pending = ~killed & (cursor < stop)
         return killed
 
+    def cascade_groups(self, j, b, g, t, Blo, Bhi, alive, wlo, l0, killed):
+        """A round's oversized (job, box, group) triples of tilings
+        ``t``, in the batched cascade.
+
+        A lone tiling takes its groups in the order its triples first
+        meet them, reference by reference, and a job's first TRUE or
+        UNKNOWN verdict kills it (UNKNOWN charged as conservative), so
+        its later queries are never asked.  Step ``(s, r)`` asks the
+        ``r``-th reference of every tiling's ``s``-th group about the
+        boxes of live jobs its band reaches (``alive``), in one call.
+        """
+        # Each tiling's groups, ranked by first appearance.
+        seen = np.full((len(self.clfs), len(self.rows.groups)), len(j))
+        np.minimum.at(seen, (t, g), np.arange(len(j)))
+        step = np.argsort(np.argsort(seen, axis=1), axis=1)[t, g]
+        for s in range(int(step.max()) + 1):
+            at = step == s
+            for refs in self.rows.group_refs.T:
+                x = np.flatnonzero(at & ~killed[j])
+                i = refs[g[x]]
+                x, i = x[i >= 0], i[i >= 0]
+                ask = alive[b[x], i]
+                x, i = x[ask], i[ask]
+                if not len(x):
+                    continue
+                bx = b[x]
+                verdicts = self.cascade(t[x], i).exists_interference_many(
+                    Blo[bx], Bhi[bx], wlo[bx], l0[bx]
+                )
+                self.charge("unknown_conservative", t[x[verdicts == UNKNOWN]])
+                killed[j[x[verdicts != FALSE]]] = True
+
     def count_jobs(self, S, U, wlo, l0, jt, pre) -> np.ndarray:
         """Associative interval counting for a whole wave at once.
 
@@ -1178,8 +1188,9 @@ class _Lockstep:
         :meth:`PointClassifier._count_interfering_lines` would, ``None``
         collapsing to the cap.  Pairs within ``enum_limit`` are the
         cascade's enumeration tier: the kernel counts them and charges
-        their tiling one ``enumerated`` each; each tiling's cascade sees
-        only the larger ones.  Returns the killed flag per job.
+        their tiling one ``enumerated`` each; one cascade call per step
+        takes the larger ones of every tiling.  Returns the killed flag
+        per job.
         """
         njobs = len(S)
         self.charge("intervals_vectorized", jt)
@@ -1228,15 +1239,11 @@ class _Lockstep:
                         wlo_b[s], l0_b[s], self.M, self.L, k,
                     )
                 big = np.flatnonzero(~small)
-                owner = bt[rows[big]]
-                for t in np.unique(owner).tolist():
-                    sel = big[owner == t]
-                    r = rows[sel]
-                    cascade = self.clfs[t]._ref_cascade(i)
-                    counts[sel] = cascade.count_interfering_lines_many(
+                if len(big):
+                    r = rows[big]
+                    counts[big] = self.cascade(bt[r], i).count_interfering_lines_many(
                         Blo[r], Bhi[r], wlo_b[r], l0_b[r], cap=k
                     )
-                    cascade.release_tables()
                 unknown = counts < 0
                 self.charge("unknown_conservative", bt[rows[unknown]])
                 tot += np.bincount(
@@ -1245,4 +1252,3 @@ class _Lockstep:
                     minlength=njobs,
                 ).astype(np.int64)
         return tot >= k
-

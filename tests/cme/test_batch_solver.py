@@ -117,11 +117,13 @@ def test_classify_batch_matches_classify_point_on_kway_line_counts(monkeypatch):
 
 
 def _wave():
-    """Seven tilings each of MM_24 and T2D_32, four of the JACOBI3D_20
+    """Nine tilings of MM_24, seven of T2D_32, four of the JACOBI3D_20
     stencil (cold outcomes, many reuse candidates) and three of MM_24 on
     a padded layout, each nest with its untiled program too, the four
     (nest, layout) pairs interleaved: each lockstep group is formed from
-    classifiers that are not adjacent in the pass."""
+    classifiers that are not adjacent in the pass.  At 8KB direct-mapped
+    with an `enum_limit` of 24, MM_24's (20, 3, 5) and (6, 5, 20) meet
+    their reference groups in opposite orders in one interval round."""
     per_nest = [list(_nest_wave(*spec)) for spec in _wave_specs()]
     for members in itertools.zip_longest(*per_nest):
         yield from (m for m in members if m is not None)
@@ -136,7 +138,7 @@ def _wave_specs():
     )
     return (
         (mm, None, [(5, 7, 24), (3, 24, 8), (24, 2, 9), (12, 12, 12),
-                    (1, 5, 17), (7, 7, 1), (24, 24, 24)]),
+                    (1, 5, 17), (7, 7, 1), (24, 24, 24), (20, 3, 5), (6, 5, 20)]),
         (t2d, None, [(6, 11), (32, 1), (1, 32), (4, 4), (9, 3), (16, 32),
                      (5, 27)]),
         (jacobi, None, [(5, 3, 18), (18, 1, 7), (2, 18, 18), (9, 9, 4)]),
@@ -174,8 +176,22 @@ def test_classify_many_equals_separate_classify_batch(
     knobs say; a small `enum_limit` sends boxes of the direct-mapped
     rounds and k-way count steps to the cascades between shared kernel
     calls too, and tight budgets send k-way line counts down the
-    candidate-line frontier to `unknown` verdicts."""
-    kernel_calls = []
+    candidate-line frontier to `unknown` verdicts.  Each tiling of a
+    merged cascade call keeps its own group order: with an `enum_limit`
+    of 24 at 8KB direct-mapped, two tilings of one round meet their
+    groups in opposite orders."""
+    kernel_calls, flips = [], []
+    cascade_groups = solver._Lockstep.cascade_groups
+
+    def ordering(self, j, b, g, t, *args):
+        orders: dict = {}
+        for tiling, group in zip(t.tolist(), g.tolist()):
+            orders.setdefault(tiling, dict.fromkeys([]))[group] = None
+        pairs = [{(p, q) for i, p in enumerate(o) for q in o[i + 1:]}
+                 for o in map(list, orders.values())]
+        flips.append(any((q, p) in other for mine in pairs
+                         for other in pairs for p, q in mine))
+        return cascade_groups(self, j, b, g, t, *args)
 
     def spying(kernel):
         def spy(first, *args):
@@ -186,6 +202,7 @@ def test_classify_many_equals_separate_classify_batch(
 
     monkeypatch.setattr(solver, "boxes_interfere", spying(boxes_interfere))
     monkeypatch.setattr(solver, "box_line_counts", spying(box_line_counts))
+    monkeypatch.setattr(solver._Lockstep, "cascade_groups", ordering)
     flags = dict(
         batch_cascade=rung == "batched",
         cascade_budgets=budgets,
@@ -206,6 +223,8 @@ def test_classify_many_equals_separate_classify_batch(
             a.finalize_stats()
         )
     assert sum(kernel_calls) == boxes_alone
+    if cache is CACHE_8K and rung == "batched" and budgets == {"enum_limit": 24}:
+        assert any(flips)
     if rung == "scalar" and cache.associativity > 1:
         # The scalar rung counts k-way lines item by item.
         assert calls_alone == 0 and not kernel_calls
@@ -319,10 +338,12 @@ def test_between_boxes_wave_matches_raw_decomposition():
 
 def test_merged_pass_memory_stays_near_one_candidates():
     """Memory guard of `classify_many`, by traced allocations (no wall
-    clock): a 30-candidate direct-mapped pass of MM_500 runs at most
-    `_IN_FLIGHT` candidates in one lockstep batch, each releasing its
-    cascades' cached tables after every call, so its peak stays within a
-    small multiple of the costliest single candidate's."""
+    clock): a 30-candidate direct-mapped pass of MM_500 runs in one
+    lockstep that keeps its sources as table rows, takes each wave in
+    chunks of at most `_WAVE_ITEMS` items and decomposes at most
+    `_DECOMPOSE_JOBS` jobs at a time, and its cascade calls bound their
+    enumeration blocks and cached offset tables, so its peak stays
+    within a small multiple of the costliest single candidate's."""
     import tracemalloc
 
     from repro.cme.analyzer import LocalityAnalyzer
@@ -344,6 +365,96 @@ def test_merged_pass_memory_stays_near_one_candidates():
     single = max(peak(lambda: analyzer.estimate(tile_sizes=t)) for t in tilings)
     merged = peak(lambda: analyzer.estimate_many(tilings))
     assert merged < 4 * single
+
+
+def _spy_locksteps(monkeypatch):
+    """Record each lockstep's tiling count, each wave's chunk count,
+    each chunk's items and each decomposition's jobs."""
+    seen = {"tilings": [], "chunks": [], "items": [], "jobs": []}
+    init, wave = solver._Lockstep.__init__, solver._Lockstep.wave
+    chunks = solver._Lockstep.wave_chunks
+    decompose = solver.lex_between_boxes_many
+
+    def init_spy(self, clfs):
+        seen["tilings"].append(len(clfs))
+        init(self, clfs)
+
+    def chunks_spy(self, tt):
+        parts = list(chunks(self, tt))
+        seen["chunks"].append(len(parts))
+        return parts
+
+    def wave_spy(self, tt, *args):
+        seen["items"].append(len(tt))
+        return wave(self, tt, *args)
+
+    def decompose_spy(S, *args):
+        seen["jobs"].append(len(S))
+        return decompose(S, *args)
+
+    monkeypatch.setattr(solver._Lockstep, "__init__", init_spy)
+    monkeypatch.setattr(solver._Lockstep, "wave", wave_spy)
+    monkeypatch.setattr(solver._Lockstep, "wave_chunks", chunks_spy)
+    monkeypatch.setattr(solver, "lex_between_boxes_many", decompose_spy)
+    return seen
+
+
+@pytest.mark.parametrize("cap_tables", [2.5, 0.5])
+def test_pass_splits_into_locksteps_by_table_rows(monkeypatch, cap_tables):
+    """A pass admits a group's tilings into one lockstep, in input order,
+    while their source-table rows total at most `_LOCKSTEP_ROWS`, and
+    always at least one: seven tilings sharing a table of R rows run in
+    locksteps of two under a cap of 2.5·R, and one by one under R / 2.
+    Every estimate equals its separate call."""
+    nest = make_small_mm(24)
+    layout = MemoryLayout(nest.arrays())
+    pts = sample_original_points(nest, 40, 11)
+    progs = [tile_program(nest, t) for t in
+             ((5, 7, 24), (3, 24, 8), (24, 2, 9), (12, 12, 12), (1, 5, 17),
+              (7, 7, 1), (24, 24, 24))]
+    alone = [estimate_at_points(p, layout, CACHE_2W, pts) for p in progs]
+    rows = len(solver.SourceTable(
+        PointClassifier(progs[0], layout, CACHE_2W),
+        np.asarray(pts, dtype=np.int64),
+    ).src)
+    monkeypatch.setattr(solver, "_LOCKSTEP_ROWS", int(cap_tables * rows))
+    seen = _spy_locksteps(monkeypatch)
+    merged = estimate_many_at_points(progs, layout, CACHE_2W, pts)
+    assert seen["tilings"] == ([2, 2, 2, 1] if cap_tables > 1 else [1] * 7)
+    for a, b in zip(alone, merged):
+        assert (a.per_ref, a.solver_stats) == (b.per_ref, b.solver_stats)
+
+
+@pytest.mark.parametrize("cache", [CACHE_8K, CACHE_2W], ids=["8KB-dm", "1KB-2way"])
+def test_wave_chunks_hold_whole_tilings_within_the_item_cap(monkeypatch, cache):
+    """A wave runs in chunks of whole tilings of at most `_WAVE_ITEMS`
+    items (one tiling with more runs alone), and each chunk decomposes
+    at most `_DECOMPOSE_JOBS` jobs at a time: with the caps shrunk to fit
+    MM_24, waves split into several chunks and decompositions into
+    pieces, and every candidate keeps the outcomes and stats of its own
+    `classify_batch` call."""
+    monkeypatch.setattr(solver, "_WAVE_ITEMS", 200)
+    monkeypatch.setattr(solver, "_DECOMPOSE_JOBS", 48)
+    full = list(_wave())
+    wave = [w for w in full if w[0].original is full[0][0].original]
+    seen = _spy_locksteps(monkeypatch)
+
+    def classifiers():
+        return [PointClassifier(p, lay, cache) for p, lay, _ in wave]
+
+    alone = classifiers()
+    expected = [c.classify_batch(pts) for c, (*_, pts) in zip(alone, wave)]
+    for key in seen:
+        seen[key].clear()
+    merged = classifiers()
+    assert classify_many(merged, [pts for *_, pts in wave]) == expected
+    for a, b in zip(alone, merged):
+        assert dataclasses.asdict(b.finalize_stats()) == dataclasses.asdict(
+            a.finalize_stats()
+        )
+    # 40 points and 4 references: no tiling alone has more than 160 items.
+    assert max(seen["items"]) <= 200 and max(seen["chunks"]) > 1
+    assert max(seen["jobs"]) <= 48 and sum(seen["jobs"]) > 48
 
 
 def test_pass_builds_one_source_table_per_nest_layout_and_sample(monkeypatch):
@@ -465,10 +576,11 @@ def _deep_nest(n=100_000):
     ids=["mm24", "t2d32", "jacobi3d20", "deep4-1e5"],
 )
 def test_source_runs_follow_the_scalar_order(monkeypatch, nest, tilings, npoints):
-    """For every (point, reference), the run `_batch_reuse_sources` lays
-    out from the pass's `SourceTable` holds the scalar `_reuse_sources`
-    in the order `_classify_ref` tries them: descending (q, position),
-    without duplicates.  Runs come in (point, reference) order."""
+    """For every (point, reference), the run of table rows
+    `_batch_reuse_sources` lays out from the pass's `SourceTable` holds
+    the scalar `_reuse_sources` in the order `_classify_ref` tries them:
+    descending (q, position), without duplicates.  Runs come in (point,
+    reference) order."""
     words = []
     strides = solver._word_strides
 
@@ -486,7 +598,8 @@ def test_source_runs_follow_the_scalar_order(monkeypatch, nest, tilings, npoints
         clf = PointClassifier(prog, layout, cache)
         P = prog.point_map.from_original_batch(O)
         table = solver.SourceTable(clf, O)
-        src, rows, point, ref, start, stop = clf._batch_reuse_sources(P, table)
+        rows, point, ref, start, stop = clf._batch_reuse_sources(table)
+        src = prog.point_map.from_original_batch(table.src[rows].astype(np.int64))
         runs = point.astype(np.int64) * len(clf._refs) + ref
         assert (np.diff(runs) > 0).all()
         spos = clf._positions[table.sref[rows]].tolist()

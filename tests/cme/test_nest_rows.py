@@ -134,3 +134,33 @@ def test_equal_nests_built_apart_are_one_nest():
         layout, CACHE_2W, pts,
     )
     assert dataclasses.asdict(a) == dataclasses.asdict(b)
+
+
+def test_analyzer_builds_nest_rows_once(monkeypatch):
+    """A GA search of MM_500 (budget 60, seed 0) runs its 62 estimates
+    in 5 passes, waves and single estimates alike, on rows its analyzer
+    builds once; an analyzer shipped to a worker leaves them behind (so
+    its pickle does not grow) and builds its own, with equal estimates."""
+    import pickle
+
+    from repro.cme.analyzer import LocalityAnalyzer
+    from repro.search.tiling import search_tiling
+
+    built = []
+    init = NestRows.__init__
+
+    def spy(self, *args, **kwargs):
+        built.append(args[:2])
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(NestRows, "__init__", spy)
+    nest, cache = KERNELS["MM"].build(500), CacheConfig(8 * 1024, 32, 1)
+    out = search_tiling(nest, cache, strategy="ga", budget=60, seed=0)
+    assert out.tile_sizes == (485, 31, 22) and len(built) == 1
+    analyzer = LocalityAnalyzer(nest, cache, seed=0)
+    first = analyzer.estimate_many([(485, 31, 22), (81, 294, 40)])
+    shipped = pickle.loads(pickle.dumps(analyzer))
+    assert len(built) == 2 and analyzer._rows_cache and not shipped._rows_cache
+    again = shipped.estimate_many([(485, 31, 22), (81, 294, 40)])
+    assert len(built) == 3
+    assert [e.per_ref for e in again] == [e.per_ref for e in first]

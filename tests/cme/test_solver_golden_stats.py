@@ -136,43 +136,61 @@ def test_mm500_solver_stats_are_pinned(monkeypatch, rung, assoc):
         analyzer.close()
 
 
-# assoc -> summed STAT_FIELDS, summed TIERS, (kernel calls, kernel boxes),
-# summed (hits, cold, replacement) over the 62 estimates of one GA search
-# (answer (485, 31, 22)), and its classify passes.  The kernel answers
-# the small boxes of both geometries: the direct-mapped interval rounds'
-# boxes, and on 2-way the 84,343 queries of the cascade's enumeration
-# tier (its `enumerated` count less the 429 nodes of its line frontier).
+# assoc -> answer, summed STAT_FIELDS, summed TIERS, summed (hits, cold,
+# replacement) and classify passes over the 62 estimates of one GA
+# search, then its locksteps, (kernel calls, kernel boxes) and (cascade
+# calls, frontier tree passes).  The kernel answers the small boxes of
+# both geometries: the direct-mapped interval rounds' boxes, and at k
+# ways the queries of the cascade's enumeration tier (its `enumerated`
+# count less the nodes of its line frontier).  At 4 ways, 45 line counts
+# span more candidate lines than `line_candidate_limit`: their `unknown`
+# verdicts are charged to their own tilings in merged cascade calls.
 SEARCH_GOLDEN = {
     1: (
+        (485, 31, 22),
         (10168, 40672, 43028, 0, 32613, 41086, 18),
         (20, 0, 28, 222, 33, 0, 21),
-        (161, 40970),
         (34961, 0, 5711),
         5,
+        (5, (71, 40970), (18, 6)),
     ),
     2: (
+        (485, 31, 22),
         (10168, 40672, 43239, 0, 33071, 42477, 0),
         (84772, 0, 1175, 0, 1246, 0, 0),
-        (260, 84343),
         (34616, 0, 6056),
         5,
+        (5, (140, 84343), (28, 70)),
+    ),
+    4: (
+        (470, 31, 19),
+        (10168, 40672, 43523, 0, 33355, 43901, 45),
+        (86758, 0, 620, 0, 675, 0, 45),
+        (34357, 0, 6315),
+        5,
+        (5, (140, 86501), (21, 28)),
     ),
 }
 
 
-@pytest.mark.parametrize("assoc", [1, 2], ids=["8KB-dm", "8KB-2way"])
+@pytest.mark.parametrize(
+    "assoc", [1, 2, 4], ids=["8KB-dm", "8KB-2way", "8KB-4way"]
+)
 def test_mm500_ga_search_work_is_pinned(monkeypatch, assoc):
     """Solver work of ``search_tiling(MM_500, "ga", budget=60, seed=0)``
-    on the batched rung: every field and tier summed over the search's
-    estimates, the kernel's calls and boxes, the summed outcome split
-    and the number of classify passes.
+    on the batched rung: the answer, every field and tier summed over
+    the search's estimates, the summed outcome split, the classify
+    passes, and how the passes grouped that work into calls.
 
-    The direct-mapped call count moved from 139 to 161 over the same
-    40,970 boxes when classify passes began running their tilings in
-    lockstep batches of four: a batch's rounds end with its slowest
-    tiling, where the earlier merge admitted the next tiling as soon as
-    one finished (453 calls before any merging).  It counts calls, not
-    work: every box, verdict and stats field is unchanged."""
+    The last three count calls, not work: the locksteps (one per pass),
+    the kernel's calls over its boxes and the batched cascade's calls
+    and frontier tree passes.  They moved on purpose, over the same
+    boxes, queries, verdicts and stats fields, when a pass began running
+    all of its tilings in one lockstep and answering each cascade step
+    of every tiling in one call: from 18 lockstep batches of four
+    tilings, 161/260/263 kernel calls, 73/92/53 cascade calls and
+    20/246/85 tree passes (DM/2-way/4-way).  Before the lockstep batches
+    the direct-mapped kernel made 139 calls, and 453 before any merging."""
     monkeypatch.setenv("REPRO_BATCH_CASCADE", "1")
     sums: collections.Counter = collections.Counter()
     finalize = solver.PointClassifier.finalize_stats
@@ -193,6 +211,13 @@ def test_mm500_ga_search_work_is_pinned(monkeypatch, assoc):
 
         return count
 
+    def calls(name, fn):
+        def call(*args, **kwargs):
+            sums[name] += 1
+            return fn(*args, **kwargs)
+
+        return call
+
     estimate = sampling._estimate
 
     def splitting(*args):
@@ -200,29 +225,38 @@ def test_mm500_ga_search_work_is_pinned(monkeypatch, assoc):
         sums.update(hits=est.hits, cold=est.cold, replacement=est.replacement)
         return est
 
-    classify = sampling.classify_codes
-
-    def passing(*args):
-        sums["passes"] += 1
-        return classify(*args)
-
     monkeypatch.setattr(solver.PointClassifier, "finalize_stats", summing)
     for name in ("boxes_interfere", "box_line_counts"):
         monkeypatch.setattr(solver, name, counting(getattr(solver, name)))
     monkeypatch.setattr(sampling, "_estimate", splitting)
-    monkeypatch.setattr(sampling, "classify_codes", passing)
+    monkeypatch.setattr(
+        sampling, "classify_codes", calls("passes", sampling.classify_codes)
+    )
+    monkeypatch.setattr(
+        solver._Lockstep, "run", calls("locksteps", solver._Lockstep.run)
+    )
+    cascade = solver.BatchCascade
+    for name in ("exists_interference_many", "count_interfering_lines_many"):
+        spy = calls("cascade_calls", getattr(cascade, name))
+        monkeypatch.setattr(cascade, name, spy)
+    spy = calls("tree_passes", cascade._abs_tree)
+    monkeypatch.setattr(cascade, "_abs_tree", spy)
     out = search_tiling(
         KERNELS["MM"].build(500), CacheConfig(8 * 1024, 32, assoc),
         strategy="ga", budget=60, seed=0,
     )
-    assert out.tile_sizes == (485, 31, 22)
     assert sums.pop("estimates") == 62
     got = (
+        out.tile_sizes,
         tuple(sums.pop(f) for f in STAT_FIELDS),
         tuple(sums.pop(t) for t in TIERS),
-        (sums.pop("kernel_calls", 0), sums.pop("kernel_boxes", 0)),
         tuple(sums.pop(o, 0) for o in ("hits", "cold", "replacement")),
         sums.pop("passes"),
+        (
+            sums.pop("locksteps"),
+            (sums.pop("kernel_calls", 0), sums.pop("kernel_boxes", 0)),
+            (sums.pop("cascade_calls", 0), sums.pop("tree_passes", 0)),
+        ),
     )
     assert not sums, sums  # no field escapes the pin
     assert got == SEARCH_GOLDEN[assoc]

@@ -15,9 +15,11 @@ one query per call, give the same answers and the same summed stats.
 from __future__ import annotations
 
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.polyhedra import cascade, congruence
 from repro.polyhedra.box import Box
@@ -279,6 +281,94 @@ def test_line_frontier_edge_cases_share_one_call(monkeypatch, engine):
     )
     assert traces == [t for _, t in cases]
     assert stats.line_queries == sum(map(len, traces))
+
+
+def _tiled_batch(rng, n):
+    """``n`` queries of three tilings of a 2-D nest, mixed in one batch.
+
+    Query ``x`` tests reference ``ref[x]`` of tiling ``owner[x]`` in the
+    tiling's coordinates ``(t1, t2, u1, u2)``: its row is the original
+    row composed with ``[diag(T) | I]`` (lower bounds 1, so the constant
+    is the original's).  Each dimension's tile index is pinned (extent
+    one) or spans several tiles with the whole element range, as
+    between-boxes do, so pinned queries of every tiling share the
+    original coefficients.  Then the frontier's edge cases (a count
+    ending in ``None``, a node-cap row) and a box spanning more
+    candidate lines than the limit, on their own rows, owned by the
+    first tiling.
+    """
+    ocoef = np.array([[8, 4000], [4000, 8], [8, 0]], dtype=np.int64)
+    oc0 = np.array([0, 2_000_000, 4_000_000], dtype=np.int64)
+    tiles = rng.integers(1, 60, size=(3, 2))
+    owner = rng.integers(0, 3, size=n)
+    ref = rng.integers(0, 3, size=n)
+    T = tiles[owner]
+    coeffs = np.concatenate((ocoef[ref] * T, ocoef[ref]), axis=1)
+    const = oc0[ref]
+    pinned = rng.random((n, 2)) < 0.6
+    t0 = rng.integers(0, 8, size=(n, 2))
+    t1 = np.where(pinned, t0, t0 + rng.integers(1, 4, size=(n, 2)))
+    a = rng.integers(1, T + 1)
+    b = np.minimum(a + rng.integers(0, 40, size=(n, 2)), T)
+    lo = np.concatenate((t0, np.where(pinned, a, 1)), axis=1)
+    hi = np.concatenate((t1, np.where(pinned, b, T)), axis=1)
+    wlo = (rng.integers(0, 8192, size=n) // 32) * 32
+    line0 = wlo + rng.integers(-4, 600, size=n) * 8192
+    frontier_row, frontier_const = (*FRONTIER_REF[0], 0, 0), FRONTIER_REF[1]
+    edges = (
+        (frontier_row, frontier_const, FRONTIER_CASES["ends-in-none"][0]),
+        (frontier_row, frontier_const, FRONTIER_CASES["node-cap-shares-pass"][0]),
+        ((8, 4000, 0, 0), 0, ((0, 0), (1, 1199), 4128, 3_000_000)),
+    )
+    for row, k, (elo, ehi, ew, el) in edges:
+        coeffs, const = np.vstack((coeffs, row)), np.append(const, k)
+        lo, hi = np.vstack((lo, (*elo, 0, 0))), np.vstack((hi, (*ehi, 0, 0)))
+        wlo, line0 = np.append(wlo, ew), np.append(line0, el)
+        owner = np.append(owner, 0)
+    return coeffs, const, owner, lo, hi, wlo, line0
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), cap=st.sampled_from([None, 1, 2, 4]))
+def test_merged_owners_equal_one_owner_calls(seed, cap):
+    """One call over the queries of several owners, each query with its
+    own row and constant, returns each query's one-owner verdict (``cap``
+    None: `exists_interference_many`) or capped count, and charges each
+    owner exactly the tiers its own one-owner calls charge its tester.
+    The batch mixes pinned and unpinned tiled rows of three references
+    and three tilings with a count ending in an abs-budget ``None``, a
+    node-cap fallback row and a line-candidate overflow."""
+    rng = np.random.default_rng(seed)
+    coeffs, const, owner, lo, hi, wlo, line0 = _tiled_batch(rng, 60)
+    m, line = 8192, 32
+
+    def ask(engine, *query):
+        if cap is None:
+            return engine.exists_interference_many(*query)
+        return engine.count_interfering_lines_many(*query, cap=cap)
+
+    alone = [CongruenceTester(**FRONTIER_BUDGETS) for _ in range(3)]
+    expected = np.zeros(len(lo), dtype=np.int64)
+    for o, row, k in {(o, tuple(r), k) for o, r, k in
+                      zip(owner.tolist(), coeffs.tolist(), const.tolist())}:
+        sel = np.flatnonzero((owner == o) & (coeffs == row).all(axis=1) & (const == k))
+        engine = BatchCascade(row, k, m, line, alone[o])
+        expected[sel] = ask(engine, lo[sel], hi[sel], wlo[sel], line0[sel])
+    merged = [CongruenceTester(**FRONTIER_BUDGETS) for _ in range(3)]
+    fallback = cascade.exists_absolute_interval
+    with mock.patch.object(
+        cascade, "exists_absolute_interval", side_effect=fallback
+    ) as spy:
+        got = ask(
+            BatchCascade.of_queries(coeffs, const, owner, merged, m, line),
+            lo, hi, wlo, line0,
+        )
+    assert got.tolist() == expected.tolist()
+    for a, b in zip(alone, merged):
+        assert b.stats.as_dict() == a.stats.as_dict()
+    if cap is not None:
+        assert got[-3] == -1 and got[-1] == -1  # ends in None; overflow
+        assert spy.called == (cap > 1)  # the node-cap row's second line
 
 
 def _chunk_ends(first, growth, upto):

@@ -164,17 +164,20 @@ def _cme_counts(sink) -> dict:
 
 def test_classify_pass_counts_candidates_and_merged_kernel_calls(monkeypatch):
     """`classify_many` records per pass how many candidates it classified,
-    how many kernel calls their lockstep rounds took on either geometry,
-    the boxes those calls answered and the (row, residue) entries the
-    kernel listed, and the reuse-source tables (and their rows) the pass
-    built: one for four tilings of one nest and sample."""
+    the locksteps they ran in (two: the untiled program's coordinate rank
+    is not the tilings'), how many kernel calls their lockstep rounds
+    took on either geometry, the boxes those calls answered, the (row,
+    residue) entries the kernel listed, the batched cascade calls (a
+    small `enum_limit` sends boxes there), and the reuse-source tables
+    (and their rows) the pass built: one for four tilings of one nest
+    and sample."""
     from repro.cache.config import CacheConfig
     from repro.cme import solver
     from repro.cme.analyzer import LocalityAnalyzer
     from repro.polyhedra import kernels
     from tests.conftest import make_small_mm
 
-    calls, entries, rows = [], [], []
+    calls, entries, rows, steps = [], [], [], []
 
     def spying(kernel):
         def spy(first, *args):
@@ -191,27 +194,44 @@ def test_classify_pass_counts_candidates_and_merged_kernel_calls(monkeypatch):
             super().__init__(*args)
             rows.append(len(self.src))
 
+    def stepping(name, fn):
+        def step(*args, **kwargs):
+            steps.append(name)
+            return fn(*args, **kwargs)
+
+        return step
+
     for name in ("boxes_interfere", "box_line_counts"):
         monkeypatch.setattr(solver, name, spying(getattr(solver, name)))
     monkeypatch.setattr(solver, "SourceTable", Table)
+    monkeypatch.setattr(
+        solver._Lockstep, "run", stepping("lockstep", solver._Lockstep.run)
+    )
+    cascade = solver.BatchCascade
+    for name in ("exists_interference_many", "count_interfering_lines_many"):
+        monkeypatch.setattr(cascade, name, stepping("cascade", getattr(cascade, name)))
     for assoc in (1, 2):
-        for acc in (calls, entries, rows):
+        for acc in (calls, entries, rows, steps):
             acc.clear()
         sink = MemorySink()
         telemetry.configure(sink=sink, default=True)
         analyzer = LocalityAnalyzer(
-            make_small_mm(24), CacheConfig(8192, 32, assoc), n_samples=40
+            make_small_mm(24), CacheConfig(8192, 32, assoc), n_samples=40,
+            cascade_budgets={"enum_limit": 24},
         )
         analyzer.estimate_many([(5, 7, 24), (3, 24, 8), (12, 12, 12), None])
         assert _cme_counts(sink) == {
             "cme.classify_passes": 1,
             "cme.classify_candidates": 4,
+            "cme.locksteps": 2,
             "cme.kernel_calls": len(calls),
             "cme.kernel_boxes": sum(calls),
             "cme.kernel_entries": sum(entries),
+            "cme.cascade_calls": steps.count("cascade"),
             "cme.source_tables": 1,
             "cme.source_rows": rows[0],
         }, assoc
+        assert steps.count("lockstep") == 2 and steps.count("cascade") > 0
         assert calls and sum(entries) > 0 and len(rows) == 1 and rows[0] > 0
 
 
