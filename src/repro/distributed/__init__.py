@@ -13,8 +13,8 @@ boundaries, without moving a single result by one bit:
   ShardPool token/span messages over TCP with full merged-stats
   estimates.
 * :mod:`repro.distributed.client` — coordinator-side connections and
-  work-stealing dispatch with straggler re-dispatch and worker-loss
-  retry.
+  guided-grab dispatch (each grab an equal share of what is left) with
+  straggler re-dispatch and worker-loss retry.
 * :mod:`repro.distributed.shardclient` — :class:`RemoteShardPool`,
   the second dispatch plane: one sample-heavy candidate fanned across
   the whole fleet as index spans, with throughput-aware sizing,

@@ -2,17 +2,25 @@
 
 :class:`ClusterClient` owns one socket per configured host and turns a
 list of candidates into per-host ``op=eval`` jobs.  The scheduling is
-work-stealing — hosts pop chunks off a shared queue, so a fast host
-naturally takes more — and failure handling is uniform:
+guided self-scheduling over a shared queue: each grab is an equal share
+of what is still unassigned, ``ceil(remaining / hosts)``, and at least
+the grabbing host's capacity.  A lone host takes a whole wave in one
+request, which its agent solves in one merged classify pass; several
+hosts take shrinking grabs (15, 8, 4, 2, 1 of 30 on two hosts), so a
+fast host naturally takes more and the small late grabs even out
+stragglers.  Failure handling is uniform:
 
-* **worker loss** (connection reset, refused, EOF): the host's chunk
-  goes back on the queue for the surviving hosts, the connection is
-  closed, and the next ``evaluate`` call tries to reconnect (so a
-  restarted worker rejoins without coordinator restarts);
+* **worker loss** (connection reset, refused, EOF): the host's whole
+  grab goes back to the front of the queue, where the next pop re-sizes
+  it for the surviving hosts; the connection is closed, and the next
+  ``evaluate`` call tries to reconnect (so a restarted worker rejoins
+  without coordinator restarts);
 * **stragglers** (no reply within ``timeout`` seconds): treated the
-  same — the chunk is re-dispatched elsewhere and the slow connection
-  is abandoned.  Objectives are pure, so re-computing a chunk on
-  another host can only change wall-clock time, never a value.
+  same — the grab is re-dispatched elsewhere and the slow connection
+  is abandoned.  The deadline covers one grab, a host's fair share of
+  a wave (for a lone host, the whole wave).  Objectives are pure, so
+  re-computing a grab on another host can only change wall-clock
+  time, never a value.
 
 If every host is lost mid-wave, :class:`ClusterUnavailable` carries the
 partial results out so the caller (:class:`DistributedEvaluator`)
@@ -29,6 +37,7 @@ from collections import deque
 
 from repro import telemetry
 from repro.distributed import wire
+from repro.evaluation.batch import guided_grab
 
 logger = telemetry.get_logger("distributed.client")
 
@@ -319,27 +328,23 @@ class ClusterClient:
         if n == 0:
             return []
         blob_key = hashlib.sha256(blob).hexdigest()
-        # A shared index queue with *per-host* grab sizes: each host
-        # takes at least its own capacity (its local pool wants whole
-        # batches) but small enough grabs that every host gets several
-        # (work stealing evens out stragglers).  Sizing the grab by the
-        # cluster-wide max would let one big host serialise the wave.
-        base = -(-n // (4 * len(conns)))
         queue: deque[int] = deque(range(n))
         results: dict[int, float] = {}
         lock = threading.Lock()
         sent_before = {c: c.sent_bytes for c in conns}
 
-        def host_loop(conn: HostConnection) -> None:
-            grab = max(1, conn.capacity, base)
+        def host_loop(conn: HostConnection, hosts: int) -> None:
             while True:
                 with lock:
                     if not queue:
                         return
-                    idxs = [
-                        queue.popleft()
-                        for _ in range(min(grab, len(queue)))
-                    ]
+                    # Guided grab, sized at each pop from what is left
+                    # and the round's hosts: an equal share, so a lone
+                    # host's agent solves the whole wave in one merged
+                    # pass, and at least this host's capacity (its
+                    # local pool wants whole batches).
+                    grab = guided_grab(len(queue), hosts, conn.capacity)
+                    idxs = [queue.popleft() for _ in range(grab)]
                 try:
                     conn.ensure_objective(blob, blob_key)
                     payload = {
@@ -363,10 +368,11 @@ class ClusterClient:
                     # OSError/WireError/timeout are the expected loss
                     # and straggler cases; anything else (a malformed
                     # value, an unpicklable surprise) must equally not
-                    # strand the chunk or leave a wedged connection
+                    # strand the grab or leave a wedged connection
                     # registered as live.
-                    # Worker lost or straggling: give the chunk back for
-                    # the surviving hosts and retire this connection.
+                    # Worker lost or straggling: give the whole grab
+                    # back to the front of the queue for the surviving
+                    # hosts and retire this connection.
                     logger.warning(
                         "re-dispatching %d candidates away from %s:%s",
                         len(idxs), conn.host, conn.port,
@@ -387,12 +393,15 @@ class ClusterClient:
         # candidate deterministically kills every worker: after that the
         # caller's local fallback computes the remainder (and surfaces
         # the real exception).  A round ends when its threads finish;
-        # chunks a dying host gave back after its siblings exited are
-        # re-dispatched in the next round, over freshly (re)connected
-        # hosts — so a restarted worker rejoins mid-search.
+        # a grab a dying host gave back after its siblings exited is
+        # re-sized and re-dispatched in the next round, over freshly
+        # (re)connected hosts — so a restarted worker rejoins
+        # mid-search.
         for _round in range(3):
             threads = [
-                threading.Thread(target=host_loop, args=(c,), daemon=True)
+                threading.Thread(
+                    target=host_loop, args=(c, len(conns)), daemon=True
+                )
                 for c in conns
             ]
             for t in threads:

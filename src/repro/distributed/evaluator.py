@@ -9,9 +9,11 @@ What changes is where cache misses are computed:
    prior run against the same objective fingerprint already solved —
    those values cost nothing and are *not* counted as new solves;
 2. the **cluster** computes the remainder, on one of two dispatch
-   planes: **candidate chunks** (the pickled objective ships once per
-   worker connection, jobs carry only genotype tuples, and the client
-   re-dispatches chunks around stragglers and lost workers) or —
+   planes: **candidate grabs** (the pickled objective ships once per
+   worker connection, jobs carry only genotype tuples, each host grabs
+   an equal share of what is left — a lone host the whole wave — and
+   the client re-dispatches grabs around stragglers and lost workers)
+   or —
    when the wave is narrower than the fleet and the objective is
    span-shardable — **sample spans**, where
    :class:`repro.distributed.RemoteShardPool` fans each candidate's
@@ -74,8 +76,9 @@ class DistributedEvaluator(Evaluator):
     checkpoint carries).  ``workers`` sizes the *local fallback* pool.
     ``timeout`` is the per-request straggler deadline in seconds
     (default ``REPRO_CLUSTER_TIMEOUT`` or 600): a host that has not
-    replied by then has its chunk re-dispatched elsewhere, so a hung —
-    not just dead — worker can never block a wave forever.
+    replied by then has its grab (its fair share of the wave, all of it
+    for a lone host) re-dispatched elsewhere, so a hung — not just dead
+    — worker can never block a wave forever.
 
     ``shard_dispatch`` picks the cluster dispatch plane (``auto`` /
     ``candidates`` / ``spans``, default ``REPRO_SHARD_DISPATCH``) and

@@ -180,8 +180,10 @@ CLUSTER_TIMEOUT = _register(
     float,
     600.0,
     help="Per-request straggler deadline (seconds) for cluster "
-    "dispatch.  Affects only when a chunk is re-dispatched, never "
-    "its value (objectives are pure, recomputation is free).",
+    "dispatch.  It covers one grab, a host's fair share of a wave "
+    "(a lone host's is the whole wave).  Affects only when a grab is "
+    "re-dispatched, never its value (objectives are pure, "
+    "recomputation is free).",
 )
 
 BATCH_CASCADE = _register(

@@ -45,6 +45,20 @@ def solve_many(fn: Callable[[Values], float], batch: list[Values]) -> list:
     return list(many(batch))
 
 
+def guided_grab(remaining: int, workers: int, floor: int = 1) -> int:
+    """Size of the next chunk under guided self-scheduling.
+
+    Polychronopoulos & Kuck (1987): each grab is an equal share of what
+    is still unassigned, ``ceil(remaining / workers)``, at least
+    ``floor`` (the taker's own capacity) and at most ``remaining``.  A
+    lone worker takes a whole wave, so the objective's batch method
+    sees it in one merged pass; with several, the grabs shrink (30
+    items on 2 workers: 15, 8, 4, 2, 1), so the small late ones even
+    out a straggler's tail.
+    """
+    return min(remaining, max(floor, -(-remaining // workers)))
+
+
 @runtime_checkable
 class BatchObjective(Protocol):
     """What the GA engine and the baselines accept as an objective."""
@@ -112,17 +126,17 @@ class Evaluator:
         if self.workers > 1 and len(missing) > 1:
             pool = self._ensure_pool()
             if pool is not None:
-                # Function-level import: repro.evaluation.__init__
-                # imports this module, so a top-level import of a
-                # sibling would be circular.
-                from repro.evaluation.sharding import shard_spans
-
-                # A few spans per worker so a straggling chunk can't
-                # serialise the wave's tail; each span is one batch call.
-                spans = shard_spans(len(missing), self.workers * 4)
-                chunks = pool.map(
-                    _eval_in_worker, [missing[a:b] for a, b in spans]
-                )
+                # Guided spans, taken by the pool's workers in order:
+                # each one batch call, large first for merged passes,
+                # small last so a straggler can't serialise the tail.
+                spans, start = [], 0
+                while start < len(missing):
+                    stop = start + guided_grab(
+                        len(missing) - start, self.workers
+                    )
+                    spans.append(missing[start:stop])
+                    start = stop
+                chunks = pool.map(_eval_in_worker, spans)
                 return [v for chunk in chunks for v in chunk]
         return solve_many(self._fn, missing)
 

@@ -6,6 +6,9 @@ subprocess end-to-end — CLI `serve`, SIGKILL mid-run, golden-pinned
 searches — lives in test_loopback.py.
 """
 
+import contextlib
+import pickle
+import sys
 import threading
 
 import numpy as np
@@ -16,17 +19,17 @@ from repro.distributed import (
     DistributedEvaluator,
     SmokeObjective,
 )
-from repro.distributed.client import ClusterClient
+from repro.distributed.client import ClusterClient, HostConnection
 from repro.distributed.worker import WorkerServer
 from repro.evaluation import BatchObjective, Evaluator
 from repro.search import HillClimbStrategy, run_search
 
 
-@pytest.fixture()
-def servers():
+@contextlib.contextmanager
+def _running(n):
     pool = []
     threads = []
-    for _ in range(2):
+    for _ in range(n):
         srv = WorkerServer(port=0, capacity=1)
         t = threading.Thread(
             target=lambda srv=srv: srv.serve_forever(poll_interval=0.05),
@@ -43,6 +46,18 @@ def servers():
             srv.server_close()
         for t in threads:
             t.join(timeout=5)
+
+
+@pytest.fixture()
+def servers():
+    with _running(2) as pool:
+        yield pool
+
+
+@pytest.fixture()
+def lone():
+    with _running(1) as pool:
+        yield pool[0]
 
 
 def _hosts(servers):
@@ -215,3 +230,114 @@ def test_pickled_copy_downgrades_to_local(servers, tmp_path):
     assert clone.client is None and clone.store is None
     assert list(clone.evaluate_batch([(1, 2)])) == [0.0]
     assert clone.local_solves == 1
+
+
+# -- the schedule: guided grabs ----------------------------------------------
+
+WAVE = [(i, j) for i in range(6) for j in range(5)]  # 30 candidates
+
+
+@pytest.fixture()
+def eval_requests(monkeypatch):
+    """Every ``op=eval`` request as ``(connection, candidates)``."""
+    sent = []
+    lock = threading.Lock()
+    real = HostConnection.request
+
+    def spy(self, msg):
+        if msg.get("op") == "eval":
+            with lock:
+                sent.append((self, list(msg["candidates"])))
+        return real(self, msg)
+
+    monkeypatch.setattr(HostConnection, "request", spy)
+    return sent
+
+
+def _in_pop_order(sent):
+    # The queue hands out contiguous runs of the wave front to back, so
+    # a grab's first candidate orders it among the others.
+    return sorted(sent, key=lambda req: WAVE.index(req[1][0]))
+
+
+def test_lone_host_takes_the_whole_wave_in_one_request(
+    lone, eval_requests, tmp_path
+):
+    """One host, one grab: the agent's objective sees the wave in one
+    batch call, so it can solve it in one merged pass."""
+    from tests.evaluation.test_evaluator import _BatchSquare, _square
+
+    log = tmp_path / "calls.log"
+    ev = DistributedEvaluator(_BatchSquare(str(log)), hosts=(lone.address,))
+    try:
+        got = ev.evaluate_batch(WAVE + WAVE[:5])
+        assert got.tolist() == [_square(c) for c in WAVE + WAVE[:5]]
+        assert ev.backend_stats()["remote_solves"] == len(WAVE)
+    finally:
+        ev.close()
+    assert [cands for _conn, cands in eval_requests] == [WAVE]
+    assert log.read_text().split() == ["30"]
+
+
+@pytest.mark.parametrize(
+    "capacities, sizes",
+    [((1, 1), [15, 8, 4, 2, 1]), ((4, 4), [15, 8, 4, 3]), ((4, 1), None)],
+)
+def test_hosts_take_guided_grabs(servers, eval_requests, capacities, sizes):
+    """Each grab is an equal share of what is left, never less than the
+    grabbing host's registered capacity; which host pops does not
+    change a size, except through that floor."""
+    fn = SmokeObjective((3, 3))
+    client = ClusterClient(_hosts(servers))
+    try:
+        conns = client.connect()
+        for conn, capacity in zip(conns, capacities):
+            conn.capacity = capacity  # as registered by ``--capacity``
+        got = client.evaluate(pickle.dumps(fn), WAVE)
+    finally:
+        client.close()
+    assert got == [fn(c) for c in WAVE]
+    grabs = _in_pop_order(eval_requests)
+    assert [c for _conn, cands in grabs for c in cands] == WAVE
+    if sizes is not None:
+        assert [len(cands) for _conn, cands in grabs] == sizes
+    left = len(WAVE)
+    for conn, cands in grabs:
+        size = len(cands)
+        assert size >= min(conn.capacity, left)
+        assert size * len(conns) >= left
+        assert size <= conn.capacity or (size - 1) * len(conns) < left
+        left -= size
+
+
+def test_guided_grabs_hand_out_each_candidate_once_under_contention(
+    eval_requests,
+):
+    """More hosts than cores and a tiny switch interval: the grab sized
+    and popped under the queue lock still hands out every candidate
+    exactly once, and the values come back in candidate order."""
+    fn = SmokeObjective((5, 5))
+    wave = [(i, j) for i in range(20) for j in range(10)]
+    got = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with _running(6) as pool:
+            client = ClusterClient(_hosts(pool))
+            try:
+                runner = threading.Thread(
+                    target=lambda: got.extend(
+                        client.evaluate(pickle.dumps(fn), wave)
+                    ),
+                    daemon=True,
+                )
+                runner.start()
+                runner.join(timeout=60)
+                assert not runner.is_alive()
+            finally:
+                client.close()
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == [fn(c) for c in wave]
+    sent = sorted(c for _conn, cands in eval_requests for c in cands)
+    assert sent == sorted(wave)

@@ -15,7 +15,12 @@ from repro.distributed import (
     SmokeObjective,
 )
 from repro.search import HillClimbStrategy, run_search
-from repro.telemetry import MemorySink, chrome_trace, merge_events
+from repro.telemetry import (
+    MemorySink,
+    chrome_trace,
+    merge_events,
+    summarize_events,
+)
 
 GOLDEN = json.loads(
     (pathlib.Path(__file__).parent.parent / "search" / "golden.json").read_text()
@@ -95,3 +100,36 @@ def test_chrome_timeline_has_one_lane_per_host(cluster, events):
     assert {f"{h}:{p}" for h, p in cluster.hosts} <= lane_names
     assert "local" in lane_names
     assert any(t["ph"] == "X" for t in trace)  # spans made it across
+
+
+def test_lone_host_search_sends_one_eval_frame_per_wave():
+    """A lone host takes each wave in one ``op=eval`` request, so the
+    coordinator's per-op wire frames count the agent's merged passes:
+    ``repro.cli report`` shows one eval frame per wave that reached the
+    cluster (one ``backend.remote_solves`` count each)."""
+    sink = MemorySink()
+    with LoopbackCluster(1) as lone:
+        telemetry.configure(sink=sink, default=True)
+        try:
+            strategy = HillClimbStrategy([32, 32], start=(16, 16))
+            ev = DistributedEvaluator(SmokeObjective((4, 27)), hosts=lone.hosts)
+            try:
+                run_search(strategy, ev)
+            finally:
+                ev.close()
+            events = telemetry.drain_events()
+        finally:
+            telemetry.shutdown()
+    frames = [
+        e for e in events
+        if e["name"] == "wire.request_bytes" and e["attrs"]["op"] == "eval"
+    ]
+    waves = [e["value"] for e in events if e["name"] == "backend.remote_solves"]
+    assert sum(waves) == ev.distinct_evaluations
+    assert max(waves) > 1  # a split wave would show as several frames
+    assert len(frames) == len(waves)
+    eval_row = next(
+        line.split() for line in summarize_events(events).splitlines()
+        if line.split()[:1] == ["eval"]
+    )
+    assert int(eval_row[1]) == len(waves)

@@ -7,9 +7,11 @@ never a result.
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.cache.config import CacheConfig
 from repro.evaluation import BatchObjective, Evaluator, as_batch_objective
+from repro.evaluation.batch import guided_grab
 from repro.ga.engine import GAConfig, GeneticAlgorithm
 from repro.ga.objective import MemoizedObjective
 from repro.ga.tiling_search import optimize_tiling, tiling_genome
@@ -207,12 +209,44 @@ def test_batch_method_gets_each_waves_missing_genotypes_once(monkeypatch):
 
 
 def test_each_process_pool_span_is_one_batch_call(tmp_path):
-    from repro.evaluation.sharding import shard_spans
-
+    """A ``workers=2`` wave of 16 misses goes out as guided spans
+    8, 4, 2, 1, 1, each one call of the objective's batch method."""
     log = tmp_path / "calls.log"
     batch = [(i, i + 1) for i in range(16)]
     with Evaluator(_BatchSquare(str(log)), workers=2) as ev:
         got = ev.evaluate_batch(batch + batch[:4])
     assert got.tolist() == [_square(v) for v in batch + batch[:4]]
     sizes = sorted(int(n) for n in log.read_text().split())
-    assert sizes == sorted(b - a for a, b in shard_spans(16, 8))
+    assert sizes == sorted([8, 4, 2, 1, 1])
+
+
+def _grabs(n, workers, floor=1):
+    sizes = []
+    while n:
+        sizes.append(guided_grab(n, workers, floor))
+        n -= sizes[-1]
+    return sizes
+
+
+def test_guided_grab_takes_an_equal_share_of_what_is_left():
+    assert _grabs(30, 1) == [30]
+    assert _grabs(30, 2) == [15, 8, 4, 2, 1]
+    assert _grabs(16, 2) == [8, 4, 2, 1, 1]
+    assert _grabs(30, 2, floor=4) == [15, 8, 4, 3]
+    assert _grabs(3, 8) == [1, 1, 1]
+    assert _grabs(5, 1, floor=8) == [5]
+
+
+@given(st.integers(1, 300), st.integers(1, 16), st.integers(0, 20))
+def test_guided_grabs_partition_the_wave(n, workers, floor):
+    """Grabs cover the wave, shrink, and each is an equal share of what
+    is left (at least, and no more unless the floor asks for more)."""
+    sizes = _grabs(n, workers, floor)
+    assert sum(sizes) == n
+    assert sizes == sorted(sizes, reverse=True)
+    left = n
+    for size in sizes:
+        assert min(left, floor) <= size <= left
+        assert size * workers >= left
+        assert size <= floor or (size - 1) * workers < left
+        left -= size
