@@ -8,7 +8,9 @@ reference ("traversing the iteration space"): the reference either
 * has some reuse source whose interval back to the use is free of
   interference → **HIT**,
 * or every reuse source is killed by interference → **REPLACEMENT**
-  (the misses loop tiling minimises).
+  (the misses loop tiling minimises).  Sources are tried newest first,
+  and on a direct-mapped cache the first *proven* kill decides: each
+  older source's interval holds the interfering access that proved it.
 
 Interference over the (possibly enormous) interval between source and
 use is decided without enumeration: the interval is decomposed into
@@ -19,7 +21,8 @@ the reuse dies only after ``k`` distinct interfering lines (§2.2), so
 the same machinery counts distinct lines with early exit at ``k``.
 
 Undecidable queries (budget exhaustion) are counted and treated as
-interference — conservative in the direction of over-reporting misses.
+interference — conservative in the direction of over-reporting misses —
+but prove nothing, so the walk goes on to the next source.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from repro.cache.config import CacheConfig
 from repro.ir.program import AccessProgram
 from repro.layout.memory import MemoryLayout
 from repro.polyhedra.box import Box
-from repro.polyhedra.cascade import FALSE, UNKNOWN, BatchCascade
+from repro.polyhedra.cascade import FALSE, TRUE, UNKNOWN, BatchCascade
 from repro.polyhedra.congruence import CongruenceTester
 from repro.polyhedra.kernels import (
     box_line_counts,
@@ -262,12 +265,16 @@ class PointClassifier:
         sources = self._reuse_sources(idx, p, line0)
         if not sources:
             return Outcome.COLD
-        # Most recent source first: any interference-free source → hit.
+        # Most recent source first: any interference-free source → hit,
+        # a proven kill kills every older source too.
         sources.sort(key=lambda sp: (sp[0], sp[1]), reverse=True)
         for src, spos in sources:
             self.stats.sources_checked += 1
-            if not self._reuse_killed(src, spos, p, idx, line0_start, wlo):
+            verdict = self._reuse_killed(src, spos, p, idx, line0_start, wlo)
+            if verdict == FALSE:
                 return Outcome.HIT
+            if verdict == TRUE:
+                break
         return Outcome.REPLACEMENT
 
     def _reuse_sources(
@@ -380,8 +387,11 @@ class PointClassifier:
         use_idx: int,
         line0_start: int,
         wlo: int,
-    ) -> bool:
-        """Does the interval (src, use) evict line0 from its set?"""
+    ) -> int:
+        """Does the interval (src, use) evict line0 from its set?  FALSE
+        if not, TRUE for a direct-mapped kill an interfering access
+        proves, UNKNOWN for one resting on budget exhaustion and for any
+        k-way kill (a summed count can hold one line twice)."""
         if self._k == 1:
             return self._interference_exists(
                 src, spos, use, use_idx, line0_start, wlo
@@ -389,7 +399,7 @@ class PointClassifier:
         count = self._count_interfering_lines(
             src, spos, use, use_idx, line0_start, wlo, cap=self._k
         )
-        return count >= self._k
+        return UNKNOWN if count >= self._k else FALSE
 
     def _endpoint_refs(
         self, src: tuple[int, ...], spos: int, use: tuple[int, ...], use_pos: int
@@ -440,12 +450,12 @@ class PointClassifier:
         use_idx: int,
         line0_start: int,
         wlo: int,
-    ) -> bool:
+    ) -> int:
         # Boundary iterations (partial bodies), then the interval.
         if self._endpoint_interference(src, spos, use, use_idx, line0_start, wlo):
-            return True
+            return TRUE
         if src == use:
-            return False
+            return FALSE
         return self._interval_interference_scalar(src, use, line0_start, wlo)
 
     def _interval_interference_scalar(
@@ -454,7 +464,7 @@ class PointClassifier:
         use: tuple[int, ...],
         line0_start: int,
         wlo: int,
-    ) -> bool:
+    ) -> int:
         """Strictly-between iterations, region by region (the cascade)."""
         L = self._L
         M = self._M
@@ -475,10 +485,10 @@ class PointClassifier:
                     )
                     if res is None:
                         self.stats.unknown_conservative += 1
-                        return True
+                        return UNKNOWN
                     if res:
-                        return True
-        return False
+                        return TRUE
+        return FALSE
 
     def _cascade_box_group(
         self,
@@ -488,7 +498,7 @@ class PointClassifier:
         ref_alive: np.ndarray,
         wlo: int,
         line0_start: int,
-    ) -> bool:
+    ) -> int:
         """Congruence-cascade test of one box for one reference group."""
         box = Box(lo, hi)
         for i in self._groups[gi]:
@@ -505,10 +515,10 @@ class PointClassifier:
             )
             if res is None:
                 self.stats.unknown_conservative += 1
-                return True
+                return UNKNOWN
             if res:
-                return True
-        return False
+                return TRUE
+        return FALSE
 
     def _count_interfering_lines(
         self,
@@ -743,6 +753,13 @@ _LOCKSTEP_ROWS = 1 << 17
 _WAVE_ITEMS = 1 << 12
 _DECOMPOSE_JOBS = 1 << 10
 
+#: What a :class:`_Lockstep` charges its tilings, tallied per tiling:
+#: :class:`SolverStats` fields, then the tester tier it counts itself.
+_CHARGED = (
+    "points", "ref_tests", "sources_checked", "intervals_vectorized",
+    "boxes_tested", "unknown_conservative", "enumerated",
+)
+
 
 def classify_many(
     classifiers: list[PointClassifier], batches
@@ -806,6 +823,7 @@ def classify_codes(classifiers: list[PointClassifier], batches) -> list[np.ndarr
     rec.count("cme.kernel_boxes", sum(s.boxes for s in steps))
     rec.count("cme.kernel_entries", entries_listed() - entries)
     rec.count("cme.cascade_calls", sum(s.cascade_calls for s in steps))
+    rec.count("cme.sources_skipped", sum(s.skipped for s in steps))
     rec.count("cme.source_tables", len(tables))
     rec.count("cme.source_rows", sum(len(t.src) for t in tables.values()))
     return out
@@ -822,7 +840,8 @@ class _Lockstep:
     stats depend only on its own jobs: jobs, rounds and count steps stay
     per job, kernel verdicts per box, cascade verdicts and tiers per
     query, each tiling meets its cascade steps in a lone run's order,
-    and every charge lands on its tiling.  Small boxes go to the kernel
+    and every charge lands on its tiling's row of one tally, added to
+    its stats when the run ends.  Small boxes go to the kernel
     in original coordinates, exact by the box-mapping property
     (docs/ARCHITECTURE.md §3).
     """
@@ -832,8 +851,10 @@ class _Lockstep:
 
     def __init__(self, clfs: list[PointClassifier]):
         self.clfs = clfs
-        #: Kernel calls, the boxes they answered, cascade calls (telemetry).
-        self.calls = self.boxes = self.cascade_calls = 0
+        #: Kernel calls, the boxes they answered, cascade calls and the
+        #: older sources proven kills left untried (telemetry).
+        self.calls = self.boxes = self.cascade_calls = self.skipped = 0
+        self.tally = np.zeros((len(clfs), len(_CHARGED)), dtype=np.int64)
         lead = clfs[0]
         self.lead, self.rows = lead, lead._rows
         self.k, self.L, self.M = lead._k, lead._L, lead._M
@@ -868,14 +889,12 @@ class _Lockstep:
             self.rlo[t, : len(c._region_lo)] = c._region_lo
             self.rhi[t, : len(c._region_hi)] = c._region_hi
 
-    def charge(self, field: str, owner: np.ndarray, tier: bool = False) -> None:
-        """Add each tiling's share of a :class:`SolverStats` field (or,
-        with ``tier``, a ``TesterStats`` tier): one per entry of
+    def charge(self, field: str, owner: np.ndarray) -> None:
+        """Tally one of ``field`` (of :data:`_CHARGED`) per entry of
         ``owner``, the tiling index of what is charged."""
-        shares = np.bincount(owner, minlength=len(self.clfs))
-        for clf, n in zip(self.clfs, shares.tolist()):
-            stats = clf._tester.stats if tier else clf.stats
-            setattr(stats, field, getattr(stats, field) + n)
+        self.tally[:, _CHARGED.index(field)] += np.bincount(
+            owner, minlength=len(self.clfs)
+        )
 
     def kernel(self, fn, *args) -> np.ndarray:
         """``fn(*args)``, a kernel call on ``len(args[0])`` boxes, tallied."""
@@ -946,9 +965,7 @@ class _Lockstep:
         """
         clfs = self.clfs
         n, nrefs = len(table.O), len(self.lead._refs)
-        for clf in clfs:
-            clf.stats.points += n
-            clf.stats.ref_tests += n * nrefs
+        self.tally[:, :2] += (n, n * nrefs)  # points, ref_tests
         # Every (point, ref) without a source stays COLD.
         codes = np.zeros((len(clfs), n, nrefs), dtype=np.int8)
         runs = [c._batch_reuse_sources(table) for c in clfs]
@@ -964,28 +981,36 @@ class _Lockstep:
         del runs
         cur, stop = cur + base[tt], stop + base[tt]
         while len(cur):
-            killed = np.empty(len(cur), dtype=bool)
+            verdict = np.empty(len(cur), dtype=np.int8)
             job = np.empty(len(cur), dtype=bool)
             for part in self.wave_chunks(tt):
-                killed[part], job[part] = self.wave(
+                verdict[part], job[part] = self.wave(
                     tt[part], ai[part], aidx[part], rows[cur[part]], table
                 )
-            hit = ~killed
+            hit = verdict == FALSE
             codes[tt[hit], ai[hit], aidx[hit]] = _HIT
-            more = killed & (cur + 1 < stop)
-            done = killed & ~more
+            # A proven kill kills every older source; an unproven one
+            # walks on.
+            more = (verdict == UNKNOWN) & (cur + 1 < stop)
+            done = ~(hit | more)
             codes[tt[done], ai[done], aidx[done]] = _REPLACEMENT
+            self.skipped += int((stop - cur - 1)[verdict == TRUE].sum())
             # Survivors keep each tiling's wave order: directly decided
             # items first, then interval jobs, each in active order.
             nxt = np.flatnonzero(more)
             nxt = nxt[np.lexsort((job[nxt], tt[nxt]))]
             tt, ai, aidx = tt[nxt], ai[nxt], aidx[nxt]
             cur, stop = cur[nxt] + 1, stop[nxt]
+        for clf, (*fields, enumerated) in zip(clfs, self.tally.tolist()):
+            for name, value in zip(_CHARGED, fields):
+                setattr(clf.stats, name, getattr(clf.stats, name) + value)
+            clf._tester.stats.enumerated += enumerated
         return list(codes)
 
     def wave(self, tt, ai, aidx, row, table):
         """One wave chunk's items (tilings, points, references, source
-        table rows): each item's killed flag and whether it was a job."""
+        table rows): each item's verdict (as ``_reuse_killed``'s) and
+        whether it was a job."""
         k = self.k
         wlo = table.wlo[ai, aidx]
         l0 = table.l0[ai, aidx]
@@ -996,8 +1021,8 @@ class _Lockstep:
             # Boundary-iteration line counts, each table row's once per
             # pass; a count at the cap decides.
             pre = table.endpoint_counts(row)
-            killed = pre >= max(k, 1)
-            job = ~(killed | same)
+            verdict = np.where(pre >= max(k, 1), TRUE if k == 1 else UNKNOWN, FALSE)
+            job = (verdict == FALSE) & ~same
         else:
             # Scalar rung: the per-item reference implementations (k-way
             # counts serially; direct-mapped intervals become jobs).
@@ -1005,25 +1030,26 @@ class _Lockstep:
                 PointClassifier._reuse_killed if k != 1
                 else PointClassifier._endpoint_interference
             )
-            killed = np.array([
+            verdict = np.array([
                 test(self.clfs[t], *item) for t, item in zip(tt.tolist(), zip(
                     map(tuple, self.from_original(table.src[row], tt).tolist()),
                     self.rows.positions[table.sref[row]].tolist(),
                     map(tuple, self.from_original(table.O[ai], tt).tolist()),
                     aidx.tolist(), l0.tolist(), wlo.tolist(),
                 ))
-            ], dtype=bool)
-            job = ~(killed | same) if k == 1 else np.zeros(len(tt), dtype=bool)
+            ], dtype=np.int8)
+            job = (verdict == FALSE) & ~same & (k == 1)
         j = np.flatnonzero(job)
         if len(j):
             args = (
                 self.from_original(table.src[row[j]], tt[j]),
                 self.from_original(table.O[ai[j]], tt[j]), wlo[j], l0[j], tt[j],
             )
-            killed[j] = (
-                self.count_jobs(*args, pre[j]) if k != 1 else self.interval_jobs(*args)
+            verdict[j] = (
+                np.where(self.count_jobs(*args, pre[j]), UNKNOWN, FALSE) if k != 1
+                else self.interval_jobs(*args)
             )
-        return killed, job
+        return verdict, job
 
     def interval_jobs(self, S, U, wlo, l0, jt) -> np.ndarray:
         """Resolve a wave of interval-interference queries at once.
@@ -1035,16 +1061,18 @@ class _Lockstep:
         address-band test rejects most boxes; surviving small ones go
         to :func:`repro.polyhedra.kernels.boxes_interfere`, big ones to
         the congruence cascade (:meth:`cascade_groups`), so outcomes
-        match the scalar path by construction.  Returns the killed flag
-        per job.
+        match the scalar path by construction.  Returns each job's
+        verdict: TRUE on a kernel hit or TRUE cascade verdict, UNKNOWN
+        for a kill only UNKNOWN verdicts back, else FALSE.
         """
         njobs = len(S)
         self.charge("intervals_vectorized", jt)
         L, M = self.L, self.M
         Blo, Bhi, jid = self.between_boxes(S, U, jt)
         nb = len(jid)
+        verdict = np.zeros(njobs, dtype=np.int8)
         if nb == 0:
-            return np.zeros(njobs, dtype=bool)
+            return verdict
         bt = jt[jid]
         self.charge("boxes_tested", bt)
         wlo_box = wlo[jid]
@@ -1099,7 +1127,6 @@ class _Lockstep:
         cursor = bounds[:-1].copy()
         stop = bounds[1:]
         pos = np.arange(len(live))
-        killed = np.zeros(njobs, dtype=bool)
         pending = cursor < stop
         while pending.any():
             first = cursor[lj]
@@ -1120,7 +1147,7 @@ class _Lockstep:
                         boxes_interfere, olo[np.ix_(b, odims)],
                         oext[np.ix_(b, odims)], coeffs, consts, l0_box[b], M, L,
                     )
-                    killed[tj[m][hits]] = True
+                    verdict[tj[m][hits]] = TRUE
             # Oversized projections: the congruence cascade, as the
             # scalar path runs it, in (job, box, group) order.
             rows, groups = np.nonzero(big[tb])
@@ -1128,34 +1155,34 @@ class _Lockstep:
                 j, b = tj[rows], tb[rows]
                 if self.lead._use_batch_cascade:
                     self.cascade_groups(
-                        j, b, groups, bt[b], Blo, Bhi, alive, wlo_box, l0_box, killed
+                        j, b, groups, bt[b], Blo, Bhi, alive, wlo_box, l0_box, verdict
                     )
                 else:
                     for j1, b1, gi in zip(j.tolist(), b.tolist(), groups.tolist()):
-                        if killed[j1]:
+                        if verdict[j1]:
                             continue  # another box already decided this job
-                        if self.clfs[bt[b1]]._cascade_box_group(
+                        verdict[j1] = self.clfs[bt[b1]]._cascade_box_group(
                             tuple(Blo[b1].tolist()),
                             tuple(Bhi[b1].tolist()),
                             gi,
                             alive[b1],
                             int(wlo_box[b1]),
                             int(l0_box[b1]),
-                        ):
-                            killed[j1] = True
-            pending = ~killed & (cursor < stop)
-        return killed
+                        )
+            pending = (verdict == FALSE) & (cursor < stop)
+        return verdict
 
-    def cascade_groups(self, j, b, g, t, Blo, Bhi, alive, wlo, l0, killed):
+    def cascade_groups(self, j, b, g, t, Blo, Bhi, alive, wlo, l0, verdict):
         """A round's oversized (job, box, group) triples of tilings
         ``t``, in the batched cascade.
 
         A lone tiling takes its groups in the order its triples first
         meet them, reference by reference, and a job's first TRUE or
         UNKNOWN verdict kills it (UNKNOWN charged as conservative), so
-        its later queries are never asked.  Step ``(s, r)`` asks the
-        ``r``-th reference of every tiling's ``s``-th group about the
-        boxes of live jobs its band reaches (``alive``), in one call.
+        its later queries are never asked (TRUE wins within a call).
+        Step ``(s, r)`` asks the ``r``-th reference of every tiling's
+        ``s``-th group about the boxes of live jobs its band reaches
+        (``alive``), in one call.
         """
         # Each tiling's groups, ranked by first appearance.
         seen = np.full((len(self.clfs), len(self.rows.groups)), len(j))
@@ -1164,7 +1191,7 @@ class _Lockstep:
         for s in range(int(step.max()) + 1):
             at = step == s
             for refs in self.rows.group_refs.T:
-                x = np.flatnonzero(at & ~killed[j])
+                x = np.flatnonzero(at & (verdict[j] == FALSE))
                 i = refs[g[x]]
                 x, i = x[i >= 0], i[i >= 0]
                 ask = alive[b[x], i]
@@ -1175,8 +1202,10 @@ class _Lockstep:
                 verdicts = self.cascade(t[x], i).exists_interference_many(
                     Blo[bx], Bhi[bx], wlo[bx], l0[bx]
                 )
-                self.charge("unknown_conservative", t[x[verdicts == UNKNOWN]])
-                killed[j[x[verdicts != FALSE]]] = True
+                unknown = verdicts == UNKNOWN
+                self.charge("unknown_conservative", t[x[unknown]])
+                verdict[j[x[unknown]]] = UNKNOWN
+                verdict[j[x[verdicts == TRUE]]] = TRUE
 
     def count_jobs(self, S, U, wlo, l0, jt, pre) -> np.ndarray:
         """Associative interval counting for a whole wave at once.
@@ -1233,7 +1262,7 @@ class _Lockstep:
                 small = enum[rows, i]
                 s = rows[small]
                 if len(s):
-                    self.charge("enumerated", bt[s], tier=True)
+                    self.charge("enumerated", bt[s])
                     counts[small] = self.kernel(
                         box_line_counts, c0[s, i], oext[s], ocoef[i],
                         wlo_b[s], l0_b[s], self.M, self.L, k,

@@ -120,20 +120,23 @@ def lex_between_boxes_many(
        ``l`` starts past it and the suffix is the region's.  Levels
        above the pair's first src/use difference ``f`` are skipped,
        since there the pinned prefix equals the use's and the piece
-       lies wholly after the use; a pair with ``src ⊀ use`` has no
-       boxes at all;
+       lies wholly after the use;
     2. use-side cuts ``{q ∈ piece : q ≺ use}`` over pieces × levels,
        the same peeling against ``use``.
 
     Padding and empty regions contribute nothing, so every piece and
-    box that passes its level test is non-empty.
+    box that passes its level test is non-empty.  Pairs that hold no
+    iteration in any region, ``src ⊀ use`` or the two differing only at
+    the innermost level by one, are dropped before the passes.
     """
-    n, d = S.shape
+    d = S.shape[1]
     lvl = np.arange(d)
     neq = S != U
     f = neq.argmax(axis=1)
-    rows = np.arange(n)
-    before = neq[rows, f] & (S[rows, f] < U[rows, f])
+    rows = np.arange(len(S))
+    gap = U[rows, f] - S[rows, f]
+    keep = np.flatnonzero((gap > 0) & ((f < d - 1) | (gap > 1)))
+    S, U, rlo, rhi, f = S[keep], U[keep], rlo[keep], rhi[keep], f[keep]
     Sx = S[:, None, :]
     # Level l starts at max(src_l + 1, lo_l), which is <= hi_l iff both
     # are; lo <= hi fails on a padding region.
@@ -141,7 +144,7 @@ def lex_between_boxes_many(
         _prefix_all((Sx >= rlo) & (Sx <= rhi))
         & (Sx < rhi)
         & (rlo <= rhi)
-        & (before[:, None] & (lvl >= f[:, None]))[:, None, :]
+        & (lvl >= f[:, None])[:, None, :]
     )
     pj, pr, pl = np.nonzero(has)
     Sp = S[pj]
@@ -164,4 +167,4 @@ def lex_between_boxes_many(
     Bhi = np.where(
         pin, Ub, np.where(lvl == bl[:, None], cut[bp], ghi[bp])
     )
-    return Blo, Bhi, pj[bp]
+    return Blo, Bhi, keep[pj[bp]]

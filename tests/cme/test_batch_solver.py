@@ -67,8 +67,10 @@ def test_classify_batch_matches_classify_point_on_big_shared_boxes(
     monkeypatch,
 ):
     """MM_128 tiled (128, 64, 128) at 8KB DM: dozens of between-boxes
-    over 4096 points, many sharing one shape, reach the split-sum
-    kernel (the MM_24/T2D_32 programs above barely produce any)."""
+    over 4096 points, many sharing one shape, reach the cache-set hit
+    kernel (the MM_24/T2D_32 programs above barely produce any).  A walk
+    ends at its first proven kill, so 60 points reach only 19 such
+    boxes; 150 reach 41, in 24 shapes."""
     shapes = []
 
     def spy(lo, exts, *args):
@@ -80,7 +82,7 @@ def test_classify_batch_matches_classify_point_on_big_shared_boxes(
     layout = MemoryLayout(nest.arrays())
     prog = tile_program(nest, (128, 64, 128))
     pm = prog.point_map
-    mapped = [pm.from_original(p) for p in sample_original_points(nest, 60, 3)]
+    mapped = [pm.from_original(p) for p in sample_original_points(nest, 150, 3)]
     scalar = PointClassifier(prog, layout, CACHE_8K)
     expected = [scalar.classify_point(p) for p in mapped]
     assert PointClassifier(prog, layout, CACHE_8K).classify_batch(mapped) == expected
@@ -432,7 +434,9 @@ def test_wave_chunks_hold_whole_tilings_within_the_item_cap(monkeypatch, cache):
     at most `_DECOMPOSE_JOBS` jobs at a time: with the caps shrunk to fit
     MM_24, waves split into several chunks and decompositions into
     pieces, and every candidate keeps the outcomes and stats of its own
-    `classify_batch` call."""
+    `classify_batch` call.  The batched rung is pinned: the scalar one
+    counts k-way sources item by item and makes no decompositions."""
+    monkeypatch.setenv("REPRO_BATCH_CASCADE", "1")
     monkeypatch.setattr(solver, "_WAVE_ITEMS", 200)
     monkeypatch.setattr(solver, "_DECOMPOSE_JOBS", 48)
     full = list(_wave())

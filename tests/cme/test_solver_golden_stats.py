@@ -44,15 +44,20 @@ TIERS = (
 )
 
 # (assoc, tiles) -> ((hits, cold, replacement), STAT_FIELDS, TIERS)
+# A direct-mapped walk ends at its first proven kill, so each of the
+# 656 (point, reference) pairs tries one source.  When every kill walked
+# on to the older sources, the three tilings tried 777, 673 and 676
+# sources over 982, 590 and 570 boxes, and the untiled program charged
+# one `unknown` verdict.
 _DM = {
     (1, None): (
-        (450, 0, 206), (164, 656, 777, 0, 609, 982, 1), (0, 0, 0, 0, 0, 0, 1)
+        (450, 0, 206), (164, 656, 656, 0, 490, 506, 0), (0, 0, 0, 0, 0, 0, 0)
     ),
     (1, (485, 31, 22)): (
-        (631, 0, 25), (164, 656, 673, 0, 505, 590, 0), (0, 0, 0, 0, 0, 0, 0)
+        (631, 0, 25), (164, 656, 656, 0, 490, 529, 0), (0, 0, 0, 0, 0, 0, 0)
     ),
     (1, (81, 294, 40)): (
-        (595, 0, 61), (164, 656, 676, 0, 508, 570, 0), (0, 0, 0, 0, 0, 0, 0)
+        (595, 0, 61), (164, 656, 656, 0, 490, 506, 0), (0, 0, 0, 0, 0, 0, 0)
     ),
 }
 # The batched rung's distinct-line counting tests each interval's first
@@ -148,11 +153,11 @@ def test_mm500_solver_stats_are_pinned(monkeypatch, rung, assoc):
 SEARCH_GOLDEN = {
     1: (
         (485, 31, 22),
-        (10168, 40672, 43028, 0, 32613, 41086, 18),
-        (20, 0, 28, 222, 33, 0, 21),
+        (10168, 40672, 40672, 0, 30382, 31992, 2),
+        (6, 0, 6, 69, 6, 0, 2),
         (34961, 0, 5711),
         5,
-        (5, (71, 40970), (18, 6)),
+        (5, (39, 33876), (12, 1)),
     ),
     2: (
         (485, 31, 22),
@@ -190,7 +195,16 @@ def test_mm500_ga_search_work_is_pinned(monkeypatch, assoc):
     of every tiling in one call: from 18 lockstep batches of four
     tilings, 161/260/263 kernel calls, 73/92/53 cascade calls and
     20/246/85 tree passes (DM/2-way/4-way).  Before the lockstep batches
-    the direct-mapped kernel made 139 calls, and 453 before any merging."""
+    the direct-mapped kernel made 139 calls, and 453 before any merging.
+
+    The direct-mapped work fell on purpose, with the same answer and
+    outcome split, when a walk began ending at its first proven kill
+    (every older source's interval holds the access that proved it):
+    `sources_checked` 43,028 → 40,672 (one per pair), intervals 32,613
+    → 30,382, boxes 41,086 → 31,992, `unknown_conservative` 18 → 2,
+    tiers (20, 0, 28, 222, 33, 0, 21) → (6, 0, 6, 69, 6, 0, 2), kernel
+    calls 71 over 40,970 boxes → 39 over 33,876, cascade calls 18 → 12
+    and tree passes 6 → 1.  The k-way walks are untouched."""
     monkeypatch.setenv("REPRO_BATCH_CASCADE", "1")
     sums: collections.Counter = collections.Counter()
     finalize = solver.PointClassifier.finalize_stats

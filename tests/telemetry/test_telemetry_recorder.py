@@ -162,21 +162,48 @@ def _cme_counts(sink) -> dict:
     return totals
 
 
+def _skipped_by_scalar_walks(analyzer, tilings) -> int:
+    """The older sources `classify_ref` leaves untried after the kills
+    that end its REPLACEMENT walks, over the analyzer's sample."""
+    from repro.cme.solver import Outcome, PointClassifier
+
+    skipped = 0
+    for tiles in tilings:
+        prog = analyzer.program(tiles)
+        clf = PointClassifier(
+            prog, analyzer.layout, analyzer.cache,
+            cascade_budgets=analyzer.cascade_budgets,
+        )
+        for o in analyzer._points:
+            p = prog.point_map.from_original(o)
+            for idx, ref in enumerate(clf._refs):
+                line0 = clf._addr(idx, p) // clf._L
+                tried = clf.stats.sources_checked
+                if clf.classify_ref(ref.position, p) is Outcome.REPLACEMENT:
+                    skipped += len(clf._reuse_sources(idx, p, line0)) - (
+                        clf.stats.sources_checked - tried
+                    )
+    return skipped
+
+
 def test_classify_pass_counts_candidates_and_merged_kernel_calls(monkeypatch):
     """`classify_many` records per pass how many candidates it classified,
     the locksteps they ran in (two: the untiled program's coordinate rank
     is not the tilings'), how many kernel calls their lockstep rounds
     took on either geometry, the boxes those calls answered, the (row,
     residue) entries the kernel listed, the batched cascade calls (a
-    small `enum_limit` sends boxes there), and the reuse-source tables
-    (and their rows) the pass built: one for four tilings of one nest
-    and sample."""
+    small `enum_limit` sends boxes there), the older sources its
+    direct-mapped walks left untried after proven kills (none at 2
+    ways), and the reuse-source tables (and their rows) the pass built:
+    one for four tilings of one nest and sample.  The batched rung is
+    pinned: the scalar one makes no cascade calls."""
     from repro.cache.config import CacheConfig
     from repro.cme import solver
     from repro.cme.analyzer import LocalityAnalyzer
     from repro.polyhedra import kernels
     from tests.conftest import make_small_mm
 
+    monkeypatch.setenv("REPRO_BATCH_CASCADE", "1")
     calls, entries, rows, steps = [], [], [], []
 
     def spying(kernel):
@@ -219,7 +246,9 @@ def test_classify_pass_counts_candidates_and_merged_kernel_calls(monkeypatch):
             make_small_mm(24), CacheConfig(8192, 32, assoc), n_samples=40,
             cascade_budgets={"enum_limit": 24},
         )
-        analyzer.estimate_many([(5, 7, 24), (3, 24, 8), (12, 12, 12), None])
+        tilings = [(5, 7, 24), (3, 24, 8), (12, 12, 12), None]
+        analyzer.estimate_many(tilings)
+        skipped = _skipped_by_scalar_walks(analyzer, tilings)
         assert _cme_counts(sink) == {
             "cme.classify_passes": 1,
             "cme.classify_candidates": 4,
@@ -228,10 +257,12 @@ def test_classify_pass_counts_candidates_and_merged_kernel_calls(monkeypatch):
             "cme.kernel_boxes": sum(calls),
             "cme.kernel_entries": sum(entries),
             "cme.cascade_calls": steps.count("cascade"),
+            "cme.sources_skipped": skipped,
             "cme.source_tables": 1,
             "cme.source_rows": rows[0],
         }, assoc
         assert steps.count("lockstep") == 2 and steps.count("cascade") > 0
+        assert (skipped > 0) if assoc == 1 else (skipped == 0)
         assert calls and sum(entries) > 0 and len(rows) == 1 and rows[0] > 0
 
 
