@@ -1,4 +1,4 @@
-"""Search-subsystem benchmark: serial vs batched vs point-sharded.
+"""Search-subsystem benchmark: serial vs batched.
 
 Time-to-target per strategy on the paper's headline kernel ``MM`` at
 N=500: each migrated strategy runs its (reduced) budget against the
@@ -8,11 +8,7 @@ sampled-CME tiling objective
   evaluation pattern);
 * **batched** — the strategy's native batch proposals (hill climbing's
   whole coordinate neighborhood, annealing's speculative chains,
-  random's chunks) fanned out over a worker pool;
-
-and a single expensive near-untiled candidate's classification runs
-unsharded vs **point-sharded** (``repro.evaluation.sharding``) over
-the pool — the lone-candidate case candidate batching cannot touch.
+  random's chunks) fanned out over a worker pool.
 
 Every configuration must reach the *identical* best candidate — the
 equivalence contract — which is asserted here on the real objective.
@@ -37,14 +33,9 @@ from repro.kernels.linalg import make_mm
 
 WORKERS = min(4, max(2, os.cpu_count() or 1))
 
-#: A conflict-heavy, near-untiled candidate (cascade-bound, expensive).
-EXPENSIVE_TILES = (500, 22, 22)
 
-
-def _objective(workers: int = 1, point_workers: int = 1):
-    analyzer = LocalityAnalyzer(
-        make_mm(500), CACHE_8KB_DM, seed=0, point_workers=point_workers
-    )
+def _objective(workers: int = 1):
+    analyzer = LocalityAnalyzer(make_mm(500), CACHE_8KB_DM, seed=0)
     return TilingObjective(analyzer, workers=workers)
 
 
@@ -94,48 +85,18 @@ def test_search_subsystem_bench():
             assert res.tile_sizes == serial_res.tile_sizes
             assert res.objective == serial_res.objective
 
-    # Point sharding: one expensive candidate over a single huge
-    # sample (10x the paper's 164 points — the workload candidate-level
-    # batching cannot parallelise).
-    def classify_once(point_workers: int):
-        analyzer = LocalityAnalyzer(
-            make_mm(500), CACHE_8KB_DM, seed=0, n_samples=1640,
-            point_workers=point_workers,
-        )
-        try:
-            if point_workers > 1:
-                # Spawn the workers before timing.
-                analyzer._ensure_point_pool().warm()
-            return _timed(lambda: analyzer.estimate(tile_sizes=EXPENSIVE_TILES))
-        finally:
-            analyzer.close()
-
-    est_serial, t_unsharded = classify_once(1)
-    est_sharded, t_sharded = classify_once(WORKERS)
-    assert est_sharded.per_ref == est_serial.per_ref  # outcome-identical
-    rows.append(
-        ["classify 1 candidate (unsharded)", f"{t_unsharded:.2f}",
-         str(est_serial.sampled_points), "-", "1.00x"]
-    )
-    rows.append(
-        [f"classify 1 candidate (sharded x{WORKERS})", f"{t_sharded:.2f}",
-         str(est_sharded.sampled_points), "-",
-         f"{t_unsharded / t_sharded:.2f}x"]
-    )
-
     publish(
         "search_bench",
         format_table(
-            f"Search subsystem: serial vs batched vs sharded "
+            f"Search subsystem: serial vs batched "
             f"(MM_500, {os.cpu_count()} cores, {WORKERS} workers)",
             ["Configuration", "Seconds", "Distinct", "Waves", "Speedup"],
             rows,
             note="Each batched run reaches the identical best candidate "
             "as its serial twin (asserted).  Batched waves: hillclimb "
             "proposes whole coordinate neighborhoods, annealing "
-            "speculative 3-step chains, random 24-candidate chunks; "
-            "sharded splits one candidate's 1640-point sample across "
-            "the pool.  Wall-clock speedups require more than one "
+            "speculative 3-step chains, random 24-candidate chunks.  "
+            "Wall-clock speedups require more than one "
             "core; on a single-core machine the extra speculative "
             "work shows up as slowdown instead.",
         ),
@@ -153,9 +114,5 @@ def test_search_subsystem_bench():
                 ),
             }
             for strategy in ("hillclimb", "annealing", "random")
-        ]
-        + [
-            {"config": "classify-sharded", "wall_s": round(t_sharded, 4),
-             "speedup": round(t_unsharded / t_sharded, 3)},
         ],
     )

@@ -3,9 +3,8 @@
 PR 3 additions: the vectorised congruence-cascade core is benchmarked
 against the scalar cascade on congruence-cascade-bound candidates
 (near-untiled, long-reuse MM_500 under an associative cache — the
-regime where ~90% of classification time is cascade work), and the
-zero-copy shard-pool payload accounting is asserted against the legacy
-per-shard re-pickling.  Results land in
+regime where ~90% of classification time is cascade work).  Results
+land in
 ``bench_results/solver_validation.txt`` and machine-readable
 ``bench_results/BENCH_solver*.json``.
 """
@@ -153,54 +152,6 @@ def test_cascade_bound_speedup_mm500():
         ),
     )
     publish_bench_rows("solver", rows)
-
-
-def test_shard_pool_payload_drop_mm500():
-    """Zero-copy shard payloads: repeat estimates ship only index spans."""
-    from repro.evaluation.sharding import legacy_payload_bytes
-
-    nest = get_kernel("MM", 500)
-    analyzer = LocalityAnalyzer(nest, CACHE_8KB_DM, seed=0, point_workers=2)
-    serial = LocalityAnalyzer(nest, CACHE_8KB_DM, seed=0)
-    tiles = (32, 32, 32)
-    try:
-        t0 = time.perf_counter()
-        first = analyzer.estimate(tile_sizes=tiles)
-        t_sharded = time.perf_counter() - t0
-        pool = analyzer._point_pool
-        first_bytes = pool.last_payload_bytes
-        analyzer.estimate(tile_sizes=tiles)
-        repeat_bytes = pool.last_payload_bytes
-        legacy = legacy_payload_bytes(
-            analyzer.program(tiles),
-            analyzer.layout,
-            CACHE_8KB_DM,
-            analyzer._points,
-            workers=2,
-            candidates=analyzer._candidates(analyzer.layout, None),
-        )
-        t0 = time.perf_counter()
-        ref = serial.estimate(tile_sizes=tiles)
-        t_serial = time.perf_counter() - t0
-    finally:
-        analyzer.close()
-    assert first.per_ref == ref.per_ref
-    # Per-call payload drop: the candidate bundle travels once per call
-    # (not once per shard), and repeat calls are near-free index spans.
-    assert first_bytes < legacy
-    assert repeat_bytes * 10 < legacy
-    publish_bench_rows(
-        "shard_payload",
-        [
-            {"config": "legacy-per-call", "payload_bytes": legacy,
-             "wall_s": round(t_serial, 4), "speedup": 1.0},
-            {"config": "pool-first-call", "payload_bytes": first_bytes,
-             "wall_s": round(t_sharded, 4),
-             "speedup": round(t_serial / t_sharded, 3)},
-            {"config": "pool-repeat-call", "payload_bytes": repeat_bytes,
-             "wall_s": None, "speedup": None},
-        ],
-    )
 
 
 def test_cascade_smoke():

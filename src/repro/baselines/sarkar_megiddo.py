@@ -20,12 +20,15 @@ from repro.ir.loops import LoopNest
 from repro.layout.memory import MemoryLayout
 
 
-def _distinct_lines(ref, layout, tiles: dict[str, int], line: int) -> float:
-    """Approximate distinct lines touched by one reference per tile."""
-    expr = layout.address_expr(ref)
+def _distinct_lines(
+    coeffs: dict[str, int], tiles: dict[str, int], line: int
+) -> float:
+    """Approximate distinct lines touched by one reference per tile;
+    ``coeffs`` maps each loop variable to the reference's |address
+    coefficient| on it."""
     total = 1.0
     for var, span in tiles.items():
-        c = abs(expr.coeff(var))
+        c = coeffs[var]
         if c == 0:
             continue
         if c >= line:
@@ -54,10 +57,16 @@ def sarkar_megiddo_tiles(
     loops = nest.loops
     best: tuple[int, ...] | None = None
     best_cost = float("inf")
+    # A reference's address does not depend on the tile: one
+    # coefficient dict per reference serves the whole grid.
+    ref_coeffs = []
+    for ref in nest.refs:
+        expr = layout.address_expr(ref)
+        ref_coeffs.append({l.var: abs(expr.coeff(l.var)) for l in loops})
 
     def tile_cost(tiles: tuple[int, ...]) -> float:
         spans = {l.var: t for l, t in zip(loops, tiles)}
-        dl = sum(_distinct_lines(r, layout, spans, line) for r in nest.refs)
+        dl = sum(_distinct_lines(c, spans, line) for c in ref_coeffs)
         if dl > capacity_lines:
             return float("inf")
         iters = 1

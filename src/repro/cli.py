@@ -31,9 +31,6 @@ Uniform flags (accepted anywhere on the command line):
     Fan candidate evaluation out over ``N`` worker processes
     (overrides ``REPRO_WORKERS``); results are identical for any
     value (see :mod:`repro.evaluation`), only wall-clock changes.
-``--point-workers N``
-    Shard each single candidate's CME sample across ``N`` processes
-    instead (overrides ``REPRO_POINT_WORKERS``); same guarantee.
 ``--strategy NAME``
     Search strategy for the ``search`` command: ``ga`` (default),
     ``hillclimb``, ``annealing``, ``random``, ``exhaustive`` or
@@ -60,15 +57,7 @@ Uniform flags (accepted anywhere on the command line):
     waves to ``repro.cli serve`` worker agents (``--hosts`` or
     ``REPRO_HOSTS``; results are bit-identical to local, see
     :mod:`repro.distributed`); ``--memo`` enables the persistent
-    cross-run memo store (either backend).  When hosts come from
-    ``REPRO_HOSTS`` the fleet is *elastic*: span waves re-read the
-    variable mid-wave, so agents started later join a running search.
-``--shard-dispatch auto|candidates|spans``
-    Cluster dispatch plane (default ``REPRO_SHARD_DISPATCH`` or
-    ``auto``): ``candidates`` chunks each wave across hosts, ``spans``
-    fans each candidate's CME sample across the whole fleet
-    (:class:`repro.distributed.RemoteShardPool`), ``auto`` picks per
-    wave.  Pure wall-clock knob — every plane is bit-identical.
+    cross-run memo store (either backend).
 ``--port N`` ``--bind ADDR`` ``--capacity N``
     Worker-agent knobs for the ``serve`` command: TCP port (0 picks a
     free one and prints it), bind address (default loopback; use
@@ -120,7 +109,6 @@ import sys
 #: ``docs/CLI.md`` documents each one; ``tests/test_docs.py`` enforces it.
 FLAG_SPEC = {
     "--workers": ("workers", int),
-    "--point-workers": ("point_workers", int),
     "--strategy": ("strategy", str),
     "--budget": ("budget", int),
     "--seed": ("seed", int),
@@ -132,7 +120,6 @@ FLAG_SPEC = {
     "--resume": ("resume", str),
     "--backend": ("backend", str),
     "--hosts": ("hosts", str),
-    "--shard-dispatch": ("shard_dispatch", str),
     "--memo": ("memo", str),
     "--port": ("port", int),
     "--bind": ("bind", str),
@@ -228,7 +215,7 @@ def _run_search_command(args: list[str], flags: dict) -> int:
     """`search KERNEL [SIZE]`: any strategy through repro.search."""
     from repro import telemetry
     from repro.cache.config import CACHE_8KB_DM
-    from repro.experiments.common import ExperimentConfig, default_hosts
+    from repro.experiments.common import ExperimentConfig
     from repro.kernels.registry import get_kernel
     from repro.search.tiling import search_tiling
 
@@ -237,7 +224,6 @@ def _run_search_command(args: list[str], flags: dict) -> int:
     nest = get_kernel(name, size)
     config = ExperimentConfig(
         workers=flags.get("workers"),
-        point_workers=flags.get("point_workers"),
         seed=flags.get("seed", 0),
         hosts=flags.get("hosts"),
     )
@@ -252,7 +238,6 @@ def _run_search_command(args: list[str], flags: dict) -> int:
             seed=config.seed,
             n_samples=config.n_samples,
             workers=config.workers,
-            point_workers=config.point_workers,
             ga_config=config.ga,
             speculation=flags.get("speculation", 1),
             checkpoint_path=flags.get("checkpoint"),
@@ -263,11 +248,6 @@ def _run_search_command(args: list[str], flags: dict) -> int:
             backend=flags.get("backend"),
             hosts=config.hosts,
             memo_path=flags.get("memo"),
-            shard_dispatch=flags.get("shard_dispatch"),
-            # An explicit --hosts pins the fleet; hosts from REPRO_HOSTS
-            # are elastic — span waves re-read the variable mid-wave, so
-            # worker agents started later join a running search.
-            hosts_source=None if flags.get("hosts") else default_hosts,
         )
     finally:
         telemetry.shutdown()
@@ -538,7 +518,6 @@ def main(argv: list[str] | None = None) -> int:
                 size=int(args[2]) if len(args) > 2 else 100,
                 config=ExperimentConfig(
                     workers=flags.get("workers"),
-                    point_workers=flags.get("point_workers"),
                     seed=flags.get("seed", 0),
                 ),
                 budget=flags.get("budget"),
@@ -564,14 +543,11 @@ def main(argv: list[str] | None = None) -> int:
 
     config = ExperimentConfig(
         workers=flags.get("workers"),
-        point_workers=flags.get("point_workers"),
         seed=flags.get("seed", 0),
     )
     mode = "full (paper budget)" if full_mode() else "quick"
     if config.workers > 1:
         mode += f", {config.workers} workers"
-    if config.point_workers > 1:
-        mode += f", {config.point_workers} point-workers"
     print(f"# repro experiment runner — {mode} mode\n")
 
     if what in ("table2", "all"):

@@ -31,16 +31,7 @@ from repro.transform.tiling import tile_program
 
 
 class LocalityAnalyzer:
-    """Analyze one loop nest against one cache configuration.
-
-    ``point_workers > 1`` shards every sampled estimate's point batch
-    across a process pool (see :mod:`repro.evaluation.sharding`), so a
-    *single* candidate's classification scales with workers.  Results
-    are identical for any value.  Do not combine with candidate-level
-    fan-out (``workers`` on the objectives): an analyzer shipped into
-    an evaluation worker process downgrades itself to
-    ``point_workers=1`` to avoid nested pools.
-    """
+    """Analyze one loop nest against one cache configuration."""
 
     def __init__(
         self,
@@ -49,19 +40,14 @@ class LocalityAnalyzer:
         layout: MemoryLayout | None = None,
         n_samples: int = PAPER_SAMPLE_SIZE,
         seed: int = 0,
-        point_workers: int = 1,
         cascade_budgets: dict[str, int] | None = None,
     ):
-        if point_workers < 1:
-            raise ValueError("point_workers must be >= 1")
         self.nest = nest
         self.cache = cache
         self.layout = layout or MemoryLayout(nest.arrays())
         self.n_samples = n_samples
         self.seed = seed
-        self.point_workers = point_workers
         self.cascade_budgets = cascade_budgets
-        self._point_pool = None
         self._points = sample_original_points(nest, n_samples, seed)
         self._candidate_cache: dict = {}
         self._rows_cache: dict = {}
@@ -123,38 +109,6 @@ class LocalityAnalyzer:
         program = self.program(tile_sizes)
         layout = self.layout_with(padding)
         use_points = self._points if points is None else points
-        if self.point_workers > 1:
-            from repro.evaluation.sharding import (
-                MIN_SHARD_POINTS,
-                estimate_at_points_sharded,
-            )
-
-            # Only spin the pool up for samples actually worth
-            # sharding (the helper would fall back serial anyway).
-            if len(use_points) >= 2 * MIN_SHARD_POINTS:
-                if points is None:
-                    # The analyzer's fixed sample lives in the shard
-                    # workers (shipped once at pool start): address it
-                    # by index span under a stable candidate token.
-                    token = f"{tile_sizes!r}|{self._padding_key(padding)!r}"
-                    return self._ensure_point_pool().estimate(
-                        program,
-                        layout,
-                        self._candidates(layout, padding),
-                        token,
-                    )
-                # Ad-hoc sample: full-payload transport, but through
-                # the shared pool so executor start-up stays amortised.
-                return estimate_at_points_sharded(
-                    program,
-                    layout,
-                    self.cache,
-                    use_points,
-                    workers=self.point_workers,
-                    candidates=self._candidates(layout, padding),
-                    cascade_budgets=self.cascade_budgets,
-                    pool=self._ensure_point_pool().executor,
-                )
         with _offering(self._nest_rows(layout, padding)):
             return estimate_at_points(
                 program,
@@ -166,10 +120,8 @@ class LocalityAnalyzer:
             )
 
     def estimate_many(self, tile_sizes_list) -> list[CMEEstimate]:
-        """:meth:`estimate` of each tiling; unless the sample is sharded,
-        in one pass that merges their kernel calls (same estimates)."""
-        if self.point_workers > 1:
-            return [self.estimate(tile_sizes=t) for t in tile_sizes_list]
+        """:meth:`estimate` of each tiling, in one pass that merges their
+        kernel calls (same estimates)."""
         with _offering(self._nest_rows(self.layout, None)):
             return estimate_many_at_points(
                 [self.program(t) for t in tile_sizes_list], self.layout,
@@ -178,32 +130,15 @@ class LocalityAnalyzer:
                 cascade_budgets=self.cascade_budgets,
             )
 
-    def _ensure_point_pool(self):
-        if self._point_pool is None:
-            from repro.evaluation.sharding import ShardPool
-
-            self._point_pool = ShardPool(
-                self.point_workers,
-                self.cache,
-                self._points,
-                cascade_budgets=self.cascade_budgets,
-            )
-        return self._point_pool
-
     def close(self) -> None:
-        """Shut the point-sharding pool down (idempotent; lazily rebuilt)."""
-        if self._point_pool is not None:
-            self._point_pool.close()
-            self._point_pool = None
+        """Release held resources; an analyzer holds none (kept for
+        callers that close what they build)."""
 
     def __getstate__(self):
-        # Analyzers shipped into evaluation workers lose the pool and
-        # classify their shard serially (no nested process pools); they
-        # rebuild their nest rows rather than ship them.
+        # Analyzers shipped into evaluation workers rebuild their nest
+        # rows rather than ship them.
         state = self.__dict__.copy()
-        state["_point_pool"] = None
         state["_rows_cache"] = {}
-        state["point_workers"] = 1
         return state
 
     def simulate(
@@ -215,13 +150,8 @@ class LocalityAnalyzer:
         return simulate_program(program, layout, self.cache)
 
     def resample(self, seed: int | None = None) -> None:
-        """Draw a fresh fixed sample (e.g. per GA generation).
-
-        The shard pool holds the old sample (shipped at pool start), so
-        it is torn down here and lazily rebuilt around the new one.
-        """
+        """Draw a fresh fixed sample (e.g. per GA generation)."""
         self.seed = self.seed + 1 if seed is None else seed
         self._points = sample_original_points(
             self.nest, self.n_samples, self.seed
         )
-        self.close()

@@ -5,7 +5,7 @@ The mirror image of ``fingerprint-coverage``.  Coverage proves every
 proves no *non*-result-affecting knob does.  The failure it prevents is
 quieter than coverage's wrong-numbers bug but just as real: a
 transport or engine-selection knob (``REPRO_BATCH_CASCADE``,
-``REPRO_SHARD_DISPATCH``, worker counts…) folded into the fingerprint
+``REPRO_CLUSTER_TIMEOUT``, worker counts…) folded into the fingerprint
 splits the persistent memo store and every checkpoint by a setting
 that *cannot change any value* — a warm store goes cold because
 someone toggled a speed knob, and "resume" quietly re-solves the

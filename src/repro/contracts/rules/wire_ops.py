@@ -10,9 +10,8 @@ type works in the author's direction and silently errors in the other:
 * every ``OP_*`` constant belongs to at least one role group;
 * every **request** op has a worker-side ``_op_<value>`` dispatch
   method (or, for loop-handled ops like ``shutdown``, is referenced by
-  name in ``worker.py``) *and* is sent somewhere coordinator-side
-  (``client.py`` or ``shardclient.py`` — span dispatch drives the
-  wire through both);
+  name in ``worker.py``) *and* is sent coordinator-side
+  (``client.py``);
 * every **reply** op is produced by ``worker.py`` and recognised
   coordinator-side (both must reference the constant);
 * the worker defines no ``_op_<x>`` handler for an op that is not a
@@ -108,14 +107,8 @@ class WireOpsRule(Rule):
 
         worker = ctx.module("distributed/worker.py")
         client = ctx.module("distributed/client.py")
-        # The coordinator side of the protocol spans two modules:
-        # candidate-chunk dispatch in client.py and span dispatch in
-        # shardclient.py — an op referenced in either is "sent".
-        shardclient = ctx.module("distributed/shardclient.py")
         worker_refs = _referenced_ops(worker) if worker else set()
         client_refs = _referenced_ops(client) if client else set()
-        if shardclient:
-            client_refs |= _referenced_ops(shardclient)
         handlers = _handler_names(worker) if worker else {}
 
         request_values = set()

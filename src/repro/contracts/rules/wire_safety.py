@@ -1,6 +1,6 @@
 """``wire-pickle``: objects crossing the wire must unpickle remotely.
 
-Everything the cluster ships — objective closures, shard bundles, memo
+Everything the cluster ships — objective closures, candidate batches, memo
 records — goes through pickle, and pickle resolves classes by *module
 path + qualname* on the receiving host.  Three statically-checkable
 ways to break that:

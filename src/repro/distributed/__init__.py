@@ -8,18 +8,11 @@ boundaries, without moving a single result by one bit:
   version/fingerprint handshake; the transport under everything else.
 * :mod:`repro.distributed.worker` — the agent behind
   ``python -m repro.cli serve``: registers capacity, installs a pickled
-  objective once per connection, evaluates candidate batches (with its
-  own local process pool when ``--capacity > 1``), and answers the
-  ShardPool token/span messages over TCP with full merged-stats
-  estimates.
+  objective once per connection and evaluates candidate batches (with
+  its own local process pool when ``--capacity > 1``).
 * :mod:`repro.distributed.client` — coordinator-side connections and
   guided-grab dispatch (each grab an equal share of what is left) with
   straggler re-dispatch and worker-loss retry.
-* :mod:`repro.distributed.shardclient` — :class:`RemoteShardPool`,
-  the second dispatch plane: one sample-heavy candidate fanned across
-  the whole fleet as index spans, with throughput-aware sizing,
-  straggler re-slicing and mid-wave fleet elasticity
-  (``--shard-dispatch`` / ``REPRO_SHARD_DISPATCH`` picks the plane).
 * :mod:`repro.distributed.evaluator` — :class:`DistributedEvaluator`,
   a drop-in :class:`repro.evaluation.Evaluator` (``backend=cluster``
   in ``search_tiling``/the CLI).
@@ -45,11 +38,6 @@ from repro.distributed.client import (
 from repro.distributed.cluster import LoopbackCluster, SmokeObjective
 from repro.distributed.evaluator import DistributedEvaluator
 from repro.distributed.memo import MemoStore
-from repro.distributed.shardclient import (
-    RemoteShardPool,
-    SpanWaveIncomplete,
-    choose_dispatch,
-)
 from repro.distributed.wire import (
     WIRE_VERSION,
     WireError,
@@ -66,12 +54,9 @@ __all__ = [
     "HostConnection",
     "LoopbackCluster",
     "MemoStore",
-    "RemoteShardPool",
     "SmokeObjective",
-    "SpanWaveIncomplete",
     "WireError",
     "WorkerServer",
-    "choose_dispatch",
     "fingerprint_key",
     "parse_hosts",
     "serve",

@@ -116,77 +116,6 @@ class HostConnection:
             self._request_ack({"op": wire.OP_OBJECTIVE, "blob": blob})
             self.objective_key = key
 
-    def install_shard_context(self, ctx_blob: bytes) -> None:
-        """Ship the ShardPool context (once per connection)."""
-        self._request_ack({"op": wire.OP_SHARD_CONTEXT, "blob": ctx_blob})
-
-    def shard_estimate(self, token: str, bundle_blob: bytes, start: int, stop: int):
-        """One token/span shard job, with the ``_ContextMiss`` retry.
-
-        The first call under a token ships only the span; a worker that
-        does not hold the bundle (never seen, or LRU-evicted) answers
-        ``miss`` and the span is resent with the blob attached —
-        exactly the local :class:`ShardPool` retry, over TCP.
-        """
-        reply = self.request(
-            {"op": wire.OP_SHARD, "token": token, "start": start, "stop": stop}
-        )
-        if reply.get("op") == wire.OP_MISS:
-            reply = self.request(
-                {
-                    "op": wire.OP_SHARD,
-                    "token": token,
-                    "blob": bundle_blob,
-                    "start": start,
-                    "stop": stop,
-                }
-            )
-        if reply.get("op") != wire.OP_ESTIMATE:
-            raise wire.WireError(f"bad shard reply: {reply.get('op')!r}")
-        return reply["estimate"]
-
-    def span_estimate(
-        self,
-        token: str,
-        bundle_blob: bytes,
-        span_id: int,
-        start: int,
-        stop: int,
-    ):
-        """One coordinator-addressed span job; ``(estimate, elapsed)``.
-
-        Like :meth:`shard_estimate` (same token/bundle memo and miss
-        retry worker-side) but addressed by the coordinator's
-        ``span_id``, which the worker echoes — the id is what
-        first-reply-wins duplicate suppression keys on when a straggling
-        span was re-sliced to another host.  ``elapsed`` is the
-        worker-side compute time in seconds (network excluded), the
-        observation the per-host throughput EWMA feeds on.
-        """
-        reply = self.request(
-            {
-                "op": wire.OP_SPAN,
-                "token": token,
-                "span_id": span_id,
-                "start": start,
-                "stop": stop,
-            }
-        )
-        if reply.get("op") == wire.OP_MISS:
-            reply = self.request(
-                {
-                    "op": wire.OP_SPAN,
-                    "token": token,
-                    "blob": bundle_blob,
-                    "span_id": span_id,
-                    "start": start,
-                    "stop": stop,
-                }
-            )
-        if reply.get("op") != wire.OP_SPAN_ESTIMATE:
-            raise wire.WireError(f"bad span reply: {reply.get('op')!r}")
-        return reply["estimate"], float(reply.get("elapsed", 0.0))
-
     def close(self) -> None:
         try:
             self.sock.close()
@@ -221,11 +150,11 @@ class ClusterClient:
         #: flapped once is penalised per incident, never for the run.
         self.reconnect_backoff = float(reconnect_backoff)
         self._last_failure: dict[tuple[str, int], float] = {}
-        #: Guards the connection table and failure clock: span dispatch
-        #: drops connections from per-host threads while the
-        #: coordinator (re)connects and re-resolves the host set.
+        #: Guards the connection table, failure clock and loss count:
+        #: the host threads of :meth:`evaluate` drop their connections
+        #: concurrently.
         self._lock = threading.Lock()
-        #: Dispatch accounting (mirrors ShardPool's payload counters).
+        #: Dispatch accounting.
         self.payload_bytes = 0
         self.last_payload_bytes = 0
         self.redispatched_chunks = 0
@@ -267,32 +196,6 @@ class ClusterClient:
                 live.append(conn)
             return live
 
-    def update_hosts(self, hosts) -> tuple[int, int]:
-        """Re-point the client at a fresh host set (fleet elasticity).
-
-        ``hosts`` is the same spec the constructor takes.  New
-        addresses join with a clean failure clock (they get a connect
-        attempt on the next :meth:`connect`); addresses no longer
-        listed are closed and forgotten.  Returns ``(added, removed)``
-        counts so callers can log churn.  Existing connections to
-        retained hosts are untouched — mid-wave joins are cheap.
-        """
-        if isinstance(hosts, str):
-            hosts = wire.parse_hosts(hosts)
-        wanted = tuple((h, int(p)) for h, p in hosts)
-        with self._lock:
-            added = [a for a in wanted if a not in self._conns]
-            removed = [a for a in self._conns if a not in wanted]
-            for addr in added:
-                self._conns[addr] = None
-            for addr in removed:
-                conn = self._conns.pop(addr)
-                if conn is not None:
-                    conn.close()
-                self._last_failure.pop(addr, None)
-            self.hosts = wanted
-        return len(added), len(removed)
-
     def capacities(self) -> dict[str, int]:
         """Registered capacity per live host (``host:port`` keyed)."""
         return {
@@ -307,11 +210,9 @@ class ClusterClient:
             "wire.worker_lost", host=f"{conn.host}:{conn.port}"
         )
         with self._lock:
-            # An address update_hosts() removed mid-flight must not be
-            # resurrected by its dying connection's cleanup.
-            if addr in self._conns:
-                self._conns[addr] = None
-                self._last_failure[addr] = time.monotonic()
+            # connect() retries the address after the backoff window.
+            self._conns[addr] = None
+            self._last_failure[addr] = time.monotonic()
             self.lost_hosts += 1
 
     # -- dispatch ------------------------------------------------------------

@@ -79,8 +79,6 @@ class LoopbackCluster:
             else src_root
         )
         self._env = env
-        self._capacity = capacity
-        self._startup_timeout = startup_timeout
         self.procs: list[subprocess.Popen] = []
         self.addresses: list[tuple[str, int]] = []
         try:
@@ -114,21 +112,6 @@ class LoopbackCluster:
         )
         self.procs.append(proc)
         return proc
-
-    def add_worker(self, capacity: int | None = None) -> tuple[str, int]:
-        """Spawn one more worker (fleet elasticity): returns its address.
-
-        The new agent is appended to :attr:`hosts`/:attr:`hosts_spec`,
-        so a coordinator that re-resolves its host source — e.g. a span
-        wave's ``hosts_source`` — picks it up mid-run.
-        """
-        proc = self._spawn(
-            self._capacity if capacity is None else capacity
-        )
-        deadline = time.monotonic() + self._startup_timeout
-        address = self._read_address(proc, deadline)
-        self.addresses.append(address)
-        return address
 
     @staticmethod
     def _read_address(

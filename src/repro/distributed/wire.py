@@ -35,7 +35,7 @@ import struct
 from typing import Any
 
 #: Bump on any incompatible change to the message schema.
-WIRE_VERSION = 1
+WIRE_VERSION = 2
 
 # -- op vocabulary ------------------------------------------------------------
 #
@@ -55,12 +55,6 @@ OP_CAPACITY = "capacity"
 OP_OBJECTIVE = "objective"
 OP_EVAL = "eval"
 OP_VALUES = "values"
-OP_SHARD_CONTEXT = "shard_context"
-OP_SHARD = "shard"
-OP_SPAN = "span"
-OP_MISS = "miss"
-OP_ESTIMATE = "estimate"
-OP_SPAN_ESTIMATE = "span_estimate"
 OP_TELEMETRY = "telemetry"
 OP_SHUTDOWN = "shutdown"
 
@@ -73,9 +67,6 @@ REQUEST_OPS = (
     OP_CAPACITY,
     OP_OBJECTIVE,
     OP_EVAL,
-    OP_SHARD_CONTEXT,
-    OP_SHARD,
-    OP_SPAN,
     OP_TELEMETRY,
     OP_SHUTDOWN,
 )
@@ -86,9 +77,6 @@ REPLY_OPS = (
     OP_OK,
     OP_CAPACITY,
     OP_VALUES,
-    OP_MISS,
-    OP_ESTIMATE,
-    OP_SPAN_ESTIMATE,
     OP_TELEMETRY,
     OP_ERROR,
 )

@@ -2,29 +2,12 @@
 
 A worker is a threaded TCP server speaking the frame protocol of
 :mod:`repro.distributed.wire`.  Each connection is an independent
-session holding exactly the state the zero-copy :class:`ShardPool`
-transport holds per process:
-
-* an **objective** — installed once per connection (``op=objective``,
-  the pickled pure function), after which evaluation jobs carry only
-  genotype tuples.  The worker wraps it in the shared
-  :class:`repro.evaluation.Evaluator`, so a worker with ``capacity>1``
-  fans a candidate batch out over its own local process pool;
-* a **shard context** (``op=shard_context``) plus a worker-side
-  candidate-bundle LRU — the existing ShardPool token/span messages
-  carried over TCP: ``op=shard`` jobs address the fixed sample by
-  ``(token, start, stop)`` span, bundles ship once per token, and an
-  evicted token answers ``op=miss`` so the client resends the blob
-  (the ``_ContextMiss`` retry, end to end).
-
-Replies to ``op=shard`` carry the full :class:`CMEEstimate` — solver
-and congruence ``TesterStats`` included — so the coordinator's
-``merge_estimates`` keeps the accuracy-regression counters live across
-hosts exactly as it does across local shard processes.  ``op=span`` is
-the same job addressed by a coordinator-issued span id: the reply
-echoes the id (duplicate suppression under straggler re-slicing) and
-reports worker-side compute seconds for the coordinator's per-host
-throughput model (see :mod:`repro.distributed.shardclient`).
+session holding one **objective** — installed once per connection
+(``op=objective``, the pickled pure function), after which evaluation
+jobs (``op=eval``) carry only genotype tuples.  The worker wraps it in
+the shared :class:`repro.evaluation.Evaluator`, so a worker with
+``capacity>1`` fans a candidate batch out over its own local process
+pool.
 
 Workers are stateless between connections and never touch the memo
 store: deduplication against past runs happens coordinator-side, which
@@ -38,38 +21,24 @@ import pickle
 import socket
 import socketserver
 import threading
-import time
-from collections import OrderedDict
 
 from repro import telemetry
 from repro.distributed import wire
-from repro.evaluation import sharding
 
 logger = telemetry.get_logger("distributed.worker")
 
-#: Worker-side per-connection candidate-bundle memo size (tokens) —
-#: the same policy object as the local shard pools', re-exported as a
-#: module attribute so tests can shrink it per transport.
-BUNDLE_CACHE_SIZE = sharding.BUNDLE_CACHE_SIZE
-
 
 class _Session:
-    """Per-connection state: installed objective + shard context."""
+    """Per-connection state: the installed objective."""
 
     def __init__(self, capacity: int):
         self.capacity = capacity
         self.evaluator = None
-        self.shard_ctx = None
-        self.shard_pool = None
-        self.bundles: "OrderedDict[str, tuple]" = OrderedDict()
 
     def close(self) -> None:
-        """Release the session's process pools (connection teardown)."""
+        """Release the session's process pool (connection teardown)."""
         if self.evaluator is not None:
             self.evaluator.close()
-        if self.shard_pool is not None:
-            self.shard_pool.close()
-            self.shard_pool = None
 
     # -- op handlers ---------------------------------------------------------
     # One ``_op_<name>`` method per request op in ``wire.REQUEST_OPS``
@@ -123,90 +92,6 @@ class _Session:
         candidates = [tuple(c) for c in msg["candidates"]]
         values = self.evaluator.evaluate_batch(candidates)
         return {"op": wire.OP_VALUES, "values": [float(v) for v in values]}
-
-    def _op_shard_context(self, msg: dict) -> dict:
-        self.shard_ctx = pickle.loads(msg["blob"])
-        self.bundles.clear()
-        if self.shard_pool is not None:
-            self.shard_pool.close()
-            self.shard_pool = None
-        if self.capacity > 1:
-            # A multi-core worker re-shards each incoming span across
-            # its own local ShardPool — the token/span protocol the
-            # coordinator-side pools use, one level down.
-            ctx = self.shard_ctx
-            self.shard_pool = sharding.ShardPool(
-                self.capacity,
-                ctx.cache,
-                list(ctx.points),
-                ctx.confidence,
-                ctx.cascade_budgets,
-            )
-        return {"op": wire.OP_OK}
-
-    def _classify_span(self, msg: dict):
-        """Shared span classification behind ``shard`` and ``span`` ops.
-
-        Returns either the :class:`CMEEstimate` or a ``miss`` reply
-        frame (worker lacks the bundle and the message carried no blob
-        — the ``_ContextMiss`` retry, over the wire).  Raises on a
-        missing shard context; callers translate uniformly.
-        """
-        from repro.cme.sampling import estimate_at_points
-
-        ctx = self.shard_ctx
-        if ctx is None:
-            raise RuntimeError("no shard context installed")
-        token = msg["token"]
-        bundle = sharding.bundle_cache_get(self.bundles, token)
-        if bundle is None:
-            blob = msg.get("blob")
-            if blob is None:
-                return {"op": wire.OP_MISS, "token": token}
-            bundle = pickle.loads(blob)
-            sharding.bundle_cache_put(self.bundles, token, bundle, BUNDLE_CACHE_SIZE)
-        program, layout, candidates = bundle
-        start, stop = msg["start"], msg["stop"]
-        if self.shard_pool is not None:
-            return self.shard_pool.estimate(
-                program, layout, candidates, token, span=(start, stop)
-            )
-        return estimate_at_points(
-            program,
-            layout,
-            ctx.cache,
-            list(ctx.points[start:stop]),
-            ctx.confidence,
-            candidates,
-            cascade_budgets=ctx.cascade_budgets,
-        )
-
-    def _op_shard(self, msg: dict) -> dict:
-        est = self._classify_span(msg)
-        if isinstance(est, dict):
-            return est  # miss frame
-        return {"op": wire.OP_ESTIMATE, "estimate": est}
-
-    def _op_span(self, msg: dict) -> dict:
-        """A shard job addressed by coordinator span id, with timing.
-
-        Same classification as ``op=shard``; the reply echoes the
-        coordinator's ``span_id`` (first-reply-wins duplicate
-        suppression keys on it) and reports the worker-side compute
-        seconds, which feed the coordinator's per-host throughput model
-        (EWMA points/sec) without network jitter baked in.
-        """
-        t0 = time.monotonic()
-        est = self._classify_span(msg)
-        if isinstance(est, dict):
-            est["span_id"] = msg.get("span_id")
-            return est  # miss frame
-        return {
-            "op": wire.OP_SPAN_ESTIMATE,
-            "span_id": msg.get("span_id"),
-            "estimate": est,
-            "elapsed": time.monotonic() - t0,
-        }
 
 
 class _Handler(socketserver.BaseRequestHandler):

@@ -138,15 +138,6 @@ WORKERS = _register(
     "Pure wall-clock knob: results are bit-identical for any value.",
 )
 
-POINT_WORKERS = _register(
-    "REPRO_POINT_WORKERS",
-    _workers,
-    1,
-    strict=False,
-    help="Worker processes sharding a single candidate's CME sample. "
-    "Pure wall-clock knob: results are bit-identical for any value.",
-)
-
 HOSTS = _register(
     "REPRO_HOSTS",
     str,
@@ -154,25 +145,6 @@ HOSTS = _register(
     help="Cluster worker agents (host:port,…) for the distributed "
     "evaluation backend.  Pure wall-clock knob: the cluster backend "
     "is bit-identical to local.",
-)
-
-def _dispatch_mode(raw: str) -> str:
-    if raw not in ("auto", "candidates", "spans"):
-        raise ValueError(
-            f"expected auto|candidates|spans, got {raw!r}"
-        )
-    return raw
-
-
-SHARD_DISPATCH = _register(
-    "REPRO_SHARD_DISPATCH",
-    _dispatch_mode,
-    "auto",
-    help="Cluster dispatch plane: 'candidates' chunks the wave across "
-    "hosts, 'spans' fans each candidate's CME sample across the fleet "
-    "(RemoteShardPool), 'auto' (default) picks per wave — spans when "
-    "the wave is narrower than the fleet and the sample is large.  "
-    "Pure wall-clock knob: every plane is bit-identical.",
 )
 
 CLUSTER_TIMEOUT = _register(

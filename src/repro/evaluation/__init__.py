@@ -34,10 +34,7 @@ serial path:
 
 The same contract holds one layer down: the batched
 ``PointClassifier.classify_batch`` path agrees outcome-for-outcome with
-scalar ``classify_point`` (see :mod:`repro.cme.solver`), and the
-point-sharded path of :mod:`repro.evaluation.sharding` — which splits a
-*single* candidate's sample across worker processes — merges back to
-exactly the unsharded estimate.
+scalar ``classify_point`` (see :mod:`repro.cme.solver`).
 
 One search, one cache
 ---------------------
@@ -54,25 +51,9 @@ from repro.evaluation.batch import (
     Evaluator,
     as_batch_objective,
 )
-from repro.evaluation.sharding import (
-    ShardContext,
-    ShardPool,
-    estimate_at_points_sharded,
-    merge_estimates,
-    merge_solver_stats,
-    shard_points,
-    shard_spans,
-)
 
 __all__ = [
     "BatchObjective",
     "Evaluator",
-    "ShardContext",
-    "ShardPool",
     "as_batch_objective",
-    "estimate_at_points_sharded",
-    "merge_estimates",
-    "merge_solver_stats",
-    "shard_points",
-    "shard_spans",
 ]

@@ -47,7 +47,6 @@ def run_associativity(
                 nest, cache, config=config.ga,
                 n_samples=config.n_samples, seed=config.seed,
                 workers=config.workers,
-                point_workers=config.point_workers,
             )
             rows.append(
                 AssociativityRow(

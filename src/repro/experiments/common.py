@@ -24,16 +24,6 @@ def default_workers() -> int:
     return envs.WORKERS.get()
 
 
-def default_point_workers() -> int:
-    """Worker processes for point-batch sharding (``REPRO_POINT_WORKERS``).
-
-    Shards each *single* candidate's CME sample across processes (see
-    :mod:`repro.evaluation.sharding`).  Like ``REPRO_WORKERS``, purely
-    a wall-clock knob; don't enable both at once (nested pools).
-    """
-    return envs.POINT_WORKERS.get()
-
-
 def default_hosts() -> str | None:
     """Cluster worker hosts (``REPRO_HOSTS``, ``host:port,…``).
 
@@ -57,11 +47,9 @@ class ExperimentConfig:
     where they differ.
 
     ``workers`` fans the GA objective out over that many processes
-    per generation; ``point_workers`` shards each candidate's sample
-    instead (see :mod:`repro.evaluation`; results are identical for
-    any value).  They default to ``REPRO_WORKERS`` /
-    ``REPRO_POINT_WORKERS`` or serial; the CLI's ``--workers`` /
-    ``--point-workers`` flags override the environment.  ``hosts``
+    per generation (see :mod:`repro.evaluation`; results are identical
+    for any value).  It defaults to ``REPRO_WORKERS`` or serial; the
+    CLI's ``--workers`` flag overrides the environment.  ``hosts``
     (``REPRO_HOSTS`` / ``--hosts``) names cluster worker agents for
     the distributed evaluation backend — same identical-results
     guarantee, across machines (:mod:`repro.distributed`).
@@ -71,16 +59,11 @@ class ExperimentConfig:
     n_samples: int = PAPER_SAMPLE_SIZE
     seed: int = 0
     workers: int = field(default=None)  # type: ignore[assignment]
-    point_workers: int = field(default=None)  # type: ignore[assignment]
     hosts: str | None = field(default=None)
 
     def __post_init__(self):
         if self.workers is None:
             object.__setattr__(self, "workers", default_workers())
-        if self.point_workers is None:
-            object.__setattr__(
-                self, "point_workers", default_point_workers()
-            )
         if self.hosts is None:
             object.__setattr__(self, "hosts", default_hosts())
         if self.ga is None:

@@ -48,7 +48,6 @@ def run_convergence(
             nest, cache, config=ga_config, n_samples=config.n_samples,
             seed=config.seed, seed_baselines=False,  # §3.3: random init
             workers=config.workers,
-            point_workers=config.point_workers,
         )
         rows.append(
             ConvergenceRow(

@@ -47,7 +47,6 @@ def run_figure(
             n_samples=config.n_samples,
             seed=config.seed,
             workers=config.workers,
-            point_workers=config.point_workers,
         )
         rows.append(
             FigureRow(

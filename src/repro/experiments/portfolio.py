@@ -62,7 +62,7 @@ def run_portfolio_comparison(
         outcome = search_tiling(
             nest, cache, strategy=name, budget=budget, seed=config.seed,
             n_samples=config.n_samples, workers=config.workers,
-            point_workers=config.point_workers, ga_config=config.ga,
+            ga_config=config.ga,
         )
         s = outcome.search
         rows.append(
@@ -77,7 +77,7 @@ def run_portfolio_comparison(
     outcome = search_tiling(
         nest, cache, strategy="portfolio", budget=budget, seed=config.seed,
         n_samples=config.n_samples, workers=config.workers,
-        point_workers=config.point_workers, ga_config=config.ga,
+        ga_config=config.ga,
         members=members, restart=restart, portfolio_mode=mode,
     )
     s = outcome.search

@@ -54,7 +54,6 @@ def run_table2(config: ExperimentConfig | None = None) -> list[Table2Row]:
             n_samples=config.n_samples,
             seed=config.seed,
             workers=config.workers,
-            point_workers=config.point_workers,
         )
         rows.append(
             Table2Row(

@@ -70,7 +70,6 @@ def run_table3(
             n_samples=config.n_samples,
             seed=config.seed,
             workers=config.workers,
-            point_workers=config.point_workers,
         )
         rows.append(
             Table3Row(

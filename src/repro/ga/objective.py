@@ -58,21 +58,7 @@ class SampledTilingFn:
     :class:`repro.distributed.DistributedEvaluator` ships it (analyzer
     and all, once per worker connection) to cluster hosts — so local
     and remote evaluation cannot drift apart.
-
-    The ``shard_*`` methods are the coordinator half of the ShardPool
-    span protocol (see ``SHARD_PROTOCOL`` in
-    :mod:`repro.distributed.evaluator`): they expose the analyzer's
-    fixed CRN sample, cache geometry and per-candidate bundles so
-    :class:`repro.distributed.RemoteShardPool` can fan a *single*
-    candidate across every cluster host and merge the spans back into
-    the same estimate :meth:`__call__` computes whole.
     """
-
-    #: Confidence level of the congruence tester — the shared default
-    #: of ``estimate_at_points`` and every ShardPool, restated here so
-    #: the shipped :class:`ShardContext` cannot drift from the local
-    #: evaluation path.
-    CONFIDENCE = 0.90
 
     def __init__(self, analyzer: LocalityAnalyzer):
         self.analyzer = analyzer
@@ -86,66 +72,6 @@ class SampledTilingFn:
         for estimate in estimates:
             _record_cascade_stats(estimate)
         return [float(e.replacement) for e in estimates]
-
-    # -- span-shard protocol (RemoteShardPool coordinator half) --------------
-    def shard_context(self):
-        """The per-wave-invariant state workers hold: cache geometry,
-        the fixed CRN sample, tester confidence, solver budgets."""
-        from repro.evaluation.sharding import ShardContext
-
-        a = self.analyzer
-        return ShardContext(
-            cache=a.cache,
-            confidence=self.CONFIDENCE,
-            points=tuple(a._points),
-            cascade_budgets=a.cascade_budgets,
-        )
-
-    def shard_points(self) -> int:
-        """Size of the fixed sample (the span index space)."""
-        return len(self.analyzer._points)
-
-    def shard_token(self, tiles) -> str:
-        """Stable candidate token, same format the analyzer's local
-        shard pool uses — worker-side bundle LRUs key on it."""
-        return f"{tuple(tiles)!r}|None"
-
-    def shard_bundle(self, tiles) -> bytes:
-        """Pickled per-candidate bundle (program, layout, candidates) —
-        shipped once per host under :meth:`shard_token`."""
-        import pickle
-
-        a = self.analyzer
-        program = a.program(tile_sizes=tiles)
-        return pickle.dumps(
-            (program, a.layout, a._candidates(a.layout, None))
-        )
-
-    def shard_local(self, tiles, spans):
-        """Classify ``spans`` of the fixed sample locally (fleet-loss
-        completion): one :class:`CMEEstimate` per ``(start, stop)``."""
-        from repro.cme.sampling import estimate_at_points
-
-        a = self.analyzer
-        program = a.program(tile_sizes=tiles)
-        candidates = a._candidates(a.layout, None)
-        return [
-            estimate_at_points(
-                program,
-                a.layout,
-                a.cache,
-                list(a._points[start:stop]),
-                self.CONFIDENCE,
-                candidates,
-                cascade_budgets=a.cascade_budgets,
-            )
-            for start, stop in spans
-        ]
-
-    def shard_value(self, estimate) -> float:
-        """The objective value of a merged estimate (same reduction as
-        :meth:`__call__`)."""
-        return float(estimate.replacement)
 
 
 class TilingObjective(MemoizedObjective):

@@ -67,12 +67,9 @@ def optimize_padding(
     seed: int = 0,
     pad_intra: bool = True,
     workers: int = 1,
-    point_workers: int = 1,
 ) -> PaddingResult:
     """GA search over padding parameters only (Table 3, column 3)."""
-    analyzer = LocalityAnalyzer(
-        nest, cache, n_samples=n_samples, seed=seed, point_workers=point_workers
-    )
+    analyzer = LocalityAnalyzer(nest, cache, n_samples=n_samples, seed=seed)
     space = _padding_space(nest, cache, pad_intra)
     objective = PaddingObjective(analyzer, space, workers=workers)
     genome = Genome([(0, v.upper) for v in space.variables])
@@ -94,7 +91,6 @@ def optimize_padding(
         after_padding = analyzer.estimate(padding=padding)
     finally:
         objective.close()
-        analyzer.close()
     return PaddingResult(
         nest_name=nest.name,
         padding=padding,
@@ -114,11 +110,10 @@ def optimize_padding_then_tiling(
     seed: int = 0,
     pad_intra: bool = True,
     workers: int = 1,
-    point_workers: int = 1,
 ) -> PaddingResult:
     """The sequential pipeline of Table 3 (padding, then tiling)."""
     pad_result = optimize_padding(
-        nest, cache, config, n_samples, seed, pad_intra, workers, point_workers
+        nest, cache, config, n_samples, seed, pad_intra, workers
     )
     padded_layout = MemoryLayout(nest.arrays(), pad_result.padding)
     tile_result: TilingResult = optimize_tiling(
@@ -129,7 +124,6 @@ def optimize_padding_then_tiling(
         n_samples=n_samples,
         seed=seed,
         workers=workers,
-        point_workers=point_workers,
     )
     return PaddingResult(
         nest_name=nest.name,
@@ -150,16 +144,13 @@ def optimize_joint_padding_tiling(
     seed: int = 0,
     pad_intra: bool = True,
     workers: int = 1,
-    point_workers: int = 1,
 ) -> PaddingResult:
     """Single-step padding+tiling search (the paper's future work).
 
     The genotype concatenates padding amounts and tile sizes so the GA
     can exploit their interaction directly.
     """
-    analyzer = LocalityAnalyzer(
-        nest, cache, n_samples=n_samples, seed=seed, point_workers=point_workers
-    )
+    analyzer = LocalityAnalyzer(nest, cache, n_samples=n_samples, seed=seed)
     space = _padding_space(nest, cache, pad_intra)
     objective = PaddingTilingObjective(analyzer, space, workers=workers)
     ranges = [(0, v.upper) for v in space.variables] + [
@@ -177,7 +168,6 @@ def optimize_joint_padding_tiling(
         after_both = analyzer.estimate(tile_sizes=tiles, padding=padding)
     finally:
         objective.close()
-        analyzer.close()
     return PaddingResult(
         nest_name=nest.name,
         padding=padding,

@@ -92,7 +92,6 @@ def optimize_tiling(
     use_simulator: bool = False,
     seed_baselines: bool = True,
     workers: int = 1,
-    point_workers: int = 1,
 ) -> TilingResult:
     """Search tile sizes minimising replacement misses for ``nest``.
 
@@ -101,13 +100,11 @@ def optimize_tiling(
     ``seed_baselines`` plants the §5 analytical selectors' tiles in the
     initial population (set ``False`` for the paper's purely random
     initialisation, e.g. in the convergence study).  ``workers``
-    controls objective fan-out per generation, ``point_workers``
-    shards each candidate's sample instead (pick one); results are
-    identical for any value (see :mod:`repro.evaluation`).
+    controls objective fan-out per generation; results are identical
+    for any value (see :mod:`repro.evaluation`).
     """
     analyzer = LocalityAnalyzer(
-        nest, cache, layout=layout, n_samples=n_samples, seed=seed,
-        point_workers=point_workers,
+        nest, cache, layout=layout, n_samples=n_samples, seed=seed
     )
     objective = (
         SimulatorTilingObjective(analyzer, workers=workers)
@@ -124,7 +121,6 @@ def optimize_tiling(
         after = analyzer.estimate(tile_sizes=result.best_values)
     finally:
         objective.close()
-        analyzer.close()
     return TilingResult(
         nest_name=nest.name,
         tile_sizes=result.best_values,

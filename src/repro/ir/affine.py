@@ -38,7 +38,7 @@ class AffineExpr:
     def __reduce__(self):
         # Slots + the immutability guard defeat default pickling;
         # rebuild through the constructor instead.  Required by the
-        # process-pool paths (point sharding, spawn-start platforms).
+        # process-pool paths (spawn-start platforms, cluster workers).
         return (AffineExpr, (self.coeffs, self.const))
 
     # -- constructors -------------------------------------------------

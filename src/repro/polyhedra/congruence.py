@@ -88,7 +88,7 @@ class TesterStats:
         return dict(self.__dict__)
 
     def merge(self, other: "TesterStats | dict[str, int]") -> "TesterStats":
-        """Accumulate another tester's counters (shard-merge helper)."""
+        """Accumulate another tester's (or a tally's) counters."""
         items = other.items() if isinstance(other, dict) else other.__dict__.items()
         for key, val in items:
             setattr(self, key, getattr(self, key, 0) + int(val))

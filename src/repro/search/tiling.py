@@ -4,7 +4,7 @@
 annealing, random, exhaustive) to the sampled-CME tiling objective of
 :mod:`repro.ga.objective` and drives it through the shared
 :func:`repro.search.run_search` loop, with optional candidate-level
-worker fan-out, point-level sample sharding, and checkpoint/resume.
+worker fan-out and checkpoint/resume.
 """
 
 from __future__ import annotations
@@ -170,7 +170,6 @@ def search_tiling(
     seed: int = 0,
     n_samples: int = PAPER_SAMPLE_SIZE,
     workers: int = 1,
-    point_workers: int = 1,
     ga_config=None,
     speculation: int = 1,
     checkpoint_path: str | None = None,
@@ -181,18 +180,13 @@ def search_tiling(
     backend: str | None = None,
     hosts=None,
     memo_path: str | None = None,
-    shard_dispatch: str | None = None,
-    hosts_source=None,
 ) -> TilingSearchOutcome:
     """Minimise sampled replacement misses for ``nest`` with any strategy.
 
     ``workers`` fans *candidate* evaluation out over a process pool;
-    ``point_workers`` shards each candidate's *sample* instead (see
-    :mod:`repro.evaluation.sharding`) — useful when a strategy
-    proposes few candidates per wave.  Results are identical for any
-    worker configuration.  ``members``/``restart``/``portfolio_mode``
-    configure ``strategy="portfolio"`` (see
-    :func:`make_tiling_strategy`).
+    results are identical for any worker count.
+    ``members``/``restart``/``portfolio_mode`` configure
+    ``strategy="portfolio"`` (see :func:`make_tiling_strategy`).
 
     ``backend="cluster"`` evaluates candidate waves on remote worker
     agents instead of (or before falling back to) local processes:
@@ -201,10 +195,6 @@ def search_tiling(
     either backend at a persistent :class:`repro.distributed.MemoStore`
     so no run ever re-solves a candidate any prior run against the
     same (kernel, cache, sampling, seed) fingerprint solved.
-    ``shard_dispatch`` picks the cluster dispatch plane
-    (``auto|candidates|spans``, default ``REPRO_SHARD_DISPATCH``) and
-    ``hosts_source`` — a zero-argument callable returning the current
-    ``--hosts`` spec — lets workers join an elastic fleet mid-wave.
     All backends yield bit-identical trajectories — see
     :mod:`repro.distributed`.
     """
@@ -242,7 +232,7 @@ def search_tiling(
         )
     analyzer = LocalityAnalyzer(
         nest, cache, n_samples=n_samples, seed=seed,
-        point_workers=point_workers, cascade_budgets=cascade_budgets,
+        cascade_budgets=cascade_budgets,
     )
     if backend == "cluster" or memo_path is not None:
         from repro.distributed import DistributedEvaluator
@@ -253,8 +243,6 @@ def search_tiling(
             workers=workers,
             memo_path=memo_path,
             fingerprint=fingerprint,
-            shard_dispatch=shard_dispatch,
-            hosts_source=hosts_source if backend == "cluster" else None,
         )
     else:
         objective = TilingObjective(analyzer, workers=workers)
@@ -310,7 +298,6 @@ def search_tiling(
             "parallel_fallback": objective.parallel_fallback,
         }
         objective.close()
-        analyzer.close()
     return TilingSearchOutcome(
         nest_name=nest.name, search=result, before=before, after=after,
         backend=backend_stats, evaluation=evaluation,

@@ -8,6 +8,7 @@ searches — lives in test_loopback.py.
 
 import contextlib
 import pickle
+import socket
 import sys
 import threading
 
@@ -157,6 +158,42 @@ def test_cluster_client_raises_when_everything_is_down():
     with pytest.raises(ClusterUnavailable):
         client.evaluate(b"blob", [(1,)])
     client.close()
+
+
+def _free_addr():
+    probe = socket.socket()
+    probe.bind(("127.0.0.1", 0))
+    addr = probe.getsockname()
+    probe.close()
+    return addr
+
+
+def test_reconnect_backoff_clears_on_successful_handshake():
+    """Regression: a host that flapped once must be penalised per
+    incident, not for the rest of the run — the failure clock clears
+    the moment a handshake succeeds."""
+    addr = _free_addr()
+    client = ClusterClient([addr], reconnect_backoff=30.0)
+    assert client.connect() == []  # nothing listening: failure recorded
+    assert addr in client._last_failure
+    srv = WorkerServer(host=addr[0], port=addr[1])
+    thread = threading.Thread(
+        target=lambda: srv.serve_forever(poll_interval=0.05), daemon=True
+    )
+    thread.start()
+    try:
+        # within the backoff window the addr is skipped, even though a
+        # worker now listens...
+        assert client.connect() == []
+        # ...and once the window is lifted, the successful handshake
+        # clears the failure clock entirely.
+        client.reconnect_backoff = 0.0
+        assert len(client.connect()) == 1
+        assert addr not in client._last_failure
+        client.close()
+    finally:
+        srv.shutdown()
+        srv.server_close()
 
 
 def test_memo_store_roundtrip_through_evaluator(tmp_path, servers):
