@@ -13,19 +13,21 @@
 import time
 
 from benchmarks.conftest import bench_config, publish
-from repro.baselines.annealing import simulated_annealing
 from repro.baselines.ghosh_cme import ghosh_cme_tiles
-from repro.baselines.hillclimb import hill_climb
 from repro.baselines.lrw import lrw_tiles
-from repro.baselines.random_search import random_search
 from repro.baselines.sarkar_megiddo import sarkar_megiddo_tiles
 from repro.baselines.tss import coleman_mckinley_tiles
 from repro.cache.config import CACHE_8KB_DM
 from repro.cme.analyzer import LocalityAnalyzer
-from repro.experiments.common import format_table, pct
+from repro.experiments.common import format_table, paper_search, pct
 from repro.ga.objective import TilingObjective
-from repro.ga.tiling_search import optimize_tiling
 from repro.kernels.registry import get_kernel
+from repro.search import (
+    AnnealingStrategy,
+    HillClimbStrategy,
+    RandomStrategy,
+    run_search,
+)
 
 
 def _ratio(analyzer, tiles):
@@ -39,19 +41,22 @@ def test_search_strategy_ablation(benchmark):
     analyzer = LocalityAnalyzer(nest, CACHE_8KB_DM, seed=0)
     objective = TilingObjective(analyzer)
     budget = cfg.ga.population_size * cfg.ga.max_generations
+    extents = [loop.extent for loop in nest.loops]
 
     def run_all():
         out = {}
-        res = optimize_tiling(
-            nest, CACHE_8KB_DM, config=cfg.ga, seed=0, seed_baselines=False
-        )
+        res = paper_search(nest, CACHE_8KB_DM, cfg, seed_baselines=False)
         out["GA (paper)"] = res.after.replacement_ratio
-        t, _, _ = random_search(nest, objective, budget=budget, seed=0)
-        out["random search"] = _ratio(analyzer, t)
-        t, _, _ = hill_climb(nest, objective, max_evals=budget)
-        out["hill climbing"] = _ratio(analyzer, t)
-        t, _, _ = simulated_annealing(nest, objective, budget=budget, seed=0)
-        out["simulated annealing"] = _ratio(analyzer, t)
+        for label, strategy in (
+            ("random search", RandomStrategy(extents, budget=budget, seed=0)),
+            ("hill climbing", HillClimbStrategy(
+                extents, max_distinct=budget, neighborhood=False
+            )),
+            ("simulated annealing",
+             AnnealingStrategy(extents, budget=budget, seed=0)),
+        ):
+            tiles = run_search(strategy, objective).best_values
+            out[label] = _ratio(analyzer, tiles)
         return out
 
     results = benchmark.pedantic(run_all, rounds=1, iterations=1)
@@ -86,7 +91,7 @@ def test_analytical_baselines_ablation(benchmark):
         out["Ghosh CME bounds"] = _ratio(
             analyzer, ghosh_cme_tiles(nest, CACHE_8KB_DM)
         )
-        res = optimize_tiling(nest, CACHE_8KB_DM, config=cfg.ga, seed=0)
+        res = paper_search(nest, CACHE_8KB_DM, cfg)
         out["GA + CME (paper)"] = res.after.replacement_ratio
         return out
 

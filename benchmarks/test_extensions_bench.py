@@ -9,7 +9,7 @@
 from benchmarks.conftest import bench_config, publish
 from repro.cache.config import CACHE_8KB_DM
 from repro.experiments.associativity import format_associativity, run_associativity
-from repro.experiments.common import format_table, pct
+from repro.experiments.common import format_table, paper_search, pct
 from repro.ga.padding_search import (
     optimize_joint_padding_tiling,
     optimize_padding_then_tiling,
@@ -38,8 +38,6 @@ def test_selection_scheme_ablation(benchmark):
     """Paper's remainder stochastic selection vs tournament + elitism."""
     from dataclasses import replace
 
-    from repro.ga.tiling_search import optimize_tiling
-
     cfg = bench_config()
     nest = get_kernel("MM", 500)
 
@@ -50,8 +48,8 @@ def test_selection_scheme_ablation(benchmark):
             ("tournament", replace(cfg.ga, selection="tournament")),
             ("remainder + elitism", replace(cfg.ga, elitism=True)),
         ):
-            res = optimize_tiling(nest, CACHE_8KB_DM, config=ga, seed=0,
-                                  seed_baselines=False)
+            res = paper_search(nest, CACHE_8KB_DM, cfg, ga=ga,
+                               seed_baselines=False)
             out[label] = res.after.replacement_ratio
         return out
 

@@ -22,14 +22,17 @@ import os
 import time
 
 from benchmarks.conftest import publish, publish_bench_rows
-from repro.baselines.annealing import simulated_annealing
-from repro.baselines.hillclimb import hill_climb
-from repro.baselines.random_search import random_search
 from repro.cache.config import CACHE_8KB_DM
 from repro.cme.analyzer import LocalityAnalyzer
 from repro.experiments.common import format_table
 from repro.ga.objective import TilingObjective
 from repro.kernels.linalg import make_mm
+from repro.search import (
+    AnnealingStrategy,
+    HillClimbStrategy,
+    RandomStrategy,
+    run_search,
+)
 
 WORKERS = min(4, max(2, os.cpu_count() or 1))
 
@@ -46,44 +49,43 @@ def _timed(fn):
 
 
 def test_search_subsystem_bench():
-    nest = make_mm(500)
+    extents = [loop.extent for loop in make_mm(500).loops]
     rows = []
     results = {}
 
     configs = [
-        ("hillclimb", "serial",
-         lambda obj: hill_climb(nest, obj, max_evals=40, neighborhood=False)),
-        ("hillclimb", "batched",
-         lambda obj: hill_climb(nest, obj, max_evals=40, neighborhood=True)),
-        ("annealing", "serial",
-         lambda obj: simulated_annealing(nest, obj, budget=24, seed=0)),
-        ("annealing", "batched",
-         lambda obj: simulated_annealing(
-             nest, obj, budget=24, seed=0, speculation=3)),
-        ("random", "serial",
-         lambda obj: random_search(nest, obj, budget=24, seed=0, chunk=1)),
-        ("random", "batched",
-         lambda obj: random_search(nest, obj, budget=24, seed=0, chunk=24)),
+        ("hillclimb", "serial", lambda: HillClimbStrategy(
+            extents, max_distinct=40, neighborhood=False)),
+        ("hillclimb", "batched", lambda: HillClimbStrategy(
+            extents, max_distinct=40, neighborhood=True)),
+        ("annealing", "serial", lambda: AnnealingStrategy(
+            extents, budget=24, seed=0)),
+        ("annealing", "batched", lambda: AnnealingStrategy(
+            extents, budget=24, seed=0, speculation=3)),
+        ("random", "serial", lambda: RandomStrategy(
+            extents, budget=24, seed=0, chunk=1)),
+        ("random", "batched", lambda: RandomStrategy(
+            extents, budget=24, seed=0, chunk=24)),
     ]
-    for strategy, mode, run in configs:
+    for strategy, mode, make in configs:
         # The batched rows get a parallel objective pool (configured on
         # the objective so the serial rows provably run one process).
         obj = _objective(workers=WORKERS if mode == "batched" else 1)
         try:
-            res, secs = _timed(lambda: run(obj))
+            res, secs = _timed(lambda: run_search(make(), obj))
         finally:
             obj.close()
         results[(strategy, mode)] = (res, secs)
         base = results[(strategy, "serial")][1]
         rows.append(
             [f"{strategy} ({mode})", f"{secs:.2f}",
-             str(res.search.distinct_evaluations),
-             str(res.search.steps), f"{base / secs:.2f}x"]
+             str(res.distinct_evaluations),
+             str(res.steps), f"{base / secs:.2f}x"]
         )
         if mode == "batched":
             serial_res = results[(strategy, "serial")][0]
-            assert res.tile_sizes == serial_res.tile_sizes
-            assert res.objective == serial_res.objective
+            assert res.best_values == serial_res.best_values
+            assert res.best_objective == serial_res.best_objective
 
     publish(
         "search_bench",

@@ -14,26 +14,25 @@ CME objective:
 Run:  python examples/autotuner_comparison.py
 """
 
-from repro import CACHE_8KB_DM, GAConfig, LocalityAnalyzer, kernels
+from repro import (
+    CACHE_8KB_DM,
+    GAConfig,
+    LocalityAnalyzer,
+    kernels,
+    search_tiling,
+)
 from repro.baselines import (
     coleman_mckinley_tiles,
-    exhaustive_search,
     ghosh_cme_tiles,
-    hill_climb,
     lrw_tiles,
-    random_search,
     sarkar_megiddo_tiles,
-    simulated_annealing,
 )
-from repro.ga.objective import TilingObjective
-from repro.ga.tiling_search import optimize_tiling
 
 
 def main() -> None:
     nest = kernels.make_t2d(2000)
     cache = CACHE_8KB_DM
     analyzer = LocalityAnalyzer(nest, cache, seed=0)
-    objective = TilingObjective(analyzer)
     untiled = analyzer.estimate().replacement_ratio
     print(f"{nest.name} on {cache}: untiled replacement {untiled:.2%}\n")
 
@@ -48,23 +47,25 @@ def main() -> None:
     record("Ghosh CME bounds", ghosh_cme_tiles(nest, cache))
 
     budget = 240
-    t, _, _ = random_search(nest, objective, budget=budget, seed=0)
-    record(f"random search ({budget} evals)", t)
-    t, _, _ = hill_climb(nest, objective, max_evals=budget)
-    record("hill climbing", t)
-    t, _, _ = simulated_annealing(nest, objective, budget=budget, seed=0)
-    record("simulated annealing", t)
+    for label, strategy in (
+        (f"random search ({budget} evals)", "random"),
+        ("hill climbing", "hillclimb"),
+        ("simulated annealing", "annealing"),
+    ):
+        out = search_tiling(nest, cache, strategy=strategy, budget=budget, seed=0)
+        record(label, out.tile_sizes)
 
-    ga = optimize_tiling(
+    ga = search_tiling(
         nest, cache,
-        config=GAConfig(population_size=12, min_generations=8,
-                        max_generations=12, seed=0),
-        seed=0,
+        ga_config=GAConfig(population_size=12, min_generations=8,
+                           max_generations=12, seed=0),
+        seed=0, seed_baselines=True,
     )
     record("GA + CME (paper)", ga.tile_sizes)
 
-    t, _, evals = exhaustive_search(nest, objective, max_points_per_dim=12)
-    record(f"grid search ({evals} evals)", t)
+    # 144 = 12 grid points per dimension of the depth-2 nest.
+    grid = search_tiling(nest, cache, strategy="exhaustive", budget=144)
+    record(f"grid search ({grid.search.consumed} evals)", grid.tile_sizes)
 
     width = max(len(r[0]) for r in rows)
     for label, tiles, ratio in sorted(rows, key=lambda r: r[2]):

@@ -11,7 +11,7 @@ Walks the full pipeline on MM:
 Run:  python examples/matmul_tiling.py
 """
 
-from repro import CACHE_8KB_DM, LocalityAnalyzer, kernels, optimize_tiling
+from repro import CACHE_8KB_DM, LocalityAnalyzer, kernels, search_tiling
 from repro.ir.codegen import fortran_source
 from repro.layout.memory import MemoryLayout
 from repro.reuse.vectors import compute_reuse_candidates
@@ -43,7 +43,7 @@ def main() -> None:
     show_reuse_vectors(nest)
     validate_small()
 
-    result = optimize_tiling(nest, CACHE_8KB_DM, seed=0)
+    result = search_tiling(nest, CACHE_8KB_DM, seed=0, seed_baselines=True)
     print(result.summary())
     print("\ntiled source (Fig. 3 shape):\n")
     print(fortran_source(nest, tile_sizes=result.tile_sizes))

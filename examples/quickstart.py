@@ -8,7 +8,7 @@ search, and prints the before/after comparison — the §6 headline result
 Run:  python examples/quickstart.py
 """
 
-from repro import CACHE_8KB_DM, kernels, optimize_tiling
+from repro import CACHE_8KB_DM, kernels, search_tiling
 
 
 def main() -> None:
@@ -16,7 +16,7 @@ def main() -> None:
     print(f"kernel: {nest.name} — {nest.description}")
     print(f"cache:  {CACHE_8KB_DM}\n")
 
-    result = optimize_tiling(nest, CACHE_8KB_DM, seed=0)
+    result = search_tiling(nest, CACHE_8KB_DM, seed=0, seed_baselines=True)
 
     before, after = result.before, result.after
     print(f"tile sizes found: {result.tile_sizes}")
@@ -28,10 +28,11 @@ def main() -> None:
     if after.miss_ratio > 0:
         print(f"miss-ratio reduction factor: "
               f"{before.miss_ratio / after.miss_ratio:.1f}x")
+    search = result.search
     print(
-        f"\nGA: {result.ga.generations} generations, "
-        f"{result.ga.evaluations} evaluations "
-        f"({result.distinct_evaluations} distinct after memoisation)"
+        f"\nGA: {search.strategy_ref.generations} generations, "
+        f"{search.consumed} evaluations "
+        f"({search.distinct_evaluations} distinct after memoisation)"
     )
 
 

@@ -8,10 +8,10 @@ misses.
 
 Quick start::
 
-    from repro import CACHE_8KB_DM, kernels, optimize_tiling
+    from repro import CACHE_8KB_DM, kernels, search_tiling
 
     nest = kernels.make_mm(500)                 # Fig. 1 matrix multiply
-    result = optimize_tiling(nest, CACHE_8KB_DM)
+    result = search_tiling(nest, CACHE_8KB_DM, seed_baselines=True)
     print(result.summary())
 
 See README.md for install/quickstart and the layer map,
@@ -29,7 +29,6 @@ from repro.ga.padding_search import (
     optimize_padding,
     optimize_padding_then_tiling,
 )
-from repro.ga.tiling_search import optimize_tiling
 from repro.ir.arrays import Array, ArrayRef, read, write
 from repro.ir.loops import Loop, LoopNest
 from repro.layout.memory import MemoryLayout, PaddingSpec
@@ -48,7 +47,6 @@ __all__ = [
     "LocalityAnalyzer",
     "required_sample_size",
     "GAConfig",
-    "optimize_tiling",
     "optimize_padding",
     "optimize_padding_then_tiling",
     "optimize_joint_padding_tiling",

@@ -1,29 +1,21 @@
-"""Baseline tile-size selection algorithms and generic searches.
+"""The analytical tile-size selectors of the paper's related work (§5).
 
-The paper's related-work section (§5) surveys analytical tile-size
-selectors; we implement them (plus generic search baselines) so the
-GA+CME approach can be compared on equal footing — the comparison the
-paper itself declined for methodological reasons (§4.3).  All selectors
-return plain tile-size tuples; evaluation goes through the common
-:class:`~repro.cme.analyzer.LocalityAnalyzer`.
+LRW, TSS (Coleman–McKinley), Sarkar–Megiddo and Ghosh's CME bounds
+each return a plain tile-size tuple from a closed-form model of the
+nest and cache.  The paper declined to compare against them for
+methodological reasons (§4.3); here their tiles seed the GA's first
+population (:func:`repro.search.tiling.baseline_seed_tiles`) and are
+evaluated on the common :class:`~repro.cme.analyzer.LocalityAnalyzer`
+in the ablation benchmarks.  Generic searches (hill climbing,
+annealing, random, exhaustive) are strategies in :mod:`repro.search`.
 """
 
-from repro.baselines.common import BaselineSearchResult
-from repro.baselines.exhaustive import exhaustive_search
-from repro.baselines.random_search import random_search
-from repro.baselines.hillclimb import hill_climb
-from repro.baselines.annealing import simulated_annealing
 from repro.baselines.lrw import lrw_tiles
 from repro.baselines.tss import coleman_mckinley_tiles
 from repro.baselines.sarkar_megiddo import sarkar_megiddo_tiles
 from repro.baselines.ghosh_cme import ghosh_cme_tiles
 
 __all__ = [
-    "BaselineSearchResult",
-    "exhaustive_search",
-    "random_search",
-    "hill_climb",
-    "simulated_annealing",
     "lrw_tiles",
     "coleman_mckinley_tiles",
     "sarkar_megiddo_tiles",

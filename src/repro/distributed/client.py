@@ -156,7 +156,6 @@ class ClusterClient:
         self._lock = threading.Lock()
         #: Dispatch accounting.
         self.payload_bytes = 0
-        self.last_payload_bytes = 0
         self.redispatched_chunks = 0
         self.lost_hosts = 0
 
@@ -195,12 +194,6 @@ class ClusterClient:
                     self._last_failure.pop(addr, None)
                 live.append(conn)
             return live
-
-    def capacities(self) -> dict[str, int]:
-        """Registered capacity per live host (``host:port`` keyed)."""
-        return {
-            f"{c.host}:{c.port}": c.capacity for c in self.connect()
-        }
 
     def _drop(self, conn: HostConnection) -> None:
         conn.close()
@@ -318,7 +311,6 @@ class ClusterClient:
             if not conns:
                 break
             sent_before = {c: c.sent_bytes for c in conns}
-        self.last_payload_bytes = wave_bytes
         self.payload_bytes += wave_bytes
         if len(results) != n:
             raise ClusterUnavailable(

@@ -14,8 +14,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.cache.config import CacheConfig
-from repro.experiments.common import ExperimentConfig, format_table, pct
-from repro.ga.tiling_search import optimize_tiling
+from repro.experiments.common import (
+    ExperimentConfig,
+    format_table,
+    paper_search,
+    pct,
+)
 from repro.kernels.registry import KERNELS
 
 DEFAULT_KERNELS = [("MM", 500), ("T2D", 500), ("VPENTA1", 128)]
@@ -43,11 +47,7 @@ def run_associativity(
         nest = KERNELS[name].build(size)
         for k in associativities:
             cache = CacheConfig(size_bytes, 32, k)
-            result = optimize_tiling(
-                nest, cache, config=config.ga,
-                n_samples=config.n_samples, seed=config.seed,
-                workers=config.workers,
-            )
+            result = paper_search(nest, cache, config)
             rows.append(
                 AssociativityRow(
                     label=nest.name,

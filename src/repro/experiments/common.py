@@ -1,12 +1,16 @@
-"""Shared experiment configuration and text-table rendering."""
+"""Shared experiment configuration, the runners' GA search and
+text-table rendering."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
 from repro import envs
+from repro.cache.config import CacheConfig
 from repro.cme.sampling import PAPER_SAMPLE_SIZE
 from repro.ga.engine import GAConfig
+from repro.ir.loops import LoopNest
+from repro.search.tiling import TilingSearchOutcome, search_tiling
 
 
 def full_mode() -> bool:
@@ -78,6 +82,30 @@ class ExperimentConfig:
                 )
             )
             object.__setattr__(self, "ga", ga)
+
+
+def paper_search(
+    nest: LoopNest,
+    cache: CacheConfig,
+    config: ExperimentConfig,
+    ga: GAConfig | None = None,
+    seed_baselines: bool = True,
+) -> TilingSearchOutcome:
+    """One GA tiling search as the paper runners run it: seeded with
+    the §5 selectors' tiles unless ``seed_baselines=False``, on
+    ``config.ga`` unless ``ga`` is given.
+
+    The budget is the most distinct tilings the GA can propose
+    (population × generations), so the distinct-solve cap never ends
+    a run before the GA's own schedule does.
+    """
+    ga = ga or config.ga
+    return search_tiling(
+        nest, cache, strategy="ga",
+        budget=ga.population_size * ga.max_generations,
+        seed=config.seed, n_samples=config.n_samples,
+        workers=config.workers, ga_config=ga, seed_baselines=seed_baselines,
+    )
 
 
 def format_table(

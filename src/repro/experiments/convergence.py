@@ -12,10 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.cache.config import CACHE_8KB_DM, CacheConfig
-from repro.experiments.common import ExperimentConfig
-from repro.experiments.common import format_table
+from repro.experiments.common import ExperimentConfig, format_table, paper_search
 from repro.ga.engine import GAConfig
-from repro.ga.tiling_search import optimize_tiling
 from repro.kernels.registry import KERNELS
 
 DEFAULT_KERNELS = [("MM", 100), ("T2D", 500), ("MATMUL", 100)]
@@ -44,20 +42,20 @@ def run_convergence(
     rows = []
     for name, size in kernels or DEFAULT_KERNELS:
         nest = KERNELS[name].build(size)
-        result = optimize_tiling(
-            nest, cache, config=ga_config, n_samples=config.n_samples,
-            seed=config.seed, seed_baselines=False,  # §3.3: random init
-            workers=config.workers,
-        )
+        search = paper_search(
+            nest, cache, config, ga=ga_config,
+            seed_baselines=False,  # §3.3: random initialisation
+        ).search
+        ga = search.strategy_ref
         rows.append(
             ConvergenceRow(
                 label=nest.name,
-                generations=result.ga.generations,
-                converged_early=result.ga.converged_early,
-                evaluations=result.ga.evaluations,
-                distinct_evaluations=result.distinct_evaluations,
-                best_objective=result.ga.best_objective,
-                trace=tuple(result.ga.convergence_trace),
+                generations=ga.generations,
+                converged_early=ga.converged_early,
+                evaluations=ga.consumed,
+                distinct_evaluations=search.distinct_evaluations,
+                best_objective=search.best_objective,
+                trace=tuple((g, b, a) for g, b, a, _ in ga.history),
             )
         )
     return rows

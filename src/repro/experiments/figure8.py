@@ -12,8 +12,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.cache.config import CACHE_8KB_DM, CacheConfig
-from repro.experiments.common import ExperimentConfig, format_table, pct
-from repro.ga.tiling_search import optimize_tiling
+from repro.experiments.common import (
+    ExperimentConfig,
+    format_table,
+    paper_search,
+    pct,
+)
 from repro.kernels.registry import FIGURE_INSTANCES, KERNELS, instance_label
 
 #: Kernels the paper singles out (Table 3) as not fixed by tiling alone.
@@ -40,14 +44,7 @@ def run_figure(
     rows: list[FigureRow] = []
     for name, size in instances or FIGURE_INSTANCES:
         nest = KERNELS[name].build(size)
-        result = optimize_tiling(
-            nest,
-            cache,
-            config=config.ga,
-            n_samples=config.n_samples,
-            seed=config.seed,
-            workers=config.workers,
-        )
+        result = paper_search(nest, cache, config)
         rows.append(
             FigureRow(
                 label=instance_label(name, size),

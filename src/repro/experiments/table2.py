@@ -17,8 +17,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.cache.config import CACHE_8KB_DM
-from repro.experiments.common import ExperimentConfig, format_table, pct
-from repro.ga.tiling_search import optimize_tiling
+from repro.experiments.common import (
+    ExperimentConfig,
+    format_table,
+    paper_search,
+    pct,
+)
 from repro.kernels.registry import KERNELS
 
 PAPER_TABLE2 = {
@@ -47,14 +51,7 @@ def run_table2(config: ExperimentConfig | None = None) -> list[Table2Row]:
     rows: list[Table2Row] = []
     for (name, size), paper in PAPER_TABLE2.items():
         nest = KERNELS[name].build(size)
-        result = optimize_tiling(
-            nest,
-            CACHE_8KB_DM,
-            config=config.ga,
-            n_samples=config.n_samples,
-            seed=config.seed,
-            workers=config.workers,
-        )
+        result = paper_search(nest, CACHE_8KB_DM, config)
         rows.append(
             Table2Row(
                 kernel=name,

@@ -1,4 +1,9 @@
-"""Genetic algorithm for tile-size and padding search (§3.2–§3.3)."""
+"""Genetic algorithm for tile-size and padding search (§3.2–§3.3).
+
+The encoding, operators and :class:`GAConfig` live here; the
+generational loop is :class:`repro.search.GAStrategy`, and tiling
+searches enter through :func:`repro.search.search_tiling`.
+"""
 
 from repro.ga.encoding import Genome, bits_for, decode_value
 from repro.ga.operators import (
@@ -6,15 +11,12 @@ from repro.ga.operators import (
     remainder_stochastic_selection,
     single_point_crossover,
 )
-from repro.ga.engine import GAConfig, GAResult, GeneticAlgorithm
+from repro.ga.engine import GAConfig
 from repro.ga.objective import (
-    MemoizedObjective,
     PaddingObjective,
     PaddingTilingObjective,
-    SimulatorTilingObjective,
     TilingObjective,
 )
-from repro.ga.tiling_search import TilingResult, optimize_tiling
 from repro.ga.padding_search import (
     PaddingResult,
     optimize_joint_padding_tiling,
@@ -30,15 +32,9 @@ __all__ = [
     "remainder_stochastic_selection",
     "single_point_crossover",
     "GAConfig",
-    "GAResult",
-    "GeneticAlgorithm",
-    "MemoizedObjective",
     "TilingObjective",
     "PaddingObjective",
     "PaddingTilingObjective",
-    "SimulatorTilingObjective",
-    "TilingResult",
-    "optimize_tiling",
     "PaddingResult",
     "optimize_padding",
     "optimize_padding_then_tiling",

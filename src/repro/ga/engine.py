@@ -1,30 +1,20 @@
-"""The genetic algorithm driver (Figs. 4 and 7).
+"""The genetic algorithm's configuration (Figs. 4 and 7).
 
-The engine minimises an objective over a :class:`~repro.ga.encoding.Genome`
+The GA minimises an objective over a :class:`~repro.ga.encoding.Genome`
 using the paper's parameters: population 30, crossover probability 0.9,
 mutation probability 0.001, at least 15 generations, at most 25, with
 early termination once the population has converged — the best
 individual's objective within 2% of the generation average (§3.3).
 
-Since the ``repro.search`` refactor the generational loop itself lives
-in :class:`repro.search.genetic.GAStrategy` (each population is one
-batch-proposal wave) and this engine is a thin façade: it builds the
-strategy, drives it through the shared :func:`repro.search.run_search`
-loop — which owns memoisation, worker fan-out, budget accounting and
-checkpointing — and repackages the outcome as a :class:`GAResult`.
-Trajectories are bit-for-bit identical to the pre-refactor engine for
-any worker count.
+The generational loop itself is :class:`repro.search.genetic.GAStrategy`
+(each population is one batch-proposal wave), driven like every other
+strategy by :func:`repro.search.run_search`; a tiling search enters
+through :func:`repro.search.search_tiling`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable
-
-import numpy as np
-
-from repro.ga.encoding import Genome
-from repro.utils.rng import make_rng  # noqa: F401  (re-export for callers)
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -57,112 +47,3 @@ class GAConfig:
             raise ValueError("min_generations > max_generations")
         if self.selection not in ("remainder", "tournament"):
             raise ValueError(f"unknown selection scheme {self.selection!r}")
-
-
-@dataclass
-class GenerationRecord:
-    """Best/average objective of one generation (for Fig. 7 analyses)."""
-
-    generation: int
-    best: float
-    average: float
-    best_values: tuple[int, ...]
-
-
-@dataclass
-class GAResult:
-    best_values: tuple[int, ...]
-    best_objective: float
-    generations: int
-    converged_early: bool
-    history: list[GenerationRecord] = field(default_factory=list)
-    #: Objective *calls* issued by the engine (population × generations).
-    evaluations: int = 0
-    #: Distinct genotypes actually evaluated — the CME solves performed
-    #: once memoisation removes revisits.  Table 4-style "450
-    #: evaluations" comparisons should quote both numbers.
-    distinct_evaluations: int = 0
-
-    @property
-    def convergence_trace(self) -> list[tuple[int, float, float]]:
-        return [(r.generation, r.best, r.average) for r in self.history]
-
-
-class GeneticAlgorithm:
-    """Minimise ``objective(values)`` over a genome's value space."""
-
-    def __init__(
-        self,
-        genome: Genome,
-        objective: Callable[[tuple[int, ...]], float],
-        config: GAConfig | None = None,
-        initial_values: list[tuple[int, ...]] | None = None,
-    ):
-        """``initial_values`` optionally seeds the first population with
-        known-reasonable genotypes (e.g. analytical baseline tiles) —
-        an extension over the paper's purely random initialisation that
-        makes reduced budgets robust; pass ``None`` for strict paper
-        behaviour.
-        """
-        self.genome = genome
-        self.objective = objective
-        self.config = config or GAConfig()
-        self.initial_values = initial_values or []
-
-    # -- kept for ablations/tests (canonical copies live in GAStrategy) ----
-    @staticmethod
-    def _fitness(objs: np.ndarray) -> np.ndarray:
-        from repro.search.genetic import GAStrategy
-
-        return GAStrategy._fitness(objs)
-
-    def _converged(self, objs: np.ndarray) -> bool:
-        """§3.3: best within 2% of the generation average."""
-        from repro.search.genetic import population_converged
-
-        return population_converged(objs, self.config.convergence_threshold)
-
-    # -- main loop ----------------------------------------------------------------
-    def run(
-        self,
-        checkpoint_path: str | None = None,
-        resume: str | None = None,
-    ) -> GAResult:
-        """Drive the generational loop through ``repro.search``.
-
-        ``checkpoint_path``/``resume`` expose the shared driver's
-        checkpointing (see :mod:`repro.search`); the default is the
-        plain uninterrupted run.
-        """
-        from repro.search.driver import run_search
-        from repro.search.genetic import GAStrategy
-
-        strategy = (
-            None
-            if resume is not None
-            else GAStrategy(self.genome, self.config, self.initial_values)
-        )
-        result = run_search(
-            strategy,
-            self.objective,
-            checkpoint_path=checkpoint_path,
-            resume=resume,
-        )
-        return self.result_from_strategy(result.strategy_ref)
-
-    @staticmethod
-    def result_from_strategy(strategy) -> GAResult:
-        """Package a finished ``GAStrategy`` as a :class:`GAResult`."""
-        assert strategy.best_values is not None
-        return GAResult(
-            best_values=strategy.best_values,
-            best_objective=strategy.best_objective,
-            generations=strategy.generations,
-            converged_early=strategy.converged_early,
-            history=[
-                GenerationRecord(g, b, a, tuple(v))
-                for g, b, a, v in strategy.history
-            ],
-            evaluations=strategy.consumed,
-            distinct_evaluations=strategy.consumed_distinct,
-        )

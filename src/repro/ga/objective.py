@@ -3,8 +3,8 @@
 The paper's objective ``f : (T_1..T_k) → #ReplacementMisses`` is the
 parameterised CME system solved by sampling; we count replacement
 misses over the fixed shared sample (common random numbers make
-candidate comparisons noise-free).  All objectives are built on the
-shared :class:`repro.evaluation.Evaluator`: memoised (the GA revisits
+candidate comparisons noise-free).  Each objective here is a
+:class:`repro.evaluation.Evaluator` subclass: memoised (the GA revisits
 genotypes constantly as the population converges, so cached hits
 dominate the paper's "450 evaluations" budget), batched per
 generation, and optionally fanned out over worker processes via the
@@ -42,14 +42,6 @@ def _record_cascade_stats(estimate) -> None:
             rec.count(f"cascade.{tier}", n)
 
 
-class MemoizedObjective(Evaluator):
-    """Back-compat name for the shared evaluator.
-
-    Counts distinct and total evaluations and, with ``workers > 1``,
-    evaluates deduplicated batches in parallel.
-    """
-
-
 class SampledTilingFn:
     """Picklable pure objective: sampled replacement misses of a tiling.
 
@@ -74,7 +66,7 @@ class SampledTilingFn:
         return [float(e.replacement) for e in estimates]
 
 
-class TilingObjective(MemoizedObjective):
+class TilingObjective(Evaluator):
     """Sampled replacement misses of a tiling candidate."""
 
     def __init__(self, analyzer: LocalityAnalyzer, workers: int = 1):
@@ -82,18 +74,7 @@ class TilingObjective(MemoizedObjective):
         super().__init__(SampledTilingFn(analyzer), workers=workers)
 
 
-class SimulatorTilingObjective(MemoizedObjective):
-    """Exact replacement misses via trace simulation (small sizes only)."""
-
-    def __init__(self, analyzer: LocalityAnalyzer, workers: int = 1):
-        self.analyzer = analyzer
-        super().__init__(self._evaluate, workers=workers)
-
-    def _evaluate(self, tiles: tuple[int, ...]) -> float:
-        return float(self.analyzer.simulate(tile_sizes=tiles).replacement)
-
-
-class PaddingObjective(MemoizedObjective):
+class PaddingObjective(Evaluator):
     """Sampled replacement misses of a padding candidate (no tiling)."""
 
     def __init__(
@@ -111,7 +92,7 @@ class PaddingObjective(MemoizedObjective):
         return float(self.analyzer.estimate(padding=padding).replacement)
 
 
-class PaddingTilingObjective(MemoizedObjective):
+class PaddingTilingObjective(Evaluator):
     """Joint padding+tiling objective (the paper's future-work extension).
 
     The genotype concatenates padding values and tile sizes; both

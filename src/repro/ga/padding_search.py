@@ -16,11 +16,13 @@ from repro.cache.config import CacheConfig
 from repro.cme.analyzer import LocalityAnalyzer
 from repro.cme.sampling import PAPER_SAMPLE_SIZE, CMEEstimate
 from repro.ga.encoding import Genome
-from repro.ga.engine import GAConfig, GAResult, GeneticAlgorithm
+from repro.ga.engine import GAConfig
 from repro.ga.objective import PaddingObjective, PaddingTilingObjective
-from repro.ga.tiling_search import TilingResult, optimize_tiling
 from repro.ir.loops import LoopNest
-from repro.layout.memory import MemoryLayout, PaddingSpec
+from repro.layout.memory import PaddingSpec
+from repro.search.driver import run_search
+from repro.search.genetic import GAStrategy
+from repro.search.tiling import search_tiling
 from repro.transform.padding import PaddingSearchSpace
 
 
@@ -34,7 +36,6 @@ class PaddingResult:
     before: CMEEstimate
     after_padding: CMEEstimate
     after_padding_tiling: CMEEstimate | None
-    ga: GAResult
 
     def summary(self) -> str:
         parts = [
@@ -81,11 +82,9 @@ def optimize_padding(
     for k, v in enumerate(space.variables):
         stagger.append(min(v.upper, line_elems * (k + 1)) if v.kind == "inter" else 0)
     seeds.append(tuple(stagger))
-    ga = GeneticAlgorithm(
-        genome, objective, config or GAConfig(seed=seed), initial_values=seeds
-    )
+    strategy = GAStrategy(genome, config or GAConfig(seed=seed), seeds)
     try:
-        result = ga.run()
+        result = run_search(strategy, objective)
         padding = space.decode(result.best_values)
         before = analyzer.estimate()
         after_padding = analyzer.estimate(padding=padding)
@@ -98,7 +97,6 @@ def optimize_padding(
         before=before,
         after_padding=after_padding,
         after_padding_tiling=None,
-        ga=result,
     )
 
 
@@ -111,19 +109,20 @@ def optimize_padding_then_tiling(
     pad_intra: bool = True,
     workers: int = 1,
 ) -> PaddingResult:
-    """The sequential pipeline of Table 3 (padding, then tiling)."""
+    """The sequential pipeline of Table 3 (padding, then tiling).
+
+    The tiling search is the paper runners' seeded GA on the padded
+    layout, with the GA's whole schedule as its distinct-solve budget.
+    """
     pad_result = optimize_padding(
         nest, cache, config, n_samples, seed, pad_intra, workers
     )
-    padded_layout = MemoryLayout(nest.arrays(), pad_result.padding)
-    tile_result: TilingResult = optimize_tiling(
-        nest,
-        cache,
-        layout=padded_layout,
-        config=config,
-        n_samples=n_samples,
-        seed=seed,
-        workers=workers,
+    ga = config or GAConfig(seed=seed)
+    tile_result = search_tiling(
+        nest, cache, strategy="ga",
+        budget=ga.population_size * ga.max_generations,
+        seed=seed, n_samples=n_samples, workers=workers, ga_config=ga,
+        padding=pad_result.padding, seed_baselines=True,
     )
     return PaddingResult(
         nest_name=nest.name,
@@ -132,7 +131,6 @@ def optimize_padding_then_tiling(
         before=pad_result.before,
         after_padding=pad_result.after_padding,
         after_padding_tiling=tile_result.after,
-        ga=tile_result.ga,
     )
 
 
@@ -157,9 +155,10 @@ def optimize_joint_padding_tiling(
         (1, loop.extent) for loop in nest.loops
     ]
     genome = Genome(ranges)
-    ga = GeneticAlgorithm(genome, objective, config or GAConfig(seed=seed))
     try:
-        result = ga.run()
+        result = run_search(
+            GAStrategy(genome, config or GAConfig(seed=seed)), objective
+        )
         npad = space.num_variables
         padding = space.decode(result.best_values[:npad])
         tiles = result.best_values[npad:]
@@ -175,5 +174,4 @@ def optimize_joint_padding_tiling(
         before=before,
         after_padding=after_padding,
         after_padding_tiling=after_both,
-        ga=result,
     )

@@ -9,8 +9,8 @@ reads their objective values from ``self._memo`` (via the
 population).  The framework guarantees that when the generator
 resumes, every yielded candidate has a value in the memo.
 
-Two evaluation counters are kept per strategy, mirroring the honest
-accounting introduced for :class:`repro.ga.engine.GAResult`:
+Two evaluation counters are kept per strategy, so a search reports
+both what it asked for and what it cost:
 
 ``consumed``
     Values the serial algorithm read, *including* memo revisits — the

@@ -1,14 +1,12 @@
 """The paper's genetic algorithm (§3.3) as a batch proposer.
 
-:class:`GAStrategy` is the generational loop of
-:class:`repro.ga.engine.GeneticAlgorithm`, re-stated in the
+:class:`GAStrategy` is the generational loop (Fig. 7) in the
 :class:`~repro.search.base.SearchStrategy` protocol: each wave is one
 whole population (the natural batch the paper's §3 evaluation engine
 fans out over workers), and selection → crossover → mutation runs
-between waves.  The engine's ``run()`` now drives this strategy
-through :func:`repro.search.run_search`; every decision, RNG draw and
-termination test is unchanged, so seed GA trajectories are preserved
-bit-for-bit.
+between waves.  :func:`repro.search.run_search` drives it like every
+other strategy; a tiling search builds it through
+:func:`repro.search.search_tiling`.
 """
 
 from __future__ import annotations
@@ -38,10 +36,10 @@ def population_converged(objs: np.ndarray, threshold: float) -> bool:
 class GAStrategy(SearchStrategy):
     """Minimise over a :class:`~repro.ga.encoding.Genome`'s value space.
 
-    ``config`` is a :class:`repro.ga.engine.GAConfig` (duck-typed to
-    avoid an import cycle — the engine imports this module).  History
-    is kept as plain ``(generation, best, average, best_values)``
-    tuples; the engine converts them to ``GenerationRecord``.
+    ``config`` is a :class:`repro.ga.engine.GAConfig`.
+    ``initial_values`` fill the first population's slots, in order.
+    History is kept as plain ``(generation, best, average,
+    best_values)`` tuples, one per generation.
     """
 
     name = "ga"

@@ -1,10 +1,14 @@
-"""Strategy-agnostic tile-size search — the CLI's `search` command.
+"""Tile-size search — the one entry point for every tiling search.
 
 ``search_tiling`` wires any registered strategy (GA, hillclimb,
-annealing, random, exhaustive) to the sampled-CME tiling objective of
-:mod:`repro.ga.objective` and drives it through the shared
-:func:`repro.search.run_search` loop, with optional candidate-level
-worker fan-out and checkpoint/resume.
+annealing, random, exhaustive, portfolio) to the sampled-CME tiling
+objective of :mod:`repro.ga.objective` and drives it through the
+shared :func:`repro.search.run_search` loop, with optional
+candidate-level worker fan-out and checkpoint/resume.  The CLI's
+``search`` command, the paper's table and figure runners and perfbench
+all enter here; the runners add the two things the paper's pipeline
+needs on top (§4): a GA seeded with the §5 analytical selectors'
+tiles, and tiling on a padded layout (Table 3).
 """
 
 from __future__ import annotations
@@ -14,7 +18,9 @@ from dataclasses import dataclass
 from repro.cache.config import CacheConfig
 from repro.cme.analyzer import LocalityAnalyzer
 from repro.cme.sampling import PAPER_SAMPLE_SIZE, CMEEstimate
+from repro.ga.encoding import Genome
 from repro.ir.loops import LoopNest
+from repro.layout.memory import MemoryLayout, PaddingSpec
 from repro.search.base import SearchResult, SearchStrategy
 from repro.search.driver import run_search
 from repro.search.genetic import GAStrategy
@@ -70,6 +76,43 @@ class TilingSearchOutcome:
         )
 
 
+def tiling_genome(nest: LoopNest) -> Genome:
+    """One chromosome per loop: tile sizes ``T_i ∈ [1, extent_i]``."""
+    return Genome([(1, loop.extent) for loop in nest.loops])
+
+
+def baseline_seed_tiles(
+    nest: LoopNest, cache: CacheConfig, layout: MemoryLayout | None = None
+) -> list[tuple[int, ...]]:
+    """Analytical baseline tiles used to seed the GA's first population:
+    the LRW, TSS, Sarkar–Megiddo and Ghosh selectors' tiles, then the
+    untiled vector, without repeats."""
+    from repro.baselines.ghosh_cme import ghosh_cme_tiles
+    from repro.baselines.lrw import lrw_tiles
+    from repro.baselines.sarkar_megiddo import sarkar_megiddo_tiles
+    from repro.baselines.tss import coleman_mckinley_tiles
+
+    seeds = []
+    for fn in (lrw_tiles, coleman_mckinley_tiles, sarkar_megiddo_tiles, ghosh_cme_tiles):
+        try:
+            if fn is lrw_tiles:
+                seeds.append(fn(nest, cache))
+            else:
+                seeds.append(fn(nest, cache, layout))
+        # A baseline heuristic that cannot handle this nest (degenerate
+        # geometry, zero division in a footprint model, …) only loses
+        # its seed; the GA's search is seeded from the survivors.
+        except Exception:  # repro: lint-ok[broad-except]
+            continue
+    seeds.append(tuple(l.extent for l in nest.loops))  # the untiled genotype
+    # Deduplicate, preserving order.
+    out: list[tuple[int, ...]] = []
+    for s in seeds:
+        if s not in out:
+            out.append(s)
+    return out
+
+
 def make_tiling_strategy(
     name: str,
     nest: LoopNest,
@@ -81,6 +124,7 @@ def make_tiling_strategy(
     members: tuple[str, ...] | None = None,
     restart: str | None = None,
     portfolio_mode: str = "interleave",
+    initial_values: list[tuple[int, ...]] | None = None,
 ) -> SearchStrategy:
     """Build a registered strategy over ``nest``'s tile-size space.
 
@@ -89,15 +133,18 @@ def make_tiling_strategy(
     the same space with a distinct derived seed and an even share of
     ``budget``), the restart policy spec, and interleave vs race
     scheduling (see :mod:`repro.search.portfolio`).
+    ``initial_values`` fills the GA's first population slots, in order.
     """
     import dataclasses
 
     extents = [loop.extent for loop in nest.loops]
     if name == "ga":
         from repro.ga.engine import GAConfig
-        from repro.ga.tiling_search import tiling_genome
 
-        return GAStrategy(tiling_genome(nest), ga_config or GAConfig(seed=seed))
+        return GAStrategy(
+            tiling_genome(nest), ga_config or GAConfig(seed=seed),
+            initial_values,
+        )
     if name == "portfolio":
         from repro.search.portfolio import _reseed_params
 
@@ -180,6 +227,8 @@ def search_tiling(
     backend: str | None = None,
     hosts=None,
     memo_path: str | None = None,
+    padding: PaddingSpec | None = None,
+    seed_baselines: bool = False,
 ) -> TilingSearchOutcome:
     """Minimise sampled replacement misses for ``nest`` with any strategy.
 
@@ -197,6 +246,12 @@ def search_tiling(
     same (kernel, cache, sampling, seed) fingerprint solved.
     All backends yield bit-identical trajectories — see
     :mod:`repro.distributed`.
+
+    ``padding`` tiles the nest on that padded layout (Table 3's
+    padding→tiling pipeline); it keys the fingerprint.
+    ``seed_baselines`` plants :func:`baseline_seed_tiles` in the GA's
+    first population (``strategy="ga"`` only); leave it off for the
+    paper's purely random initialisation (§3.3).
     """
     import hashlib
 
@@ -220,6 +275,18 @@ def search_tiling(
         repr(cache), n_samples, seed,
         tuple(sorted(cascade_budgets.items())),
     )
+    layout = None
+    if padding is not None:
+        # A padded layout is another objective; an unpadded search
+        # keeps the fingerprint (so its memo files and checkpoints)
+        # it always had.
+        fingerprint += (LocalityAnalyzer._padding_key(padding),)
+        layout = MemoryLayout(nest.arrays(), padding)
+    if seed_baselines and strategy != "ga":
+        raise ValueError(
+            f"seed_baselines seeds the GA's population; strategy "
+            f"{strategy!r} has none"
+        )
     if backend is None:
         backend = "cluster" if hosts else "local"
     if backend not in ("local", "cluster"):
@@ -231,7 +298,7 @@ def search_tiling(
             "backend='cluster' needs hosts (--hosts or REPRO_HOSTS)"
         )
     analyzer = LocalityAnalyzer(
-        nest, cache, n_samples=n_samples, seed=seed,
+        nest, cache, layout=layout, n_samples=n_samples, seed=seed,
         cascade_budgets=cascade_budgets,
     )
     if backend == "cluster" or memo_path is not None:
@@ -256,6 +323,11 @@ def search_tiling(
             # across a worker pool.
             neighborhood=workers > 1,
             members=members, restart=restart, portfolio_mode=portfolio_mode,
+            initial_values=(
+                baseline_seed_tiles(nest, cache, layout)
+                if seed_baselines
+                else None
+            ),
         )
     )
     try:

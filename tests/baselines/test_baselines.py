@@ -1,16 +1,20 @@
-"""Baseline tile-size selectors: validity and basic quality."""
+"""Baseline tile-size selectors and the generic search strategies:
+validity and basic quality."""
 
 import pytest
 
-from repro.baselines.annealing import simulated_annealing
-from repro.baselines.exhaustive import exhaustive_search
 from repro.baselines.ghosh_cme import ghosh_cme_tiles
-from repro.baselines.hillclimb import hill_climb
 from repro.baselines.lrw import lrw_tiles
-from repro.baselines.random_search import random_search
 from repro.baselines.sarkar_megiddo import sarkar_megiddo_tiles
 from repro.baselines.tss import coleman_mckinley_tiles
 from repro.cache.config import CacheConfig
+from repro.search import (
+    AnnealingStrategy,
+    ExhaustiveStrategy,
+    HillClimbStrategy,
+    RandomStrategy,
+    run_search,
+)
 from tests.conftest import make_small_mm, make_small_transpose
 
 CACHE = CacheConfig(1024, 32, 1)
@@ -53,52 +57,66 @@ def toy_objective(target):
     return fn
 
 
+def extents(nest):
+    return [loop.extent for loop in nest.loops]
+
+
 def test_exhaustive_finds_exact_optimum():
     nest = make_small_transpose(12)
-    tiles, val, evals = exhaustive_search(nest, toy_objective((5, 9)))
-    assert tiles == (5, 9)
-    assert val == 0
-    assert evals == 144
+    res = run_search(ExhaustiveStrategy(extents(nest)), toy_objective((5, 9)))
+    assert res.best_values == (5, 9)
+    assert res.best_objective == 0
+    assert res.consumed == 144
 
 
 def test_exhaustive_grid_mode_bounds_work():
     nest = make_small_transpose(48)
-    tiles, val, evals = exhaustive_search(
-        nest, toy_objective((48, 1)), max_points_per_dim=6
+    res = run_search(
+        ExhaustiveStrategy(extents(nest), max_points_per_dim=6),
+        toy_objective((48, 1)),
     )
-    assert evals <= 8 * 8
-    assert tiles[0] == 48 and tiles[1] == 1  # endpoints always on the grid
+    assert res.consumed <= 8 * 8
+    assert res.best_values == (48, 1)  # endpoints always on the grid
 
 
 def test_random_search_budget_respected():
     nest = make_small_transpose(16)
-    tiles, val, evals = random_search(nest, toy_objective((8, 8)), budget=50, seed=0)
-    assert evals == 50
-    assert _valid(tiles, nest)
+    res = run_search(
+        RandomStrategy(extents(nest), budget=50, seed=0), toy_objective((8, 8))
+    )
+    assert res.consumed == 50
+    assert _valid(res.best_values, nest)
 
 
 def test_hill_climb_descends():
     nest = make_small_transpose(32)
     obj = toy_objective((4, 27))
-    tiles, val, evals = hill_climb(nest, obj, start=(16, 16))
-    assert val <= obj((16, 16))
-    assert tiles == (4, 27)
+    res = run_search(
+        HillClimbStrategy(extents(nest), start=(16, 16), neighborhood=False),
+        obj,
+    )
+    assert res.best_objective <= obj((16, 16))
+    assert res.best_values == (4, 27)
 
 
 def test_annealing_improves_over_start():
     nest = make_small_transpose(32)
     obj = toy_objective((2, 30))
-    tiles, val, evals = simulated_annealing(nest, obj, budget=300, seed=1)
-    assert val <= obj((16, 16))
-    assert _valid(tiles, nest)
+    res = run_search(AnnealingStrategy(extents(nest), budget=300, seed=1), obj)
+    assert res.best_objective <= obj((16, 16))
+    assert _valid(res.best_values, nest)
 
 
 def test_search_baselines_deterministic():
     nest = make_small_transpose(16)
     obj = toy_objective((3, 3))
-    a = random_search(nest, obj, budget=30, seed=5)
-    b = random_search(nest, obj, budget=30, seed=5)
+    a, b = (
+        run_search(RandomStrategy(extents(nest), budget=30, seed=5), obj)
+        for _ in range(2)
+    )
     assert a == b
-    c = simulated_annealing(nest, obj, budget=60, seed=5)
-    d = simulated_annealing(nest, obj, budget=60, seed=5)
+    c, d = (
+        run_search(AnnealingStrategy(extents(nest), budget=60, seed=5), obj)
+        for _ in range(2)
+    )
     assert c == d

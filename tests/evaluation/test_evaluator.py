@@ -12,9 +12,9 @@ from hypothesis import given, strategies as st
 from repro.cache.config import CacheConfig
 from repro.evaluation import BatchObjective, Evaluator, as_batch_objective
 from repro.evaluation.batch import guided_grab
-from repro.ga.engine import GAConfig, GeneticAlgorithm
-from repro.ga.objective import MemoizedObjective
-from repro.ga.tiling_search import optimize_tiling, tiling_genome
+from repro.ga.engine import GAConfig
+from repro.search import GAStrategy, run_search, search_tiling
+from repro.search.tiling import tiling_genome
 from tests.conftest import make_small_mm
 
 CACHE = CacheConfig(1024, 32, 1)
@@ -93,15 +93,8 @@ def test_as_batch_objective_passthrough_and_wrap():
     assert wrapped((2, 2)) == 8.0
 
 
-def test_memoized_objective_alias_is_evaluator():
-    obj = MemoizedObjective(_square)
-    assert isinstance(obj, Evaluator)
-    assert obj((2, 3)) == 13.0
-    assert obj.distinct_evaluations == 1
-
-
 def test_ga_engine_uses_batch_hook():
-    """The engine hands whole populations to evaluate_batch."""
+    """The GA hands whole populations to evaluate_batch."""
     batches = []
 
     class Spy(Evaluator):
@@ -111,22 +104,28 @@ def test_ga_engine_uses_batch_hook():
 
     genome = tiling_genome(make_small_mm(8))
     spy = Spy(_square)
-    res = GeneticAlgorithm(genome, spy, QUICK).run()
+    ga = GAStrategy(genome, QUICK)
+    res = run_search(ga, spy)
     assert batches, "evaluate_batch never called"
     assert all(len(b) == QUICK.population_size for b in batches)
-    assert res.evaluations == res.generations * QUICK.population_size
+    assert res.consumed == ga.generations * QUICK.population_size
     assert res.distinct_evaluations == spy.distinct_evaluations
 
 
 def test_ga_parallel_equals_serial_on_mm():
     """Same seeds → same best_values/best_objective for any workers."""
     nest = make_small_mm(16)
-    r1 = optimize_tiling(nest, CACHE, config=QUICK, seed=3, workers=1)
-    r4 = optimize_tiling(nest, CACHE, config=QUICK, seed=3, workers=4)
+    r1, r4 = (
+        search_tiling(
+            nest, CACHE, ga_config=QUICK, seed=3, workers=workers,
+            seed_baselines=True,
+        )
+        for workers in (1, 4)
+    )
     assert r1.tile_sizes == r4.tile_sizes
-    assert r1.ga.best_objective == r4.ga.best_objective
-    assert r1.ga.convergence_trace == r4.ga.convergence_trace
-    assert r1.distinct_evaluations == r4.distinct_evaluations
+    assert r1.search.best_objective == r4.search.best_objective
+    assert r1.search.strategy_ref.history == r4.search.strategy_ref.history
+    assert r1.search.distinct_evaluations == r4.search.distinct_evaluations
 
 
 def test_close_is_idempotent():

@@ -2,19 +2,15 @@
 
 from repro.cache.config import CacheConfig
 from repro.cme.analyzer import LocalityAnalyzer
-from repro.ga.objective import (
-    MemoizedObjective,
-    PaddingObjective,
-    SimulatorTilingObjective,
-    TilingObjective,
-)
+from repro.evaluation import Evaluator
+from repro.ga.objective import PaddingObjective, TilingObjective
 from repro.transform.padding import PaddingSearchSpace
 from tests.conftest import make_small_mm, make_small_transpose
 
 
 def test_memoisation_counts():
     calls = []
-    obj = MemoizedObjective(lambda v: calls.append(v) or float(sum(v)))
+    obj = Evaluator(lambda v: calls.append(v) or float(sum(v)))
     assert obj((1, 2)) == 3.0
     assert obj((1, 2)) == 3.0
     assert obj((2, 2)) == 4.0
@@ -30,13 +26,6 @@ def test_tiling_objective_counts_replacement():
     untiled = obj(tuple(l.extent for l in nest.loops))
     est = analyzer.estimate()
     assert untiled == float(est.replacement)
-
-
-def test_simulator_objective_matches_simulation():
-    nest = make_small_transpose(16)
-    analyzer = LocalityAnalyzer(nest, CacheConfig(1024, 32, 1), seed=0)
-    obj = SimulatorTilingObjective(analyzer)
-    assert obj((4, 4)) == float(analyzer.simulate(tile_sizes=(4, 4)).replacement)
 
 
 def test_padding_objective_decodes():

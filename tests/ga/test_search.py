@@ -9,10 +9,10 @@ from repro.ga.padding_search import (
     optimize_padding,
     optimize_padding_then_tiling,
 )
-from repro.ga.tiling_search import baseline_seed_tiles, optimize_tiling, tiling_genome
 from repro.ir.affine import AffineExpr
 from repro.ir.arrays import Array, read, write
 from repro.ir.loops import Loop, LoopNest
+from repro.search.tiling import baseline_seed_tiles, search_tiling, tiling_genome
 from tests.conftest import make_small_transpose
 
 QUICK = GAConfig(population_size=8, min_generations=3, max_generations=5, seed=0)
@@ -21,16 +21,10 @@ CACHE = CacheConfig(1024, 32, 1)
 
 def test_tiling_search_improves_transpose():
     nest = make_small_transpose(48)
-    res = optimize_tiling(nest, CACHE, config=QUICK, seed=1)
-    assert res.replacement_after < res.replacement_before
+    res = search_tiling(nest, CACHE, ga_config=QUICK, seed=1, seed_baselines=True)
+    assert res.after.replacement_ratio < res.before.replacement_ratio
     assert all(1 <= t <= 48 for t in res.tile_sizes)
     assert "T=" in res.summary()
-
-
-def test_tiling_search_with_simulator_objective():
-    nest = make_small_transpose(32)
-    res = optimize_tiling(nest, CACHE, config=QUICK, seed=2, use_simulator=True)
-    assert res.replacement_after <= res.replacement_before
 
 
 def test_tiling_genome_ranges():

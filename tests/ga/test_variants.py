@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from repro.ga.encoding import Genome
-from repro.ga.engine import GAConfig, GeneticAlgorithm
+from repro.ga.engine import GAConfig
 from repro.ga.operators import tournament_selection
+from tests.ga.test_engine import run_ga
 
 
 def test_tournament_selects_population_size():
@@ -29,17 +30,17 @@ def test_tournament_engine_optimises():
     genome = Genome([(1, 64)])
     cfg = GAConfig(population_size=10, selection="tournament",
                    min_generations=5, max_generations=10, seed=2)
-    res = GeneticAlgorithm(genome, lambda v: abs(v[0] - 40), cfg).run()
-    assert res.best_objective <= 3
+    ga = run_ga(genome, lambda v: abs(v[0] - 40), cfg)
+    assert ga.best_objective <= 3
 
 
 def test_elitism_never_loses_the_best():
     genome = Genome([(1, 512)])
     cfg = GAConfig(population_size=10, elitism=True,
                    min_generations=8, max_generations=12, seed=3)
-    res = GeneticAlgorithm(genome, lambda v: abs(v[0] - 300), cfg).run()
+    ga = run_ga(genome, lambda v: abs(v[0] - 300), cfg)
     # With elitism, the per-generation best never regresses.
-    bests = [r.best for r in res.history]
+    bests = [best for _, best, _, _ in ga.history]
     assert all(b2 <= b1 for b1, b2 in zip(bests, bests[1:]))
 
 

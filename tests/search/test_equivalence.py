@@ -19,16 +19,20 @@ import pathlib
 
 import pytest
 
-from repro.baselines.annealing import simulated_annealing
-from repro.baselines.exhaustive import exhaustive_search
-from repro.baselines.hillclimb import hill_climb
-from repro.baselines.random_search import random_search
 from repro.cache.config import CacheConfig
 from repro.cme.analyzer import LocalityAnalyzer
-from repro.ga.engine import GAConfig, GeneticAlgorithm
+from repro.ga.engine import GAConfig
 from repro.ga.objective import TilingObjective
-from repro.ga.tiling_search import optimize_tiling, tiling_genome
-from repro.search import AnnealingStrategy, HillClimbStrategy, run_search
+from repro.search import (
+    AnnealingStrategy,
+    ExhaustiveStrategy,
+    GAStrategy,
+    HillClimbStrategy,
+    RandomStrategy,
+    run_search,
+    search_tiling,
+)
+from repro.search.tiling import tiling_genome
 from tests.conftest import make_small_transpose
 
 GOLDEN = json.loads(
@@ -67,6 +71,15 @@ class Recorder:
         return v
 
 
+def _extents(n):
+    return [loop.extent for loop in make_small_transpose(n).loops]
+
+
+def _final(res):
+    """The seed implementations' (tiles, value, evals) triple."""
+    return [list(res.best_values), res.best_objective, res.consumed]
+
+
 def _real_objective():
     analyzer = LocalityAnalyzer(
         make_small_transpose(32), CACHE, n_samples=48, seed=0
@@ -87,107 +100,114 @@ def test_hillclimb_matches_seed_trajectory():
 
 def test_hillclimb_matches_seed_on_real_cme_objective():
     g = GOLDEN["hillclimb_real"]
-    res = hill_climb(make_small_transpose(32), _real_objective(), start=(16, 16))
-    assert [list(res.tile_sizes), res.objective, res.evaluations] == g["final"]
+    res = run_search(
+        HillClimbStrategy(_extents(32), start=(16, 16), neighborhood=False),
+        _real_objective(),
+    )
+    assert _final(res) == g["final"]
 
 
 def test_annealing_matches_seed_stream_and_result():
     g = GOLDEN["annealing_toy"]
     rec = Recorder(toy((2, 30)))
-    res = simulated_annealing(
-        make_small_transpose(32), rec, budget=120, seed=3
-    )
+    res = run_search(AnnealingStrategy(_extents(32), budget=120, seed=3), rec)
     # speculation=1 issues exactly the seed's distinct-first-call stream
     assert rec.stream == g["stream"]
-    assert [list(res.tile_sizes), res.objective, res.evaluations] == g["final"]
+    assert _final(res) == g["final"]
 
 
 def test_annealing_matches_seed_on_real_cme_objective():
     g = GOLDEN["annealing_real"]
     rec = Recorder(_real_objective())
-    res = simulated_annealing(make_small_transpose(32), rec, budget=60, seed=5)
+    res = run_search(AnnealingStrategy(_extents(32), budget=60, seed=5), rec)
     assert rec.stream == g["stream"]
-    assert [list(res.tile_sizes), res.objective, res.evaluations] == g["final"]
+    assert _final(res) == g["final"]
 
 
 def test_random_matches_seed():
     g = GOLDEN["random_toy"]
     rec = Recorder(toy((8, 8)))
-    res = random_search(make_small_transpose(16), rec, budget=60, seed=7)
-    assert [list(res.tile_sizes), res.objective, res.evaluations] == g["final"]
+    res = run_search(RandomStrategy(_extents(16), budget=60, seed=7), rec)
+    assert _final(res) == g["final"]
     assert len(rec.stream) == g["stream_len"]  # distinct draws, seed order
 
 
 def test_exhaustive_matches_seed():
-    res = exhaustive_search(make_small_transpose(12), toy((5, 9)))
-    assert [list(res.tile_sizes), res.objective, res.evaluations] == (
-        GOLDEN["exhaustive_toy"]["final"]
+    res = run_search(ExhaustiveStrategy(_extents(12)), toy((5, 9)))
+    assert _final(res) == GOLDEN["exhaustive_toy"]["final"]
+    res = run_search(
+        ExhaustiveStrategy(_extents(48), max_points_per_dim=6), toy((48, 1))
     )
-    res = exhaustive_search(
-        make_small_transpose(48), toy((48, 1)), max_points_per_dim=6
-    )
-    assert [list(res.tile_sizes), res.objective, res.evaluations] == (
-        GOLDEN["exhaustive_grid"]["final"]
-    )
+    assert _final(res) == GOLDEN["exhaustive_grid"]["final"]
 
 
 def test_ga_matches_seed_history():
     g = GOLDEN["ga_toy"]
-    res = GeneticAlgorithm(
-        tiling_genome(make_small_transpose(16)), toy((5, 9)), QUICK
-    ).run()
-    assert list(res.best_values) == g["best_values"]
-    assert res.best_objective == g["best_objective"]
-    assert res.generations == g["generations"]
-    assert res.converged_early == g["converged_early"]
-    assert res.evaluations == g["evaluations"]
-    assert res.distinct_evaluations == g["distinct_evaluations"]
+    ga = GAStrategy(tiling_genome(make_small_transpose(16)), QUICK)
+    run_search(ga, toy((5, 9)))
+    assert list(ga.best_values) == g["best_values"]
+    assert ga.best_objective == g["best_objective"]
+    assert ga.generations == g["generations"]
+    assert ga.converged_early == g["converged_early"]
+    assert ga.consumed == g["evaluations"]
+    assert ga.consumed_distinct == g["distinct_evaluations"]
     assert [
-        [r.generation, r.best, r.average, list(r.best_values)]
-        for r in res.history
+        [gen, best, average, list(values)]
+        for gen, best, average, values in ga.history
     ] == g["history"]
 
 
 def test_ga_tiling_pipeline_matches_seed():
     g = GOLDEN["ga_tiling_real"]
-    r = optimize_tiling(make_small_transpose(48), CACHE, config=QUICK, seed=1)
+    r = search_tiling(
+        make_small_transpose(48), CACHE, ga_config=QUICK, seed=1,
+        seed_baselines=True,
+    )
+    ga = r.search.strategy_ref
     assert list(r.tile_sizes) == g["tile_sizes"]
-    assert r.ga.best_objective == g["best_objective"]
-    assert r.ga.generations == g["generations"]
-    assert r.ga.evaluations == g["evaluations"]
-    assert r.ga.distinct_evaluations == g["distinct_evaluations"]
-    assert [[a, b, c] for a, b, c in r.ga.convergence_trace] == g["trace"]
-    assert r.replacement_after == g["replacement_after"]
+    assert r.search.best_objective == g["best_objective"]
+    assert ga.generations == g["generations"]
+    assert r.search.consumed == g["evaluations"]
+    assert r.search.consumed_distinct == g["distinct_evaluations"]
+    assert [[gen, b, a] for gen, b, a, _ in ga.history] == g["trace"]
+    assert r.after.replacement_ratio == g["replacement_after"]
 
 
 # -- workers: identical trajectories for 1 vs 4 workers -------------------
 
 @pytest.mark.parametrize(
-    "search,kwargs",
+    "make,obj",
     [
-        (hill_climb, {"start": (16, 16), "neighborhood": True}),
-        (simulated_annealing, {"budget": 80, "seed": 3, "speculation": 3}),
-        (random_search, {"budget": 50, "seed": 7}),
-        (exhaustive_search, {"max_points_per_dim": 6}),
+        (lambda e: HillClimbStrategy(e, start=(16, 16), neighborhood=True),
+         _sq27),
+        (lambda e: AnnealingStrategy(e, budget=80, seed=3, speculation=3),
+         _sq230),
+        (lambda e: RandomStrategy(e, budget=50, seed=7), _sq230),
+        (lambda e: ExhaustiveStrategy(e, max_points_per_dim=6), _sq230),
     ],
     ids=["hillclimb", "annealing", "random", "exhaustive"],
 )
-def test_workers_do_not_change_trajectories(search, kwargs):
-    nest = make_small_transpose(32)
-    obj = _sq27 if search is hill_climb else _sq230
-    serial = search(nest, obj, workers=1, **kwargs)
-    parallel = search(nest, obj, workers=4, **kwargs)
+def test_workers_do_not_change_trajectories(make, obj):
+    serial = run_search(make(_extents(32)), obj, workers=1)
+    parallel = run_search(make(_extents(32)), obj, workers=4)
     assert serial == parallel  # full result: tiles, value, counts, trace
 
 
 def test_workers_do_not_change_hillclimb_on_real_objective():
     nest = make_small_transpose(32)
+
+    def climb(objective):
+        strategy = HillClimbStrategy(
+            _extents(32), start=(16, 16), neighborhood=False
+        )
+        return run_search(strategy, objective)
+
     analyzer = LocalityAnalyzer(nest, CACHE, n_samples=48, seed=0)
-    serial = hill_climb(nest, TilingObjective(analyzer), start=(16, 16))
+    serial = climb(TilingObjective(analyzer))
     analyzer2 = LocalityAnalyzer(nest, CACHE, n_samples=48, seed=0)
     obj = TilingObjective(analyzer2, workers=4)
     try:
-        parallel = hill_climb(nest, obj, start=(16, 16))
+        parallel = climb(obj)
     finally:
         obj.close()
     assert serial == parallel
@@ -214,17 +234,17 @@ def test_annealing_speculation_clones_any_bit_generator():
     assume PCG64 (callers may pass their own Generator)."""
     import numpy as np
 
-    nest = make_small_transpose(32)
-    spec = simulated_annealing(
-        nest, toy((2, 30)), budget=30,
-        seed=np.random.Generator(np.random.MT19937(0)), speculation=3,
-    )
-    base = simulated_annealing(
-        nest, toy((2, 30)), budget=30,
-        seed=np.random.Generator(np.random.MT19937(0)), speculation=1,
-    )
-    assert spec.tile_sizes == base.tile_sizes
-    assert spec.objective == base.objective
+    def anneal(speculation):
+        strategy = AnnealingStrategy(
+            _extents(32), budget=30,
+            seed=np.random.Generator(np.random.MT19937(0)),
+            speculation=speculation,
+        )
+        return run_search(strategy, toy((2, 30)))
+
+    spec, base = anneal(3), anneal(1)
+    assert spec.best_values == base.best_values
+    assert spec.best_objective == base.best_objective
 
 
 def test_annealing_speculative_chains_are_inert():
@@ -240,15 +260,14 @@ def test_annealing_speculative_chains_are_inert():
 
 
 def test_baselines_report_both_eval_counts():
-    nest = make_small_transpose(16)
-    res = random_search(nest, toy((8, 8)), budget=60, seed=7)
-    assert res.evaluations == 60
-    assert res.distinct_evaluations <= res.evaluations
-    assert res.search.distinct_evaluations == res.distinct_evaluations
-    tiles, val, evals = res  # legacy 3-tuple unpacking still works
-    assert (tiles, val, evals) == (
-        res.tile_sizes, res.objective, res.evaluations
+    """A search reports the values its algorithm read (revisits
+    included) and the distinct tilings that cost a solve."""
+    res = run_search(
+        RandomStrategy(_extents(16), budget=60, seed=7), toy((8, 8))
     )
+    assert res.consumed == 60
+    assert res.consumed_distinct <= res.consumed
+    assert res.distinct_evaluations == res.consumed_distinct
 
 
 def test_hillclimb_budget_charged_in_distinct_solves():
