@@ -9,15 +9,11 @@ the sampled CME solver (any problem size) or the exact trace simulator
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.cache.config import CacheConfig
 from repro.cme.sampling import (
     PAPER_SAMPLE_SIZE,
     CMEEstimate,
-    _offering,
-    estimate_at_points,
-    estimate_many_at_points,
+    estimate_tilings_at_points,
     sample_original_points,
 )
 from repro.cme.solver import NestRows
@@ -86,7 +82,8 @@ class LocalityAnalyzer:
 
     def _nest_rows(self, layout: MemoryLayout, padding: PaddingSpec | None):
         """The classifiers' nest half under ``layout``, built once per
-        analyzer and layout and offered to every pass it starts."""
+        analyzer and layout, with the last reuse-source table its passes
+        built (:attr:`NestRows.table`)."""
         key = self._padding_key(padding)
         if key not in self._rows_cache:
             self._rows_cache[key] = NestRows(
@@ -106,29 +103,20 @@ class LocalityAnalyzer:
         By default the analyzer's fixed sample is reused (common random
         numbers across candidates); pass ``points`` to override.
         """
-        program = self.program(tile_sizes)
         layout = self.layout_with(padding)
-        use_points = self._points if points is None else points
-        with _offering(self._nest_rows(layout, padding)):
-            return estimate_at_points(
-                program,
-                layout,
-                self.cache,
-                use_points,
-                candidates=self._candidates(layout, padding),
-                cascade_budgets=self.cascade_budgets,
-            )
+        return estimate_tilings_at_points(
+            [tile_sizes], self._nest_rows(layout, padding),
+            self._points if points is None else points,
+            cascade_budgets=self.cascade_budgets,
+        )[0]
 
     def estimate_many(self, tile_sizes_list) -> list[CMEEstimate]:
         """:meth:`estimate` of each tiling, in one pass that merges their
         kernel calls (same estimates)."""
-        with _offering(self._nest_rows(self.layout, None)):
-            return estimate_many_at_points(
-                [self.program(t) for t in tile_sizes_list], self.layout,
-                self.cache, self._points,
-                candidates=self._candidates(self.layout, None),
-                cascade_budgets=self.cascade_budgets,
-            )
+        return estimate_tilings_at_points(
+            tile_sizes_list, self._nest_rows(self.layout, None), self._points,
+            cascade_budgets=self.cascade_budgets,
+        )
 
     def close(self) -> None:
         """Release held resources; an analyzer holds none (kept for
@@ -136,7 +124,7 @@ class LocalityAnalyzer:
 
     def __getstate__(self):
         # Analyzers shipped into evaluation workers rebuild their nest
-        # rows rather than ship them.
+        # rows and source table rather than ship them.
         state = self.__dict__.copy()
         state["_rows_cache"] = {}
         return state

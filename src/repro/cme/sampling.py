@@ -19,8 +19,6 @@ comparisons.
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager
-from contextvars import ContextVar
 from dataclasses import dataclass, field
 from statistics import NormalDist
 
@@ -36,28 +34,12 @@ from repro.cme.solver import (
     classify_codes,
 )
 from repro.ir.loops import LoopNest
-from repro.ir.program import AccessProgram
+from repro.ir.program import AccessProgram, program_from_nest
 from repro.layout.memory import MemoryLayout
 from repro.utils.rng import make_rng
 
 #: The paper's sample size (width 0.1, 90% confidence).
 PAPER_SAMPLE_SIZE = 164
-
-#: Nest rows their owner built once, offered to the passes it starts.
-_offered_rows: ContextVar[NestRows | None] = ContextVar("offered_rows", default=None)
-
-
-@contextmanager
-def _offering(rows: NestRows):
-    """Passes started inside take ``rows`` if they were built from equal
-    nest, layout, cache and candidates (a private path: the public
-    signatures stay as they are)."""
-    token = _offered_rows.set(rows)
-    try:
-        yield
-    finally:
-        _offered_rows.reset(token)
-
 
 def required_sample_size(width: float = 0.1, confidence: float = 0.90) -> int:
     """Sample size for a binomial CI of the given width and confidence.
@@ -196,7 +178,7 @@ def estimate_at_points(
     codes = np.array(
         [[OUTCOMES.index(oc) for oc in row] for row in outcomes], dtype=np.int8
     ).reshape(len(outcomes), len(program.refs))
-    return _estimate(program, classifier, codes, confidence)
+    return _estimate(program.original, classifier, codes, confidence)
 
 
 def estimate_many_at_points(
@@ -210,10 +192,9 @@ def estimate_many_at_points(
 ) -> list[CMEEstimate]:
     """:func:`estimate_at_points` under several programs of one nest, in
     one :func:`repro.cme.solver.classify_codes` pass that builds the
-    nest's :class:`~repro.cme.solver.NestRows` once (or takes the rows a
-    :class:`~repro.cme.analyzer.LocalityAnalyzer` offers), merges their
-    kernel and cascade calls and shares their reuse-source table; each
-    estimate equals its one-program call.  Programs of another nest
+    nest's :class:`~repro.cme.solver.NestRows` once per call, merges
+    their kernel and cascade calls and shares their reuse-source table;
+    each estimate equals its one-program call.  Programs of another nest
     raise ``ValueError`` before any work."""
     if not programs:
         return []
@@ -224,45 +205,78 @@ def estimate_many_at_points(
                 f"programs of one nest: {programs[0].name} is a tiling of "
                 f"{nest.name}, {p.name} of {p.original.name}"
             )
-    rows = _offered_rows.get()
-    if rows is None or (rows.nest, rows.layout, rows.cache, rows.candidates) != (
-        nest, layout, cache, candidates
-    ):
-        rows = NestRows(nest, layout, cache, candidates)
+    rows = NestRows(nest, layout, cache, candidates)
+    return _estimate_pass(
+        [
+            PointClassifier.for_rows(p, rows, cascade_budgets=cascade_budgets)
+            for p in programs
+        ],
+        nest, original_points, confidence,
+    )
+
+
+def estimate_tilings_at_points(
+    tilings,
+    rows: NestRows,
+    original_points,
+    confidence: float = 0.90,
+    cascade_budgets: dict[str, int] | None = None,
+) -> list[CMEEstimate]:
+    """:func:`estimate_many_at_points` of ``rows.nest`` tiled by each tile
+    vector of ``tilings`` (``None``: untiled), each classifier built
+    from its tile vector (:meth:`PointClassifier.for_tiles`) rather than
+    from a symbolic :func:`~repro.transform.tiling.tile_program`, on
+    rows the caller keeps; same estimates.  Bad tile vectors raise as
+    ``tile_program`` does, before any work."""
+    nest = rows.nest
     classifiers = [
-        PointClassifier.for_rows(p, rows, cascade_budgets=cascade_budgets)
-        for p in programs
+        PointClassifier.for_rows(
+            program_from_nest(nest), rows, cascade_budgets=cascade_budgets
+        )
+        if tiles is None
+        else PointClassifier.for_tiles(tiles, rows, cascade_budgets=cascade_budgets)
+        for tiles in tilings
     ]
-    P = np.asarray(original_points, dtype=np.int64)
-    tables = classify_codes(classifiers, (
-        p.point_map.from_original_batch(P.reshape(-1, p.original.depth))
-        for p in programs
-    ))
-    return [_estimate(*a, confidence) for a in zip(programs, classifiers, tables)]
+    return _estimate_pass(classifiers, nest, original_points, confidence)
 
 
-def _estimate(program, classifier, codes, confidence) -> CMEEstimate:
-    """Count one program's (point × reference) outcome-code table.
+def _estimate_pass(classifiers, nest, original_points, confidence):
+    """One classify pass of classifiers of ``nest`` over one original-space
+    sample, handed to every classifier as it is (no map there and back)."""
+    if not classifiers:
+        return []
+    O = np.asarray(original_points, dtype=np.int64).reshape(-1, nest.depth)
+    tables = classify_codes(classifiers, [O] * len(classifiers), original=True)
+    return [_estimate(nest, *a, confidence) for a in zip(classifiers, tables)]
 
-    Column ``j`` of ``codes`` is the ``j``-th reference in position
-    order; its codes index :data:`repro.cme.solver.OUTCOMES`.
+
+def _estimate(nest, classifier, codes, confidence) -> CMEEstimate:
+    """Count one tiling's (point × reference) outcome-code table.
+
+    Column ``j`` of ``codes`` is the ``j``-th reference of ``nest`` in
+    position order; its codes index :data:`repro.cme.solver.OUTCOMES`.
+    A tiling of ``nest`` keeps its references and iterations, so the
+    nest's positions and access count are the tiling's.
     """
-    refs_sorted = sorted(program.refs, key=lambda r: r.position)
-    tally = {
-        ref.position: np.bincount(column, minlength=len(OUTCOMES)).tolist()
-        for ref, column in zip(refs_sorted, codes.T)
-    }
+    nrefs = len(nest.refs)
+    refs_sorted = sorted(nest.refs, key=lambda r: r.position)
+    # One bincount: the code of column j lands in bin j·|OUTCOMES| + code.
+    bins = codes + np.arange(nrefs, dtype=np.int64) * len(OUTCOMES)
+    tally = dict(zip(
+        (ref.position for ref in refs_sorted),
+        np.bincount(bins.ravel(), minlength=nrefs * len(OUTCOMES))
+        .reshape(nrefs, len(OUTCOMES)).tolist(),
+    ))
     per_ref: dict[int, dict[str, int]] = {
         ref.position: {
             oc.value: tally[ref.position][OUTCOMES.index(oc)] for oc in Outcome
         }
-        for ref in program.refs
+        for ref in nest.refs
     }
     hits, cold, repl = (
         sum(counts[oc.value] for counts in per_ref.values())
         for oc in (Outcome.HIT, Outcome.COLD, Outcome.REPLACEMENT)
     )
-    nrefs = len(program.refs)
     return CMEEstimate(
         sampled_points=len(codes),
         sampled_accesses=len(codes) * nrefs,
@@ -272,7 +286,7 @@ def _estimate(program, classifier, codes, confidence) -> CMEEstimate:
         confidence=confidence,
         per_ref=per_ref,
         solver_stats=classifier.finalize_stats(),
-        total_accesses=program.num_accesses,
+        total_accesses=nest.num_accesses,
     )
 
 

@@ -28,13 +28,14 @@ but prove nothing, so the walk goes on to the next source.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro import envs, telemetry
 from repro.cache.config import CacheConfig
-from repro.ir.program import AccessProgram
+from repro.ir.program import AccessProgram, TileMap
 from repro.layout.memory import MemoryLayout
 from repro.polyhedra.box import Box
 from repro.polyhedra.cascade import FALSE, TRUE, UNKNOWN, BatchCascade
@@ -49,6 +50,7 @@ from repro.polyhedra.lexinterval import (
     lex_between_boxes_many,
 )
 from repro.reuse.vectors import ReuseCandidate, compute_reuse_candidates
+from repro.transform.tiling import normalize_tiles, tile_region_bounds
 
 
 class Outcome(enum.Enum):
@@ -81,11 +83,19 @@ class NestRows:
     """The classifiers' shared half, in original coordinates: address
     rows, positions, reference groups (one coefficient support each),
     kernel rows, reuse-source offsets and bounds of one nest, layout,
-    cache and candidates, built once per pass.  A program's point map is
-    affine, ``to_original(Q) = A·Q + b``, so its rows are ``ocoef·A``
-    and ``oc0 + ocoef·b``, those of its substituted subscripts.  Groups
-    hold for every tiling: with ``A = [diag(T) | I]``, ``T ≥ 1``, a
-    tiled support has ``t_d`` and ``u_d`` where the original has ``d``.
+    cache and candidates.  A :class:`~repro.cme.analyzer.LocalityAnalyzer`
+    builds them once per layout and runs every estimate on them;
+    :func:`~repro.cme.sampling.estimate_many_at_points` builds them once
+    per call, the public constructor once per classifier.  A program's
+    point map is affine, ``to_original(Q) = A·Q + b``, so its rows are
+    ``ocoef·A`` and ``oc0 + ocoef·b``, those of its substituted
+    subscripts.  Groups hold for every tiling: with ``A = [diag(T) | I]``,
+    ``T ≥ 1``, a tiled support has ``t_d`` and ``u_d`` where the
+    original has ``d``.
+
+    ``table`` is the last :class:`SourceTable` a pass built on these
+    rows; a later pass of the same sample takes it (endpoint counts and
+    all) instead of building its own.
     """
 
     def __init__(self, nest, layout, cache, candidates=None):
@@ -93,8 +103,10 @@ class NestRows:
             candidates = compute_reuse_candidates(nest, layout, cache.line_size)
         self.nest, self.layout, self.cache = nest, layout, cache
         self.candidates = candidates
+        self.table: SourceTable | None = None
         self.L, self.M, self.k = cache.line_size, cache.way_bytes, cache.associativity
         refs = sorted(nest.refs, key=lambda r: r.position)
+        self.refs = tuple(refs)
         exprs = [layout.address_expr(r) for r in refs]
         ocoef = np.array(
             [e.coeff_vector(nest.vars) for e in exprs], np.int64
@@ -146,6 +158,7 @@ class NestRows:
         self.src_ref, self.src_sref, self.src_off = offs[:, 0], offs[:, 1], offs[:, 2:]
         self.lo = tuple(l.lower for l in nest.loops)
         self.hi = tuple(l.upper for l in nest.loops)
+        self.extents = tuple(l.extent for l in nest.loops)
         self.lo_arr = np.array(self.lo, np.int64)
         self.hi_arr = np.array(self.hi, np.int64)
         arrays = (
@@ -158,7 +171,11 @@ class NestRows:
 
 
 class PointClassifier:
-    """Classify individual iteration points of one program/layout/cache."""
+    """Classify individual iteration points of one program/layout/cache.
+
+    ``program`` is the classified program, or ``None`` for a tiling
+    built from its tile vector (:meth:`for_tiles`).
+    """
 
     def __init__(
         self,
@@ -171,18 +188,48 @@ class PointClassifier:
         batch_cascade: bool | None = None,
     ):
         rows = NestRows(program.original, layout, cache, candidates)
-        self._setup(program, rows, cascade_budgets, batch_cascade)
+        self._setup_program(program, rows, cascade_budgets, batch_cascade)
 
     @classmethod
     def for_rows(cls, program: AccessProgram, rows: NestRows, **flags):
         """The classifier of ``program``, a tiling of ``rows.nest``, on
         rows built once for a pass; ``flags`` as the constructor's."""
         clf = cls.__new__(cls)
-        clf._setup(program, rows, **flags)
+        clf._setup_program(program, rows, **flags)
         return clf
 
-    def _setup(self, program, rows, cascade_budgets=None, batch_cascade=None):
+    @classmethod
+    def for_tiles(cls, tile_sizes, rows: NestRows, **flags):
+        """The classifier of ``rows.nest`` tiled by ``tile_sizes``, equal
+        to ``for_rows(tile_program(rows.nest, tile_sizes), rows)`` but
+        built from the tile vector: the strip-mine map and the region
+        bounds of :func:`repro.transform.tiling.tile_region_bounds`,
+        with no symbolic program.  Bad tile vectors raise as
+        :func:`~repro.transform.tiling.tile_program` does."""
+        ts = normalize_tiles(rows.nest, tile_sizes)
+        clf = cls.__new__(cls)
+        clf.program = None
+        clf._setup(
+            rows, TileMap(rows.lo, ts), *tile_region_bounds(rows.extents, ts), **flags
+        )
+        return clf
+
+    def _setup_program(self, program, rows, cascade_budgets=None, batch_cascade=None):
         self.program = program
+        # An iteration space keeps only its non-empty regions.
+        regions = program.space.regions
+        shape = (len(regions), program.space.rank)
+        self._setup(
+            rows, program.point_map,
+            np.array([r.lo for r in regions], np.int64).reshape(shape),
+            np.array([r.hi for r in regions], np.int64).reshape(shape),
+            cascade_budgets, batch_cascade,
+        )
+
+    def _setup(
+        self, rows, point_map, region_lo, region_hi,
+        cascade_budgets=None, batch_cascade=None,
+    ):
         self.layout, self.cache = rows.layout, rows.cache
         self.candidates = rows.candidates
         self.stats = SolverStats()
@@ -196,20 +243,24 @@ class PointClassifier:
         self._L, self._M, self._k = rows.L, rows.M, rows.k
         self._orig_lo, self._orig_hi = rows.lo, rows.hi
         self._positions, self._groups = rows.positions, rows.groups
-
-        self._refs = sorted(program.refs, key=lambda r: r.position)
-        self._pm = program.point_map
+        # A tiling keeps every reference: only positions are read.
+        self._refs = rows.refs
+        self._pm = point_map
         # This program's address rows: the nest's, composed with its map.
-        self._A, self._b = self._pm.affine()
+        self._A, self._b = point_map.affine()
         self._coeffs = list(map(tuple, (rows.ocoef @ self._A).tolist()))
         self._consts = (rows.oc0 + rows.ocoef @ self._b).tolist()
-        self._regions: tuple[Box, ...] = program.space.regions
-        # Non-empty regions as (R, rank) bound arrays for the wave
-        # decomposition (an empty region holds no between-boxes).
-        solid = [r for r in self._regions if not r.is_empty]
-        shape = (len(solid), self._A.shape[1])
-        self._region_lo = np.array([r.lo for r in solid], np.int64).reshape(shape)
-        self._region_hi = np.array([r.hi for r in solid], np.int64).reshape(shape)
+        # Non-empty regions as (R, rank) bound arrays, the wave
+        # decomposition's (the scalar paths' boxes: :attr:`_regions`).
+        self._region_lo, self._region_hi = region_lo, region_hi
+
+    @functools.cached_property
+    def _regions(self) -> tuple[Box, ...]:
+        """The non-empty regions as boxes, in bound-array order."""
+        return tuple(
+            Box(lo, hi)
+            for lo, hi in zip(self._region_lo.tolist(), self._region_hi.tolist())
+        )
 
     # -- address helpers ---------------------------------------------------
     def _addr(self, ref_idx: int, point: tuple[int, ...]) -> int:
@@ -602,10 +653,12 @@ class SourceTable:
     inside the original bounds, whether it is on the use's line, whether
     it is the use's own iteration, and which lines the boundary
     iterations touch are facts about original iterations, true for
-    every tiling of the nest.  :func:`classify_codes` builds one table
-    per pass and key (:meth:`PointClassifier._source_key`) and shares
-    it with every tiling; each program adds only what its tiling
-    decides, execution order (:meth:`PointClassifier._batch_reuse_sources`).
+    every tiling of the nest.  :func:`classify_codes` shares one table
+    per key (:meth:`PointClassifier._source_key`, kept as ``key``) with
+    every tiling of a pass, and keeps the last one it built on the
+    classifiers' :class:`NestRows` for later passes: an analyzer's
+    search builds one.  Each program adds only what its tiling decides,
+    execution order (:meth:`PointClassifier._batch_reuse_sources`).
 
     ``O`` is the sample.  Row ``r`` is sample point ``point[r]``, use
     reference ``ref[r]``,
@@ -657,15 +710,18 @@ class SourceTable:
         self.ref = ref[rows].astype(_narrow(len(nr.positions)))
         self.sref = sref[rows].astype(self.ref.dtype)
         self.same = ~off.any(axis=1)[rows]
-        self.O = O
+        # Its own copy of the sample: the table outlives the pass, and
+        # its key says what the sample held when it was built.
+        self.O = O.copy()
+        self.key = clf._source_key(O)
         self._pre = np.full(len(rows), -1, dtype=_narrow(-1, self._cap))
 
     def endpoint_counts(self, rows: np.ndarray) -> np.ndarray:
         """Boundary-iteration line counts of table ``rows``, capped at k.
 
         A row's count is computed the first time a wave asks for it and
-        kept for the pass, so each row costs one count however many
-        tilings try it, in one wave or later ones.
+        kept with the table, so each row costs one count however many
+        tilings try it, in one wave, later ones or later passes.
         """
         new = np.unique(rows[self._pre[rows] < 0])
         for first in range(0, len(new), self._COUNT_CHUNK_ROWS):
@@ -772,14 +828,19 @@ def classify_many(
     ]
 
 
-def classify_codes(classifiers: list[PointClassifier], batches) -> list[np.ndarray]:
+def classify_codes(
+    classifiers: list[PointClassifier], batches, *, original: bool = False
+) -> list[np.ndarray]:
     """Outcome codes of many classifiers' samples, in one pass.
 
-    ``batches[i]`` is classifier ``i``'s sample in its own coordinates;
-    its result is an int8 (point, reference) table whose codes index
-    :data:`OUTCOMES`.  Classifiers of one nest, layout, candidates,
-    cache and original sample share a :class:`SourceTable`; those that
-    also share a :meth:`PointClassifier._lockstep_key` run through one
+    ``batches[i]`` is classifier ``i``'s sample in its own coordinates,
+    or in original coordinates when ``original`` is set (no map there
+    and back: what an analyzer hands its tilings); its result is an int8
+    (point, reference) table whose codes index :data:`OUTCOMES`.
+    Classifiers of one nest, layout, candidates, cache and original
+    sample share a :class:`SourceTable`, their rows' last one when its
+    key matches; those that also share a
+    :meth:`PointClassifier._lockstep_key` run through one
     :class:`_Lockstep` loop, admitted in input order while their table
     rows total at most :data:`_LOCKSTEP_ROWS` (always at least one).
     Outcomes and stats equal separate calls.  Raises ``ValueError``
@@ -793,16 +854,21 @@ def classify_codes(classifiers: list[PointClassifier], batches) -> list[np.ndarr
         )
     out: list = [None] * len(classifiers)
     tables: dict[tuple, SourceTable] = {}
+    built: list[SourceTable] = []
     groups: dict[tuple, list[int]] = {}
     for i, classifier in enumerate(classifiers):
         P = np.asarray(batches[i], dtype=np.int64)
         if not len(P):
             out[i] = np.empty((0, len(classifier._refs)), dtype=np.int8)
             continue
-        O = classifier._pm.to_original_batch(P)
+        O = P if original else classifier._pm.to_original_batch(P)
         key = classifier._source_key(O)
         if key not in tables:
-            tables[key] = SourceTable(classifier, O)
+            rows = classifier._rows
+            if rows.table is None or rows.table.key != key:
+                rows.table = SourceTable(classifier, O)
+                built.append(rows.table)
+            tables[key] = rows.table
         groups.setdefault((key, classifier._lockstep_key()), []).append(i)
     # A sample lives on as its table's original points (memory).
     del batches
@@ -824,8 +890,8 @@ def classify_codes(classifiers: list[PointClassifier], batches) -> list[np.ndarr
     rec.count("cme.kernel_entries", entries_listed() - entries)
     rec.count("cme.cascade_calls", sum(s.cascade_calls for s in steps))
     rec.count("cme.sources_skipped", sum(s.skipped for s in steps))
-    rec.count("cme.source_tables", len(tables))
-    rec.count("cme.source_rows", sum(len(t.src) for t in tables.values()))
+    rec.count("cme.source_tables", len(built))
+    rec.count("cme.source_rows", sum(len(t.src) for t in built))
     return out
 
 
@@ -875,8 +941,8 @@ class _Lockstep:
         tiles = self.A[:, :, :d].diagonal(axis1=1, axis2=2)
         self.T = tiles if self.A.shape[2] > d else None
         # Each tiling's non-empty regions, padded to the batch's count
-        # with empty boxes (lo = 1 > hi = 0), in the narrowest dtype: a
-        # wave gathers them per job.
+        # with empty boxes (lo = 1 > hi = 0), in the narrowest dtype: the
+        # between-box decomposition gathers them per job it keeps.
         nreg = max(len(c._region_lo) for c in clfs)
         shape = (len(clfs), nreg, lead._region_lo.shape[1])
         bound_t = _narrow(0, 1, *(
@@ -918,7 +984,7 @@ class _Lockstep:
         for first in range(0, max(len(S), 1), _DECOMPOSE_JOBS):
             sl = slice(first, first + _DECOMPOSE_JOBS)
             Blo, Bhi, jid = lex_between_boxes_many(
-                S[sl], U[sl], self.rlo[jt[sl]], self.rhi[jt[sl]]
+                S[sl], U[sl], self.rlo, self.rhi, jt[sl]
             )
             parts.append((Blo, Bhi, jid + first))
         return parts[0] if len(parts) == 1 else tuple(map(np.concatenate, zip(*parts)))

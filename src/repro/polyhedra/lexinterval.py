@@ -101,19 +101,24 @@ def _prefix_all(mask: np.ndarray) -> np.ndarray:
 
 
 def lex_between_boxes_many(
-    S: np.ndarray, U: np.ndarray, rlo: np.ndarray, rhi: np.ndarray
+    S: np.ndarray,
+    U: np.ndarray,
+    rlo: np.ndarray,
+    rhi: np.ndarray,
+    owner: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """:func:`lex_between_boxes` over each pair's regions, for many pairs.
 
     Pair ``j`` is ``(S[j], U[j])`` and its regions are the boxes
-    ``rlo[j, r] .. rhi[j, r]``; a padding region with ``lo > hi`` in
-    every dimension holds no boxes.  Returns ``(Blo, Bhi, jid)``: the
-    boxes of pair ``j`` are the rows with ``jid == j``, in the order the
-    per-pair decomposition emits them (region, then src level, then use
-    level).  The solver's frontier queues drive early exits in this
-    order, so it is part of their equivalence contract.  Two masked
-    passes do all pairs, and ``np.nonzero`` walks each mask in exactly
-    that order:
+    ``rlo[o, r] .. rhi[o, r]`` of its owner ``o = owner[j]`` (a tiling,
+    whose region table its pairs share); a padding region with
+    ``lo > hi`` in every dimension holds no boxes.  Returns
+    ``(Blo, Bhi, jid)``: the boxes of pair ``j`` are the rows with
+    ``jid == j``, in the order the per-pair decomposition emits them
+    (region, then src level, then use level).  The solver's frontier
+    queues drive early exits in this order, so it is part of their
+    equivalence contract.  Two masked passes do all pairs, and
+    ``np.nonzero`` walks each mask in exactly that order:
 
     1. src-side pieces ``{q ∈ region : q ≻ src}`` over pairs × regions ×
        levels: at level ``l`` the prefix is pinned to ``src``, level
@@ -127,7 +132,8 @@ def lex_between_boxes_many(
     Padding and empty regions contribute nothing, so every piece and
     box that passes its level test is non-empty.  Pairs that hold no
     iteration in any region, ``src ⊀ use`` or the two differing only at
-    the innermost level by one, are dropped before the passes.
+    the innermost level by one, are dropped before the passes, and
+    before their owners' regions are gathered.
     """
     d = S.shape[1]
     lvl = np.arange(d)
@@ -136,7 +142,8 @@ def lex_between_boxes_many(
     rows = np.arange(len(S))
     gap = U[rows, f] - S[rows, f]
     keep = np.flatnonzero((gap > 0) & ((f < d - 1) | (gap > 1)))
-    S, U, rlo, rhi, f = S[keep], U[keep], rlo[keep], rhi[keep], f[keep]
+    S, U, f, kept = S[keep], U[keep], f[keep], owner[keep]
+    rlo, rhi = rlo[kept], rhi[kept]
     Sx = S[:, None, :]
     # Level l starts at max(src_l + 1, lo_l), which is <= hi_l iff both
     # are; lo <= hi fails on a padding region.

@@ -25,6 +25,8 @@ from __future__ import annotations
 from collections.abc import Mapping, Sequence
 from itertools import product
 
+import numpy as np
+
 from repro.ir.affine import AffineExpr
 from repro.ir.arrays import ArrayRef
 from repro.ir.loops import LoopNest
@@ -33,7 +35,10 @@ from repro.ir.space import IterationSpace
 from repro.polyhedra.box import Box
 
 
-def _normalize_tiles(nest: LoopNest, tile_sizes) -> tuple[int, ...]:
+def normalize_tiles(nest: LoopNest, tile_sizes) -> tuple[int, ...]:
+    """``tile_sizes`` (one per loop, or a mapping from loop variable to
+    size that defaults to the extent) as a tuple of ints in
+    ``[1, extent]``; ``ValueError``/``TypeError`` otherwise."""
     if isinstance(tile_sizes, Mapping):
         ts = tuple(int(tile_sizes.get(l.var, l.extent)) for l in nest.loops)
     elif isinstance(tile_sizes, Sequence):
@@ -50,30 +55,48 @@ def _normalize_tiles(nest: LoopNest, tile_sizes) -> tuple[int, ...]:
     return ts
 
 
+def tile_region_bounds(
+    extents: Sequence[int], tile_sizes: Sequence[int]
+) -> tuple[np.ndarray, np.ndarray]:
+    """The convex regions of the tiled space as ``(lo, hi)`` int64
+    arrays of shape ``(regions, 2·depth)``, row ``r`` the bounds of
+    region ``r`` in ``(t_1..t_d, u_1..u_d)`` coordinates.
+
+    Each dimension offers its full tiles ``t ∈ [0, Q-1]``, ``u ∈ [1, T]``
+    (when ``Q > 0``) and its boundary tile ``t = Q``, ``u ∈ [1, rem]``
+    (when ``rem > 0``), ``(Q, rem) = divmod(extent, T)``; regions are
+    the combinations in :func:`itertools.product` order, so at most
+    ``2^d`` of them, none empty.
+    """
+    options = []
+    for ext, t in zip(extents, tile_sizes):
+        q, rem = divmod(ext, t)
+        options.append(
+            ([(0, q - 1, 1, t)] if q > 0 else [])
+            + ([(q, q, 1, rem)] if rem > 0 else [])
+        )
+    # An option is (t_lo, t_hi, u_lo, u_hi); a row is t_lo.., u_lo..,
+    # t_hi.., u_hi.. over the dimensions.
+    bounds = np.array(
+        [[o[f] for f in (0, 2, 1, 3) for o in combo] for combo in product(*options)],
+        dtype=np.int64,
+    )
+    rank = 2 * len(options)
+    return bounds[:, :rank], bounds[:, rank:]
+
+
 def tile_regions(
     extents: tuple[int, ...], tile_sizes: tuple[int, ...]
 ) -> list[Box]:
     """The convex regions of the tiled space, as disjoint boxes.
 
-    Boxes live in ``(t_1..t_d, u_1..u_d)`` coordinates.  There are at
-    most ``2^d`` regions; dimensions that divide evenly contribute no
-    boundary option.
+    Boxes live in ``(t_1..t_d, u_1..u_d)`` coordinates, one per row of
+    :func:`tile_region_bounds`, in its order.  There are at most ``2^d``
+    regions; dimensions that divide evenly contribute no boundary
+    option.
     """
-    d = len(extents)
-    options: list[list[tuple[tuple[int, int], tuple[int, int]]]] = []
-    for ext, t in zip(extents, tile_sizes):
-        q, rem = divmod(ext, t)
-        opts = []
-        if q > 0:
-            opts.append(((0, q - 1), (1, t)))
-        if rem > 0:
-            opts.append(((q, q), (1, rem)))
-        options.append(opts)
-    boxes = []
-    for combo in product(*options):
-        lo = tuple(c[0][0] for c in combo) + tuple(c[1][0] for c in combo)
-        hi = tuple(c[0][1] for c in combo) + tuple(c[1][1] for c in combo)
-        boxes.append(Box(lo, hi))
+    lo, hi = tile_region_bounds(extents, tile_sizes)
+    boxes = [Box(l, h) for l, h in zip(lo.tolist(), hi.tolist())]
     assert boxes, "tiling produced no regions"
     total = sum(b.volume for b in boxes)
     expected = 1
@@ -96,7 +119,7 @@ def tile_program(nest: LoopNest, tile_sizes) -> AccessProgram:
     bijection.  Choosing ``T_j = extent_j`` leaves dimension ``j``
     untiled.
     """
-    ts = _normalize_tiles(nest, tile_sizes)
+    ts = normalize_tiles(nest, tile_sizes)
     extents = tuple(l.extent for l in nest.loops)
     lowers = tuple(l.lower for l in nest.loops)
     new_vars = tiled_var_names(nest.vars)

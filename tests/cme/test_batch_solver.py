@@ -23,7 +23,7 @@ from repro.ir.program import program_from_nest
 from repro.kernels.registry import KERNELS
 from repro.layout.memory import MemoryLayout, PaddingSpec
 from repro.polyhedra.kernels import box_line_counts, boxes_interfere
-from repro.polyhedra.lexinterval import lex_between_boxes
+from repro.polyhedra.lexinterval import lex_between_boxes, lex_between_boxes_many
 from repro.reuse.vectors import compute_reuse_candidates
 from repro.transform.tiling import tile_program
 from tests.conftest import make_small_mm, make_small_transpose
@@ -336,6 +336,35 @@ def test_between_boxes_wave_matches_raw_decomposition():
         [jobs[i][0] for i in order],
         "mm24-group",
     )
+
+
+def test_region_bounds_are_gathered_after_the_pair_filter():
+    """`lex_between_boxes_many` gathers each pair's regions from its
+    owner's padded table only for the pairs it keeps: the same (Blo,
+    Bhi, jid), dtypes included, as gathering every pair's regions first
+    (owner ``j`` for pair ``j``).  The pairs include dropped ones (equal
+    or reversed), and the lockstep's tables pad 1 and 2 regions to 8."""
+    rng = np.random.default_rng(3)
+    nest = make_small_mm(24)
+    group = [
+        PointClassifier(tile_program(nest, t), MemoryLayout(nest.arrays()), CACHE_DM)
+        for t in ((24, 24, 24), (5, 24, 24), (5, 7, 9))
+    ]
+    step = solver._Lockstep(group)
+    assert (step.rlo > step.rhi).all(axis=2).sum() == 7 + 6
+    jobs = [(t, pair) for t, c in enumerate(group) for pair in _random_pairs(c, rng)]
+    S = np.array([s for _, (s, _) in jobs], dtype=np.int64)
+    U = np.array([u for _, (_, u) in jobs], dtype=np.int64)
+    jt = np.array([t for t, _ in jobs])
+    after = lex_between_boxes_many(S, U, step.rlo, step.rhi, jt)
+    first = lex_between_boxes_many(
+        S, U, step.rlo[jt], step.rhi[jt], np.arange(len(jobs))
+    )
+    for a, b in zip(after, first):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+    dropped = [j for j, (s, u) in enumerate(zip(S.tolist(), U.tolist())) if s >= u]
+    assert dropped and not set(dropped) & set(after[2].tolist())
+    assert len(after[2]) > 0
 
 
 def test_merged_pass_memory_stays_near_one_candidates():

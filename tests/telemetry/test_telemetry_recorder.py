@@ -266,19 +266,25 @@ def test_classify_pass_counts_candidates_and_merged_kernel_calls(monkeypatch):
         assert calls and sum(entries) > 0 and len(rows) == 1 and rows[0] > 0
 
 
-def test_ga_search_builds_one_source_table_per_classify_pass():
+def test_ga_search_builds_one_source_table():
     """A GA seed-0 search of MM_500 (budget 60, 8KB DM) classifies its
-    62 estimates in 5 passes, each of one nest and sample: 5 tables."""
+    62 estimates (3 waves, then before and after) in 5 passes of one nest
+    and sample: the first builds the table of the analyzer's sample and
+    the other four take it from the analyzer's rows, where each pass
+    built its own (5 tables).  The answer is the pinned one."""
     from repro.cache.config import CacheConfig
     from repro.kernels.registry import KERNELS
     from repro.search.tiling import search_tiling
+    from tests.cme.test_solver_golden_stats import SEARCH_GOLDEN
 
     sink = MemorySink()
     telemetry.configure(sink=sink, default=True)
-    search_tiling(
+    out = search_tiling(
         KERNELS["MM"].build(500), CacheConfig(8 * 1024, 32, 1),
         strategy="ga", budget=60, seed=0,
     )
     totals = _cme_counts(sink)
+    assert out.tile_sizes == SEARCH_GOLDEN[1][0]
     assert totals["cme.classify_candidates"] == 62
-    assert totals["cme.classify_passes"] == totals["cme.source_tables"] == 5
+    assert totals["cme.classify_passes"] == 5
+    assert totals["cme.source_tables"] == 1
